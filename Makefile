@@ -44,7 +44,9 @@ chaos:
 
 # dataset pins the persistent-store contracts: capture → persist →
 # restore renders byte-identical artifacts (at 1 and 8 workers, with
-# gzip, under faults), multi-run merges are order-independent down to
+# gzip, under faults), the month-spill path writes the same bytes as a
+# whole-run Write (at 1 and 8 workers, under faults, over a narrowed
+# window, with gzip), multi-run merges are order-independent down to
 # the on-disk bytes, provenance collisions are rejected, and corrupted
 # shards or manifests always surface wrapped errors.
 dataset:

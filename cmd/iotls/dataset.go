@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/report"
 )
@@ -18,7 +19,6 @@ func runCapture(args []string) error {
 	out := fs.String("out", "", "dataset directory to create (required)")
 	gz := fs.Bool("gzip", false, "gzip-compress shard files")
 	devices := fs.String("devices", "", "comma-separated device IDs to restrict the run to (default: all)")
-	stream := fs.Bool("stream", false, "stream each completed month to -out at the month barrier (memory-bounded; bytes identical to the default path)")
 	fs.Parse(args)
 	if *out == "" {
 		return fmt.Errorf("capture: -out is required")
@@ -29,40 +29,36 @@ func runCapture(args []string) error {
 			return err
 		}
 	}
-	if *stream {
-		sp, err := dataset.NewSpiller(*out, s, dataset.Options{Gzip: *gz, Telemetry: s.Telemetry})
-		if err != nil {
-			return err
-		}
-		rep, err := s.RunAll()
-		if err != nil {
-			sp.Abort()
-			return err
-		}
-		if err := sp.Finish(rep); err != nil {
-			sp.Abort()
-			return err
-		}
-		fmt.Printf("captured %d records (streamed per month) to %s\n", sp.Spilled(), *out)
-		if rep.Degraded() {
-			return fmt.Errorf("%w: %d incident(s) contained", errDegraded, len(rep.Degradations))
-		}
-		return nil
-	}
-	rep, err := s.RunAll()
+	rep, spilled, err := spillCapture(s, *out, *gz)
 	if err != nil {
 		return err
 	}
-	ds := dataset.FromStudy(s, rep)
-	if err := dataset.Write(*out, ds, dataset.Options{Gzip: *gz, Telemetry: s.Telemetry}); err != nil {
-		return err
-	}
-	fmt.Printf("captured %d records (%d observations, %d active, %d revocations) to %s\n",
-		ds.Len(), len(ds.Observations), len(ds.ActiveObservations), len(ds.Revocations), *out)
+	fmt.Printf("captured %d passive records (streamed per month) to %s\n", spilled, *out)
 	if rep.Degraded() {
 		return fmt.Errorf("%w: %d incident(s) contained", errDegraded, len(rep.Degradations))
 	}
 	return nil
+}
+
+// spillCapture runs the study through the memory-bounded engine,
+// streaming each completed passive month into a dataset at out and
+// sealing it once the run ends. It returns the run's report and the
+// count of passive records streamed; on failure the directory is left
+// without a manifest.
+func spillCapture(s *core.Study, out string, gz bool) (*core.Report, int, error) {
+	sp, err := dataset.NewSpiller(out, s, dataset.Options{Gzip: gz, Telemetry: s.Telemetry})
+	if err != nil {
+		return nil, 0, err
+	}
+	rep, err := s.RunAll()
+	if err == nil {
+		err = sp.Finish(rep)
+	}
+	if err != nil {
+		sp.Abort()
+		return nil, 0, err
+	}
+	return rep, sp.Spilled(), nil
 }
 
 // runAnalyze renders the full report from one or more dataset

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/capture"
 	"repro/internal/clock"
-	"repro/internal/dataset"
 	"repro/internal/fleet"
 )
 
@@ -47,22 +46,13 @@ func runFleet(args []string) error {
 	s := newStudy()
 
 	if *out != "" {
-		sp, err := dataset.NewSpiller(*out, s, dataset.Options{Gzip: *gz, Telemetry: s.Telemetry})
+		rep, spilled, err := spillCapture(s, *out, *gz)
 		if err != nil {
-			return err
-		}
-		rep, err := s.RunAll()
-		if err != nil {
-			sp.Abort()
-			return err
-		}
-		if err := sp.Finish(rep); err != nil {
-			sp.Abort()
 			return err
 		}
 		fmt.Printf("fleet: %d devices, %d months, %d handshakes; streamed %d records to %s\n",
 			len(s.Registry.Devices), rep.PassiveStats.Months, rep.PassiveStats.Handshakes,
-			sp.Spilled(), *out)
+			spilled, *out)
 		printPeakRSS()
 		if rep.Degraded() {
 			return fmt.Errorf("%w: %d incident(s) contained", errDegraded, len(rep.Degradations))

@@ -77,14 +77,20 @@ func (ds *Dataset) Len() int {
 // must come from s.RunAll (or an equivalent sequence that populated the
 // store and suite reports).
 func FromStudy(s *core.Study, rep *core.Report) *Dataset {
-	from, to := s.Window()
-	run := runProvenance(s, rep)
+	ds := reportSections(s, rep)
+	ds.Observations, ds.Revocations = windowedPassive(s)
+	return ds
+}
 
-	// The store accumulates past the passive window: the active attack
-	// suites and passthrough controls route their handshakes through the
-	// same collector. The paper's figures are built from the passive
-	// window only, so the dataset captures exactly those months — the
-	// suite phases' evidence is persisted as their reports instead.
+// windowedPassive returns the study store's passive records that fall
+// inside the collection window. The store accumulates past the window:
+// the active attack suites and passthrough controls route their
+// handshakes through the same collector. The paper's figures are built
+// from the passive window only, so the dataset captures exactly those
+// months — the suite phases' evidence is persisted as their reports
+// instead.
+func windowedPassive(s *core.Study) ([]*capture.Observation, []capture.RevocationEvent) {
+	from, to := s.Window()
 	inWindow := func(m clock.Month) bool {
 		return !m.Before(from) && !to.Before(m)
 	}
@@ -100,10 +106,17 @@ func FromStudy(s *core.Study, rep *core.Report) *Dataset {
 			revs = append(revs, ev)
 		}
 	}
+	return obs, revs
+}
+
+// reportSections snapshots everything of a run but its passive records:
+// the run provenance, the active snapshot, the probe results, the suite
+// reports, the degradation log and the trace spans. FromStudy adds the
+// passive records to it; the Spiller, which has already streamed them
+// month by month, persists it as is.
+func reportSections(s *core.Study, rep *core.Report) *Dataset {
 	ds := &Dataset{
-		Runs:          []Run{run},
-		Observations:  obs,
-		Revocations:   revs,
+		Runs:          []Run{runProvenance(s, rep)},
 		Downgrades:    rep.Downgrades,
 		OldVersions:   rep.OldVersions,
 		Interceptions: rep.Interceptions,
@@ -123,9 +136,7 @@ func FromStudy(s *core.Study, rep *core.Report) *Dataset {
 	return ds
 }
 
-// runProvenance builds one capture run's provenance record; FromStudy
-// and the streaming Spiller share it so the two persistence paths can
-// never drift on what a run claims about itself.
+// runProvenance builds one capture run's provenance record.
 func runProvenance(s *core.Study, rep *core.Report) Run {
 	from, to := s.Window()
 	run := Run{

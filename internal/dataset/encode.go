@@ -3,7 +3,6 @@ package dataset
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // ErrCorrupt is wrapped by every decode-side failure: truncated or
@@ -29,36 +28,6 @@ const maxRecordLen = 1 << 24
 type enc struct {
 	b []byte
 }
-
-// encPool recycles encode buffers across records: steady-state encoding
-// allocates nothing once buffers reach their working size. Pooling is
-// invisible in the output — a pooled and a fresh encoder produce
-// byte-identical records (the round-trip test pins this).
-var encPool = sync.Pool{New: func() any { return &enc{b: make([]byte, 0, 256)} }}
-
-// maxPooledEnc bounds the capacity returned to the pool so one giant
-// record cannot pin a giant buffer forever.
-const maxPooledEnc = 1 << 16
-
-// getEnc returns an empty encoder; pooled unless noPool.
-func getEnc(noPool bool) *enc {
-	if noPool {
-		return &enc{}
-	}
-	e := encPool.Get().(*enc)
-	e.b = e.b[:0]
-	return e
-}
-
-// putEnc recycles an encoder obtained from getEnc.
-func putEnc(e *enc, noPool bool) {
-	if !noPool && cap(e.b) <= maxPooledEnc {
-		encPool.Put(e)
-	}
-}
-
-// reset empties the encoder, keeping its buffer.
-func (e *enc) reset() { e.b = e.b[:0] }
 
 // grow reserves space for at least n more bytes (the cheap size pass:
 // callers estimate a record's encoded size up front so the buffer grows

@@ -71,6 +71,38 @@ func runsCollide(a, b Run) bool {
 	return false
 }
 
+// sourcedRun is one admitted merge input run and the label of the
+// input it came from ("" for in-memory unions).
+type sourcedRun struct {
+	run Run
+	src string
+}
+
+// admitRun appends r, read from src, to runs unless it duplicates or
+// collides with a run already admitted. Union and Merge both admit
+// their inputs' runs through here; src only shapes the error messages.
+func admitRun(runs *[]sourcedRun, r Run, src string) error {
+	for _, prev := range *runs {
+		if err := checkDuplicateRun(prev.run, r, prev.src, src); err != nil {
+			return err
+		}
+		if runsCollide(prev.run, r) {
+			return fmt.Errorf("dataset: provenance collision: run %s%s and run %s%s capture the same configuration (seed=%d profile=%q window=%s..%s) with overlapping devices",
+				prev.run.Fingerprint(), fromSource(prev.src), r.Fingerprint(), fromSource(src), r.FaultSeed, r.FaultProfile, r.WindowFrom, r.WindowTo)
+		}
+	}
+	*runs = append(*runs, sourcedRun{run: r, src: src})
+	return nil
+}
+
+// fromSource renders a run's source label for an error message.
+func fromSource(src string) string {
+	if src == "" {
+		return ""
+	}
+	return " from " + src
+}
+
 // Union concatenates already-loaded datasets in memory, applying the
 // same provenance collision rules as Merge. Restore re-canonicalises
 // every section (the store sorts observations, suite reports sort by
@@ -78,16 +110,11 @@ func runsCollide(a, b Run) bool {
 // independent for disjoint-device inputs.
 func Union(sets ...*Dataset) (*Dataset, error) {
 	out := &Dataset{}
+	var runs []sourcedRun
 	for _, ds := range sets {
 		for _, r := range ds.Runs {
-			for _, prev := range out.Runs {
-				if err := checkDuplicateRun(prev, r, "", ""); err != nil {
-					return nil, err
-				}
-				if runsCollide(prev, r) {
-					return nil, fmt.Errorf("dataset: provenance collision: runs %s and %s capture the same configuration (seed=%d profile=%q window=%s..%s) with overlapping devices",
-						prev.Fingerprint(), r.Fingerprint(), r.FaultSeed, r.FaultProfile, r.WindowFrom, r.WindowTo)
-				}
+			if err := admitRun(&runs, r, ""); err != nil {
+				return nil, err
 			}
 			out.Runs = append(out.Runs, r)
 		}
@@ -138,8 +165,7 @@ func Merge(outDir string, inDirs []string, opts Options) (err error) {
 		return err
 	}
 
-	var runs []Run
-	var runDirs []string
+	var runs []sourcedRun
 	hasActive := false
 	buckets := make(map[string]*bucket)
 	var order []string
@@ -149,17 +175,9 @@ func Merge(outDir string, inDirs []string, opts Options) (err error) {
 			return err
 		}
 		for _, r := range m.Runs {
-			for i, prev := range runs {
-				if err := checkDuplicateRun(prev, r, runDirs[i], dir); err != nil {
-					return err
-				}
-				if runsCollide(prev, r) {
-					return fmt.Errorf("dataset: provenance collision: run %s from %s and run %s from %s capture the same configuration (seed=%d profile=%q window=%s..%s) with overlapping devices",
-						prev.Fingerprint(), runDirs[i], r.Fingerprint(), dir, r.FaultSeed, r.FaultProfile, r.WindowFrom, r.WindowTo)
-				}
+			if err := admitRun(&runs, r, dir); err != nil {
+				return err
 			}
-			runs = append(runs, r)
-			runDirs = append(runDirs, dir)
 		}
 		if m.HasActive {
 			hasActive = true
@@ -181,8 +199,13 @@ func Merge(outDir string, inDirs []string, opts Options) (err error) {
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if err != nil {
+			w.abort()
+		}
+	}()
 	for _, r := range runs {
-		w.AddRun(r)
+		w.AddRun(r.run)
 	}
 	if hasActive {
 		w.SetHasActive()

@@ -260,6 +260,27 @@ func TestMergeRejectsCopiedDataset(t *testing.T) {
 	}
 }
 
+// TestFailedMergeLeaksNoFiles pins that a merge failing on a corrupt
+// input leaves no manifest and closes the output shards it had already
+// opened: trace.bin is the last bucket merged, so truncating it fails
+// the merge after every other output shard is open.
+func TestFailedMergeLeaksNoFiles(t *testing.T) {
+	in, _ := writeSample(t, false)
+	raw, err := os.ReadFile(filepath.Join(in, "trace.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(in, "trace.bin"), raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "out")
+	before := openFDs(t)
+	if err := dataset.Merge(out, []string{in}, dataset.Options{}); !errors.Is(err, dataset.ErrCorrupt) {
+		t.Fatalf("Merge over a truncated trace shard: err = %v, want ErrCorrupt", err)
+	}
+	assertSealFailedCleanly(t, out, before)
+}
+
 // TestMergeSchemaMismatch pins that a dataset from a different schema
 // version is rejected up front.
 func TestMergeSchemaMismatch(t *testing.T) {

@@ -4,7 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fault"
@@ -118,13 +120,11 @@ func TestRoundTripByteIdentical(t *testing.T) {
 	}
 }
 
-// streamCapture runs the full study with the month-spill streaming
-// path armed, persisting into dir as each passive month completes.
-func streamCapture(t *testing.T, parallelism int, dir string) {
+// streamCapture runs the study with the month-spill streaming path
+// armed, persisting into dir as each passive month completes.
+func streamCapture(t *testing.T, s *core.Study, dir string, opts dataset.Options) {
 	t.Helper()
-	s := core.NewStudy()
-	s.Parallelism = parallelism
-	sp, err := dataset.NewSpiller(dir, s, dataset.Options{})
+	sp, err := dataset.NewSpiller(dir, s, opts)
 	if err != nil {
 		t.Fatalf("NewSpiller: %v", err)
 	}
@@ -134,6 +134,7 @@ func streamCapture(t *testing.T, parallelism int, dir string) {
 		t.Fatalf("RunAll: %v", err)
 	}
 	if err := sp.Finish(rep); err != nil {
+		sp.Abort()
 		t.Fatalf("Finish: %v", err)
 	}
 	if sp.Spilled() == 0 {
@@ -145,23 +146,56 @@ func streamCapture(t *testing.T, parallelism int, dir string) {
 // contract: streaming each completed month to disk at the month
 // barrier produces a dataset directory byte-identical to the bulk
 // FromStudy+Write path — every shard and the manifest — at
-// parallelism 1 and 8, and the streamed dataset restores to the same
-// rendered artifacts as the in-memory run.
+// parallelism 1 and 8, under an armed fault plan, over a narrowed
+// passive window, and with gzip; and the streamed dataset restores to
+// the same rendered artifacts as the in-memory run.
 func TestStreamingSpillByteIdentical(t *testing.T) {
-	for _, par := range []int{1, 8} {
-		par := par
-		t.Run(map[int]string{1: "sequential", 8: "parallel8"}[par], func(t *testing.T) {
+	jan := clock.Month{Year: 2018, Mon: time.January}
+	feb := clock.Month{Year: 2018, Mon: time.February}
+	cases := []struct {
+		name        string
+		parallelism int
+		gzip        bool
+		plan        func() *fault.Plan
+		from, to    clock.Month // zero: the full study window
+	}{
+		{name: "sequential", parallelism: 1},
+		{name: "parallel8", parallelism: 8},
+		{name: "faults_aggressive", parallelism: 8, plan: func() *fault.Plan {
+			return fault.NewPlan(7, fault.Profiles["aggressive"])
+		}},
+		{name: "window", parallelism: 8, from: jan, to: feb},
+		{name: "parallel8_gzip", parallelism: 8, gzip: true},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
+			// Each persistence path runs its own identically configured study.
+			newStudy := func() *core.Study {
+				s := core.NewStudy()
+				s.Parallelism = tc.parallelism
+				if tc.plan != nil {
+					s.SetFaultPlan(tc.plan())
+				}
+				s.PassiveFrom, s.PassiveTo = tc.from, tc.to
+				return s
+			}
 			base := t.TempDir()
+			opts := dataset.Options{Gzip: tc.gzip}
 
-			s, rep := runFull(t, par, nil)
+			s := newStudy()
+			rep, err := s.RunAll()
+			if err != nil {
+				t.Fatalf("RunAll: %v", err)
+			}
 			bulkDir := filepath.Join(base, "bulk")
-			if err := dataset.Write(bulkDir, dataset.FromStudy(s, rep), dataset.Options{}); err != nil {
+			if err := dataset.Write(bulkDir, dataset.FromStudy(s, rep), opts); err != nil {
 				t.Fatalf("Write: %v", err)
 			}
 
 			streamDir := filepath.Join(base, "stream")
-			streamCapture(t, par, streamDir)
+			streamCapture(t, newStudy(), streamDir, opts)
 
 			want := readDirFiles(t, bulkDir)
 			got := readDirFiles(t, streamDir)
@@ -224,6 +258,59 @@ func TestWriterRefusesOverwrite(t *testing.T) {
 	}
 }
 
+// openFDs counts the process's open file descriptors, skipping the
+// test where /proc does not expose them.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	entries, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open files: %v", err)
+	}
+	return len(entries)
+}
+
+// assertSealFailedCleanly fails the test if dir holds a manifest or
+// if the process has more files open than fdsBefore.
+func assertSealFailedCleanly(t *testing.T, dir string, fdsBefore int) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(dir, dataset.ManifestName)); !os.IsNotExist(err) {
+		t.Errorf("failed seal left a manifest (stat err %v)", err)
+	}
+	if after := openFDs(t); after > fdsBefore {
+		t.Errorf("open files grew from %d to %d across a failed seal: shard files leaked", fdsBefore, after)
+	}
+}
+
+// TestFailedCloseLeaksNoFiles pins that Close seals every shard even
+// when one fails: active.bin links to /dev/full, so its buffered bytes
+// fail to flush in Close, and every other shard must still be closed.
+// Write itself must then leave no manifest and no open files.
+func TestFailedCloseLeaksNoFiles(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	s := core.NewStudy()
+	jan := clock.Month{Year: 2018, Mon: time.January}
+	s.PassiveFrom, s.PassiveTo = jan, jan
+	rep, err := s.RunAll()
+	if err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	ds := dataset.FromStudy(s, rep)
+	dir := filepath.Join(t.TempDir(), "ds")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "active.bin")); err != nil {
+		t.Fatal(err)
+	}
+	before := openFDs(t)
+	if err := dataset.Write(dir, ds, dataset.Options{}); err == nil {
+		t.Fatal("Write succeeded with active.bin linked to /dev/full")
+	}
+	assertSealFailedCleanly(t, dir, before)
+}
+
 // readDirFiles loads every regular file in dir keyed by name.
 func readDirFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
@@ -240,39 +327,4 @@ func readDirFiles(t *testing.T, dir string) map[string][]byte {
 		out[e.Name()] = raw
 	}
 	return out
-}
-
-// TestPoolingByteIdenticalOutput pins that encode-buffer pooling is
-// invisible on disk: the same dataset written with pooled encoders and
-// with per-record fresh buffers produces byte-identical shard files and
-// manifests, in both the bulk and the streaming write paths.
-func TestPoolingByteIdenticalOutput(t *testing.T) {
-	t.Parallel()
-	s, rep := runFull(t, 8, nil)
-	ds := dataset.FromStudy(s, rep)
-	base := t.TempDir()
-
-	pooled := filepath.Join(base, "pooled")
-	fresh := filepath.Join(base, "fresh")
-	if err := dataset.Write(pooled, ds, dataset.Options{}); err != nil {
-		t.Fatalf("Write pooled: %v", err)
-	}
-	if err := dataset.Write(fresh, ds, dataset.Options{NoPooling: true}); err != nil {
-		t.Fatalf("Write unpooled: %v", err)
-	}
-
-	want := readDirFiles(t, pooled)
-	got := readDirFiles(t, fresh)
-	if len(got) != len(want) {
-		t.Fatalf("pooled wrote %d files, unpooled %d", len(want), len(got))
-	}
-	for name, w := range want {
-		g, ok := got[name]
-		if !ok {
-			t.Fatalf("unpooled run missing file %s", name)
-		}
-		if string(g) != string(w) {
-			t.Errorf("file %s differs between pooled and unpooled writes (%d vs %d bytes)", name, len(w), len(g))
-		}
-	}
 }

@@ -18,12 +18,13 @@ import (
 // catalog.
 //
 // The spilled bytes are byte-identical to the bulk Write path for the
-// same study: both canonical record orders (observations and
-// revocation events) sort on the virtual timestamp first, and every
-// month's timestamps precede the next month's, so sorting each drained
-// month independently produces exactly the per-month groups a
-// whole-run canonical sort would — and each month's shard streams its
-// observations before its revocations in both paths. The month barrier
+// same study. Both encode through one Writer, so only the record order
+// could differ, and it does not: both canonical record orders
+// (observations and revocation events) sort on the virtual timestamp
+// first, and every month's timestamps precede the next month's, so
+// sorting each drained month independently produces exactly the
+// per-month groups a whole-run canonical sort would — and each month's
+// shard streams its observations before its revocations in both paths. The month barrier
 // guarantees completeness: WaitIdle has joined every sniffer and the
 // worker buffers have flushed before the drain, so no record of a
 // spilled month can arrive late.
@@ -57,7 +58,7 @@ func NewSpiller(dir string, s *core.Study, opts Options) (*Spiller, error) {
 func (sp *Spiller) Spilled() int { return sp.spilt }
 
 // spill appends one drained month: observations first, then revocation
-// events, matching the bulk writer's per-shard section order.
+// events, the per-shard section order writeDataset uses.
 func (sp *Spiller) spill(m clock.Month, obs []*capture.Observation, revs []capture.RevocationEvent) error {
 	for _, o := range obs {
 		if err := sp.w.Observation(o); err != nil {
@@ -74,70 +75,25 @@ func (sp *Spiller) spill(m clock.Month, obs []*capture.Observation, revs []captu
 }
 
 // Finish persists everything the passive spill did not cover — the
-// active snapshot, the suite reports, the probe results, the
-// degradation log, the trace shard, and the run provenance — then
-// seals the dataset (manifest written last). The record order per
-// section mirrors the bulk Write path exactly. rep must come from the
-// armed study's RunAll.
+// run provenance, the active snapshot, the probe results, the suite
+// reports, the degradation log and the trace shard — through the same
+// writeDataset as the bulk Write path, then seals the dataset
+// (manifest written last). rep must come from the armed study's
+// RunAll. On error, call Abort to close the shard files.
 func (sp *Spiller) Finish(rep *core.Report) error {
 	if sp.done {
 		return fmt.Errorf("dataset: spiller already finished")
 	}
 	sp.done = true
-	sp.w.AddRun(runProvenance(sp.s, rep))
-	if rep.ActiveStore != nil {
-		sp.w.SetHasActive()
-		for _, o := range rep.ActiveStore.All() {
-			if err := sp.w.ActiveObservation(o); err != nil {
-				return err
-			}
-		}
-	}
-	// Aux section order is the bulk path's: probes, downgrades, old
-	// versions, interceptions, passthroughs, degradations.
-	for _, pr := range rep.ProbeReports {
-		if err := sp.w.ProbeReport(toProbeRecord(pr)); err != nil {
-			return err
-		}
-	}
-	for _, r := range rep.Downgrades {
-		if err := sp.w.Downgrade(r); err != nil {
-			return err
-		}
-	}
-	for _, r := range rep.OldVersions {
-		if err := sp.w.OldVersion(r); err != nil {
-			return err
-		}
-	}
-	for _, r := range rep.Interceptions {
-		if err := sp.w.Interception(r); err != nil {
-			return err
-		}
-	}
-	for _, r := range rep.Passthroughs {
-		if err := sp.w.Passthrough(r); err != nil {
-			return err
-		}
-	}
-	for _, d := range rep.Degradations {
-		if err := sp.w.Degradation(d); err != nil {
-			return err
-		}
-	}
-	if t := sp.s.Tracer(); t != nil {
-		for _, r := range t.Spans() {
-			if err := sp.w.TraceSpan(r); err != nil {
-				return err
-			}
-		}
+	if err := sp.w.writeDataset(reportSections(sp.s, rep)); err != nil {
+		return err
 	}
 	return sp.w.Close()
 }
 
 // Abort closes the partially-written shards without writing a
-// manifest: the directory is not a readable dataset, exactly like an
-// interrupted bulk write. Safe to call after a failed Finish.
+// manifest: the directory is not a readable dataset, exactly like a
+// failed Write. Safe to call after a failed Finish.
 func (sp *Spiller) Abort() {
 	sp.done = true
 	sp.w.abort()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/mitm"
-	"repro/internal/pool"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -28,11 +28,6 @@ type Options struct {
 	Gzip bool
 	// Telemetry receives dataset.* I/O counters and spans; nil is fine.
 	Telemetry *telemetry.Registry
-	// NoPooling disables encode-buffer reuse: every record is encoded
-	// into a fresh buffer. The written bytes are identical either way —
-	// the round-trip determinism test pins that — so the knob exists
-	// only for that test and for debugging aliasing suspicions.
-	NoPooling bool
 }
 
 // writeCounters caches the write-path telemetry handles; Registry
@@ -64,6 +59,7 @@ type Writer struct {
 	runs   []Run
 	active bool
 	closed bool
+	buf    enc // the record encoder, reused for every record
 
 	// last caches the most recent (kind, month) → shard resolution:
 	// records arrive in long same-shard runs, so the common case skips
@@ -129,18 +125,21 @@ func (sw *shardWriter) writeRecord(payload []byte) error {
 	return nil
 }
 
-// finish flushes and closes the shard, sealing its CRC.
+// finish flushes and closes the shard, sealing its CRC. The file is
+// closed even when the flush fails.
 func (sw *shardWriter) finish() error {
+	var err error
 	if sw.gz != nil {
-		if err := sw.gz.Close(); err != nil {
-			return fmt.Errorf("dataset: finish shard %s: %w", sw.info.File, err)
-		}
+		err = sw.gz.Close()
 	}
-	if err := sw.bw.Flush(); err != nil {
-		return fmt.Errorf("dataset: flush shard %s: %w", sw.info.File, err)
+	if err == nil {
+		err = sw.bw.Flush()
 	}
-	if err := sw.f.Close(); err != nil {
-		return fmt.Errorf("dataset: close shard %s: %w", sw.info.File, err)
+	if cerr := sw.f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("dataset: finish shard %s: %w", sw.info.File, err)
 	}
 	sw.info.CRC32 = sw.crc.Sum32()
 	return nil
@@ -223,101 +222,164 @@ func (w *Writer) write(kind string, month clock.Month, payload []byte) error {
 	return sw.writeRecord(payload)
 }
 
+// encoder returns the Writer's record encoder, emptied. One buffer is
+// reused for every record, so steady-state encoding allocates nothing
+// once it reaches the largest record's size.
+func (w *Writer) encoder() *enc {
+	w.buf.b = w.buf.b[:0]
+	return &w.buf
+}
+
 // Observation streams one passive handshake observation into its
 // month's shard.
 func (w *Writer) Observation(o *capture.Observation) error {
-	e := getEnc(w.opts.NoPooling)
+	e := w.encoder()
 	encodeObservation(e, recObservation, o)
-	err := w.write(KindPassive, o.Month, e.b)
-	putEnc(e, w.opts.NoPooling)
-	return err
+	return w.write(KindPassive, o.Month, e.b)
 }
 
 // Revocation streams one revocation event into its month's shard.
 func (w *Writer) Revocation(ev capture.RevocationEvent) error {
-	e := getEnc(w.opts.NoPooling)
+	e := w.encoder()
 	encodeRevocation(e, ev)
-	err := w.write(KindPassive, clock.MonthOf(ev.Time), e.b)
-	putEnc(e, w.opts.NoPooling)
-	return err
+	return w.write(KindPassive, clock.MonthOf(ev.Time), e.b)
 }
 
 // ActiveObservation streams one active-snapshot observation.
 func (w *Writer) ActiveObservation(o *capture.Observation) error {
-	e := getEnc(w.opts.NoPooling)
+	e := w.encoder()
 	encodeObservation(e, recActiveObservation, o)
-	err := w.write(KindActive, clock.Month{}, e.b)
-	putEnc(e, w.opts.NoPooling)
-	return err
-}
-
-// aux streams one already-encoded aux record.
-func (w *Writer) aux(e *enc) error {
-	err := w.write(KindAux, clock.Month{}, e.b)
-	putEnc(e, w.opts.NoPooling)
-	return err
+	return w.write(KindActive, clock.Month{}, e.b)
 }
 
 // ProbeReport streams one root-store probe result.
 func (w *Writer) ProbeReport(r *ProbeRecord) error {
-	e := getEnc(w.opts.NoPooling)
+	e := w.encoder()
 	encodeProbeReport(e, r)
-	return w.aux(e)
+	return w.write(KindAux, clock.Month{}, e.b)
 }
 
 // Downgrade streams one version-downgrade suite report.
 func (w *Writer) Downgrade(r *mitm.DowngradeReport) error {
-	e := getEnc(w.opts.NoPooling)
+	e := w.encoder()
 	encodeDowngrade(e, r)
-	return w.aux(e)
+	return w.write(KindAux, clock.Month{}, e.b)
 }
 
 // OldVersion streams one old-version acceptance report.
 func (w *Writer) OldVersion(r *mitm.OldVersionReport) error {
-	e := getEnc(w.opts.NoPooling)
+	e := w.encoder()
 	encodeOldVersion(e, r)
-	return w.aux(e)
+	return w.write(KindAux, clock.Month{}, e.b)
 }
 
 // Interception streams one interception suite report.
 func (w *Writer) Interception(r *mitm.InterceptionReport) error {
-	e := getEnc(w.opts.NoPooling)
+	e := w.encoder()
 	encodeInterception(e, r)
-	return w.aux(e)
+	return w.write(KindAux, clock.Month{}, e.b)
 }
 
 // Passthrough streams one traffic-passthrough control report.
 func (w *Writer) Passthrough(r *mitm.PassthroughReport) error {
-	e := getEnc(w.opts.NoPooling)
+	e := w.encoder()
 	encodePassthrough(e, r)
-	return w.aux(e)
+	return w.write(KindAux, clock.Month{}, e.b)
 }
 
 // Degradation streams one contained-incident log entry.
 func (w *Writer) Degradation(d core.Degradation) error {
-	e := getEnc(w.opts.NoPooling)
+	e := w.encoder()
 	encodeDegradation(e, d)
-	return w.aux(e)
+	return w.write(KindAux, clock.Month{}, e.b)
 }
 
 // TraceSpan streams one causal trace span. Spans must be fed in
 // canonical (DFS) order for deterministic output; trace.Canonical
 // establishes it.
 func (w *Writer) TraceSpan(r trace.SpanRecord) error {
-	e := getEnc(w.opts.NoPooling)
+	e := w.encoder()
 	encodeTraceSpan(e, r)
-	err := w.write(KindTrace, clock.Month{}, e.b)
-	putEnc(e, w.opts.NoPooling)
-	return err
+	return w.write(KindTrace, clock.Month{}, e.b)
 }
 
-// Close flushes every shard and writes the manifest. The Writer is
-// unusable afterwards.
+// writeDataset streams every record of ds and its run provenance. It
+// is the sole owner of the canonical section order — observations,
+// revocations, active observations, probe reports, downgrades, old
+// versions, interceptions, passthroughs, degradations, trace spans —
+// which Write and Spiller.Finish both reach only through here. Each
+// shard receives its records in section order, so a passive month's
+// shard holds its observations before its revocations.
+func (w *Writer) writeDataset(ds *Dataset) error {
+	for _, r := range ds.Runs {
+		w.AddRun(r)
+	}
+	if ds.HasActive {
+		w.SetHasActive()
+	}
+	for _, o := range ds.Observations {
+		if err := w.Observation(o); err != nil {
+			return err
+		}
+	}
+	for _, ev := range ds.Revocations {
+		if err := w.Revocation(ev); err != nil {
+			return err
+		}
+	}
+	for _, o := range ds.ActiveObservations {
+		if err := w.ActiveObservation(o); err != nil {
+			return err
+		}
+	}
+	for _, r := range ds.ProbeReports {
+		if err := w.ProbeReport(r); err != nil {
+			return err
+		}
+	}
+	for _, r := range ds.Downgrades {
+		if err := w.Downgrade(r); err != nil {
+			return err
+		}
+	}
+	for _, r := range ds.OldVersions {
+		if err := w.OldVersion(r); err != nil {
+			return err
+		}
+	}
+	for _, r := range ds.Interceptions {
+		if err := w.Interception(r); err != nil {
+			return err
+		}
+	}
+	for _, r := range ds.Passthroughs {
+		if err := w.Passthrough(r); err != nil {
+			return err
+		}
+	}
+	for _, d := range ds.Degradations {
+		if err := w.Degradation(d); err != nil {
+			return err
+		}
+	}
+	for _, r := range ds.TraceSpans {
+		if err := w.TraceSpan(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Close flushes every shard and writes the manifest. Every shard file
+// is closed even when sealing one of them fails; the errors are joined
+// and no manifest is written. The Writer is unusable afterwards.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
-	w.closed = true
+	if err := w.finishAll(); err != nil {
+		return err
+	}
 	m := &Manifest{
 		Schema:    Schema,
 		Version:   Version,
@@ -326,9 +388,6 @@ func (w *Writer) Close() error {
 		Runs:      w.runs,
 	}
 	for _, sw := range w.shards {
-		if err := sw.finish(); err != nil {
-			return err
-		}
 		m.Shards = append(m.Shards, sw.info)
 	}
 	return writeManifest(w.dir, m)
@@ -336,195 +395,37 @@ func (w *Writer) Close() error {
 
 // abort closes every open shard file without sealing a manifest: the
 // directory stays unreadable as a dataset (readers require the
-// manifest), which is the contract for interrupted streaming writes.
+// manifest), which is the contract for interrupted writes.
 func (w *Writer) abort() {
-	if w.closed {
-		return
+	if !w.closed {
+		_ = w.finishAll()
 	}
+}
+
+// finishAll seals every shard, closing each file even after an earlier
+// shard failed, and marks the Writer closed.
+func (w *Writer) finishAll() error {
 	w.closed = true
+	var errs []error
 	for _, sw := range w.shards {
-		_ = sw.finish()
+		errs = append(errs, sw.finish())
 	}
+	return errors.Join(errs...)
 }
 
-// shardJob is one shard's worth of bulk-write work: the shard identity
-// plus an emit callback streaming every record belonging to it, in the
-// dataset's canonical section order.
-type shardJob struct {
-	kind  string
-	month clock.Month
-	emit  func(sw *shardWriter, e *enc) error
-}
-
-// Write persists a whole in-memory Dataset to dir. Shards are encoded
-// and written in parallel — they are independent by construction (one
-// file each, own CRC, own record stream) — and the manifest is sorted,
-// so the resulting directory is byte-identical to a sequential write.
+// Write persists a whole in-memory Dataset to dir through a Writer, so
+// the bulk and streaming paths share one encoder and one section order.
+// A failed write leaves no manifest and no open shard files.
 func Write(dir string, ds *Dataset, opts Options) (err error) {
 	span := opts.Telemetry.StartSpan("dataset.write")
 	defer func() { span.EndErr(err) }()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("dataset: create %s: %w", dir, err)
+	w, err := NewWriter(dir, opts)
+	if err != nil {
+		return err
 	}
-	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
-		return fmt.Errorf("dataset: %s already holds a dataset (refusing to overwrite)", dir)
+	if err := w.writeDataset(ds); err != nil {
+		w.abort()
+		return err
 	}
-	ctrs := newWriteCounters(opts.Telemetry)
-
-	// Group the passive sections by month, preserving in-dataset order:
-	// each month's shard streams its observations first, then its
-	// revocations, exactly as the streaming Writer would.
-	monthObs := make(map[clock.Month][]*capture.Observation)
-	monthRevs := make(map[clock.Month][]capture.RevocationEvent)
-	var months []clock.Month
-	seen := make(map[clock.Month]bool)
-	note := func(m clock.Month) {
-		if !seen[m] {
-			seen[m] = true
-			months = append(months, m)
-		}
-	}
-	for _, o := range ds.Observations {
-		note(o.Month)
-		monthObs[o.Month] = append(monthObs[o.Month], o)
-	}
-	for _, ev := range ds.Revocations {
-		m := clock.MonthOf(ev.Time)
-		note(m)
-		monthRevs[m] = append(monthRevs[m], ev)
-	}
-
-	var jobs []shardJob
-	for _, m := range months {
-		m := m
-		jobs = append(jobs, shardJob{kind: KindPassive, month: m, emit: func(sw *shardWriter, e *enc) error {
-			for _, o := range monthObs[m] {
-				e.reset()
-				encodeObservation(e, recObservation, o)
-				if err := sw.writeRecord(e.b); err != nil {
-					return err
-				}
-			}
-			for _, ev := range monthRevs[m] {
-				e.reset()
-				encodeRevocation(e, ev)
-				if err := sw.writeRecord(e.b); err != nil {
-					return err
-				}
-			}
-			return nil
-		}})
-	}
-	if len(ds.ActiveObservations) > 0 {
-		jobs = append(jobs, shardJob{kind: KindActive, emit: func(sw *shardWriter, e *enc) error {
-			for _, o := range ds.ActiveObservations {
-				e.reset()
-				encodeObservation(e, recActiveObservation, o)
-				if err := sw.writeRecord(e.b); err != nil {
-					return err
-				}
-			}
-			return nil
-		}})
-	}
-	if len(ds.ProbeReports)+len(ds.Downgrades)+len(ds.OldVersions)+
-		len(ds.Interceptions)+len(ds.Passthroughs)+len(ds.Degradations) > 0 {
-		jobs = append(jobs, shardJob{kind: KindAux, emit: func(sw *shardWriter, e *enc) error {
-			write := func(encode func(*enc)) error {
-				e.reset()
-				encode(e)
-				return sw.writeRecord(e.b)
-			}
-			for _, r := range ds.ProbeReports {
-				r := r
-				if err := write(func(e *enc) { encodeProbeReport(e, r) }); err != nil {
-					return err
-				}
-			}
-			for _, r := range ds.Downgrades {
-				r := r
-				if err := write(func(e *enc) { encodeDowngrade(e, r) }); err != nil {
-					return err
-				}
-			}
-			for _, r := range ds.OldVersions {
-				r := r
-				if err := write(func(e *enc) { encodeOldVersion(e, r) }); err != nil {
-					return err
-				}
-			}
-			for _, r := range ds.Interceptions {
-				r := r
-				if err := write(func(e *enc) { encodeInterception(e, r) }); err != nil {
-					return err
-				}
-			}
-			for _, r := range ds.Passthroughs {
-				r := r
-				if err := write(func(e *enc) { encodePassthrough(e, r) }); err != nil {
-					return err
-				}
-			}
-			for _, d := range ds.Degradations {
-				d := d
-				if err := write(func(e *enc) { encodeDegradation(e, d) }); err != nil {
-					return err
-				}
-			}
-			return nil
-		}})
-	}
-	if len(ds.TraceSpans) > 0 {
-		jobs = append(jobs, shardJob{kind: KindTrace, emit: func(sw *shardWriter, e *enc) error {
-			for _, r := range ds.TraceSpans {
-				e.reset()
-				encodeTraceSpan(e, r)
-				if err := sw.writeRecord(e.b); err != nil {
-					return err
-				}
-			}
-			return nil
-		}})
-	}
-
-	infos := make([]ShardInfo, len(jobs))
-	errs := make([]error, len(jobs))
-	pool.Run(0, len(jobs), func(_, i int) {
-		job := jobs[i]
-		monthStr := ""
-		if job.kind == KindPassive {
-			monthStr = job.month.String()
-		}
-		sw, err := newShardWriter(dir, shardName(job.kind, job.month, opts.Gzip), job.kind, monthStr, opts.Gzip, ctrs)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		e := getEnc(opts.NoPooling)
-		if err := job.emit(sw, e); err != nil {
-			errs[i] = err
-			return
-		}
-		putEnc(e, opts.NoPooling)
-		if err := sw.finish(); err != nil {
-			errs[i] = err
-			return
-		}
-		infos[i] = sw.info
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-
-	m := &Manifest{
-		Schema:    Schema,
-		Version:   Version,
-		Gzip:      opts.Gzip,
-		HasActive: ds.HasActive,
-		Runs:      append([]Run(nil), ds.Runs...),
-		Shards:    infos,
-	}
-	return writeManifest(dir, m)
+	return w.Close()
 }

@@ -528,6 +528,7 @@ func (j *Job) runStudy() (degraded bool, err error) {
 	}
 	degraded = rep.Degraded()
 	if err := sp.Finish(rep); err != nil {
+		sp.Abort()
 		return degraded, err
 	}
 	// Render from the persisted dataset through a fresh scaffold, like

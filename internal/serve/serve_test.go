@@ -304,6 +304,42 @@ func TestDrainCancelsQueuedJobs(t *testing.T) {
 	}
 }
 
+// TestFailedSealLeaksNoFiles pins that a study job whose dataset seal
+// fails ends failed, leaves no manifest, and closes every shard file:
+// the long-lived server must not leak a descriptor per failed job. A
+// directory squatting on active.bin makes the seal fail even as root.
+func TestFailedSealLeaksNoFiles(t *testing.T) {
+	m, _ := newTestManager(t, 2, 0)
+	dsDir := filepath.Join(m.root, "job-000001", "dataset")
+	if err := os.MkdirAll(filepath.Join(dsDir, "active.bin"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open files: %v", err)
+	}
+	before := len(fds)
+
+	j := mustSubmit(t, m, JobSpec{Kind: KindStudy, Window: "2018-01..2018-01", Weight: 2})
+	if j.DatasetDir() != dsDir {
+		t.Fatalf("job dataset dir %s, want %s", j.DatasetDir(), dsDir)
+	}
+	waitDone(t, j)
+	if j.State() != StateFailed {
+		t.Fatalf("job state %s (err %q), want %s", j.State(), j.Err(), StateFailed)
+	}
+	if _, err := os.Stat(filepath.Join(dsDir, dataset.ManifestName)); !os.IsNotExist(err) {
+		t.Errorf("failed seal left a manifest (stat err %v)", err)
+	}
+	fds, err = os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := len(fds); after > before {
+		t.Errorf("open files grew from %d to %d across a failed study job: shard files leaked", before, after)
+	}
+}
+
 // TestAnalyzeAndMergeJobs pins the non-study executors: a merge job
 // unions two sharded captures referenced by job ID, and an analyze job
 // renders artifacts from the merged dataset.
