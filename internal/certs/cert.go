@@ -82,18 +82,20 @@ type Certificate struct {
 	PublicKey ed25519.PublicKey
 	Signature []byte
 
-	// tbs caches the to-be-signed encoding and self guards it: the
-	// constructors (NewRootCA, Issue, Spoof, Parse) fill both, after
-	// which the certificate is immutable and the cache is safe to share
-	// across goroutines. The cache is honoured only when self still
-	// points at the certificate itself, so a shallow copy — which the
-	// corruption tests mutate field-by-field — re-encodes from its live
-	// fields instead of serving stale bytes.
+	// enc caches the full encoding and tbs its to-be-signed prefix;
+	// self guards both: the constructors (NewRootCA, Issue, Spoof,
+	// Parse) fill them, after which the certificate is immutable and
+	// the caches are safe to share across goroutines. The caches are
+	// honoured only when self still points at the certificate itself,
+	// so a shallow copy — which the corruption tests mutate
+	// field-by-field — re-encodes from its live fields instead of
+	// serving stale bytes.
+	enc  []byte
 	tbs  []byte
 	self *Certificate
 
 	// fingerprint, subjectKey and issuerStr cache the derived identity
-	// strings under the same self-guard as tbs: these sit on every
+	// strings under the same self-guard as enc: these sit on every
 	// chain-verification and root-store-lookup hot path, and
 	// recomputing them (a SHA-256 plus several formatted strings per
 	// call) dominated the study engine's allocation profile.
@@ -105,11 +107,13 @@ type Certificate struct {
 	// certificate. Signature verification is a pure function of two
 	// immutable (sealed) certificates, so the memo is sound; like the
 	// other caches it is only consulted when self == c. Keys are the
-	// parent's pointer identity — valid because sealed certificates are
-	// never mutated. Held by pointer (allocated in seal) so a shallow
-	// certificate copy — which the corruption tests make deliberately —
-	// copies a reference, not the map's internal locks.
-	sigMemo *sync.Map // *Certificate -> error
+	// parent's fingerprint, which covers its key: parents rebuilt with
+	// the same bytes (every study builds its own CA universe) share an
+	// entry instead of pinning one per copy. Held by pointer (allocated
+	// in seal) so a shallow certificate copy — which the corruption
+	// tests make deliberately — copies a reference, not the map's
+	// internal locks.
+	sigMemo *sync.Map // parent fingerprint -> error
 }
 
 // Fingerprint returns the SHA-256 hash of the full certificate encoding,
@@ -118,7 +122,7 @@ func (c *Certificate) Fingerprint() string {
 	if c.fingerprint != "" && c.self == c {
 		return c.fingerprint
 	}
-	sum := sha256.Sum256(c.Marshal())
+	sum := sha256.Sum256(c.encoding())
 	return hex.EncodeToString(sum[:])
 }
 
@@ -146,17 +150,27 @@ func (c *Certificate) issuerString() string {
 	return c.Issuer.String()
 }
 
-// seal finalises a constructed (or parsed) certificate: it records the
-// self-guard and precomputes the derived identity strings so the hot
-// paths never re-derive them. Callers must have filled every signed
-// field and the Signature first.
-func (c *Certificate) seal() {
+// seal finalises a constructed (or parsed) certificate whose full
+// encoding is enc: it records the self-guard, keeps enc, and
+// precomputes the derived identity strings so the hot paths never
+// re-derive them. Callers must have filled every signed field and the
+// Signature first, and must not modify enc afterwards.
+func (c *Certificate) seal(enc []byte) {
+	n := len(enc) - 2 - len(c.Signature)
+	c.enc, c.tbs = enc, enc[:n:n]
 	c.self = c
 	c.sigMemo = &sync.Map{}
-	sum := sha256.Sum256(c.Marshal())
+	sum := sha256.Sum256(enc)
 	c.fingerprint = hex.EncodeToString(sum[:])
 	c.subjectKey = subjectKeyOf(c.Subject, c.SerialNumber)
 	c.issuerStr = c.Issuer.String()
+}
+
+// signAndSeal signs the certificate's live fields with key and seals it.
+func (c *Certificate) signAndSeal(key ed25519.PrivateKey) {
+	tbs := c.encodeTBS()
+	c.Signature = ed25519.Sign(key, tbs)
+	c.seal(withSignature(tbs, c.Signature))
 }
 
 // SelfSigned reports whether subject and issuer match (the structural
@@ -169,20 +183,21 @@ func (c *Certificate) ValidAt(t time.Time) bool {
 }
 
 // CheckSignatureFrom verifies that parent's key signed c. The outcome
-// is memoized per (c, parent) pair when both certificates are sealed:
-// verification is a pure function of two immutable inputs, and the
-// study re-validates the same links every simulated month.
+// is memoized per (c, parent fingerprint) when both certificates are
+// sealed: verification is a pure function of two immutable inputs, and
+// the study re-validates the same links on every handshake, which
+// ParseChain's interning turns into the same c.
 func (c *Certificate) CheckSignatureFrom(parent *Certificate) error {
 	memoizable := c.self == c && parent.self == parent && c.sigMemo != nil
 	if memoizable {
-		if v, ok := c.sigMemo.Load(parent); ok {
+		if v, ok := c.sigMemo.Load(parent.fingerprint); ok {
 			err, _ := v.(error)
 			return err
 		}
 	}
 	err := c.checkSignatureFrom(parent)
 	if memoizable {
-		c.sigMemo.Store(parent, err)
+		c.sigMemo.Store(parent.fingerprint, err)
 	}
 	return err
 }
@@ -310,9 +325,7 @@ func NewRootCA(subject Name, serial uint64, notBefore, notAfter time.Time, keySe
 		BasicConstraintsValid: true,
 		PublicKey:             pub,
 	}
-	cert.tbs = cert.encodeTBS()
-	cert.Signature = ed25519.Sign(priv, cert.tbs)
-	cert.seal()
+	cert.signAndSeal(priv)
 	return KeyPair{Cert: cert, Key: priv}
 }
 
@@ -335,9 +348,7 @@ func (issuer KeyPair) Issue(tmpl Template, keySeed string) KeyPair {
 		MustStaple:            tmpl.MustStaple,
 		PublicKey:             pub,
 	}
-	cert.tbs = cert.encodeTBS()
-	cert.Signature = ed25519.Sign(issuer.Key, cert.tbs)
-	cert.seal()
+	cert.signAndSeal(issuer.Key)
 	return KeyPair{Cert: cert, Key: priv}
 }
 
@@ -359,9 +370,7 @@ func Spoof(target *Certificate, keySeed string) KeyPair {
 		BasicConstraintsValid: true,
 		PublicKey:             pub,
 	}
-	cert.tbs = cert.encodeTBS()
-	cert.Signature = ed25519.Sign(priv, cert.tbs)
-	cert.seal()
+	cert.signAndSeal(priv)
 	return KeyPair{Cert: cert, Key: priv}
 }
 
@@ -369,22 +378,37 @@ func Spoof(target *Certificate, keySeed string) KeyPair {
 
 const encodingVersion = 1
 
-// Marshal serialises the certificate, signature included.
+// Marshal serialises the certificate, signature included. The result
+// is the caller's to modify.
 func (c *Certificate) Marshal() []byte {
-	var buf bytes.Buffer
-	buf.Write(c.marshalTBS())
-	writeBytes(&buf, c.Signature)
-	return buf.Bytes()
+	return append([]byte(nil), c.encoding()...)
 }
 
-// marshalTBS returns the to-be-signed encoding, cached when the
-// certificate came from a constructor. Callers must not modify the
-// returned slice.
+// encoding returns the full encoding, cached on sealed certificates.
+// Callers must not modify the returned slice.
+func (c *Certificate) encoding() []byte {
+	if c.enc != nil && c.self == c {
+		return c.enc
+	}
+	return withSignature(c.encodeTBS(), c.Signature)
+}
+
+// marshalTBS returns the to-be-signed encoding, cached on sealed
+// certificates. Callers must not modify the returned slice.
 func (c *Certificate) marshalTBS() []byte {
 	if c.tbs != nil && c.self == c {
 		return c.tbs
 	}
 	return c.encodeTBS()
+}
+
+// withSignature appends the signature field to a to-be-signed encoding,
+// giving the full encoding.
+func withSignature(tbs, sig []byte) []byte {
+	buf := bytes.NewBuffer(make([]byte, 0, len(tbs)+2+len(sig)))
+	buf.Write(tbs)
+	writeBytes(buf, sig)
+	return buf.Bytes()
 }
 
 // encodeTBS serialises the to-be-signed portion from the live fields.
@@ -410,8 +434,10 @@ func (c *Certificate) encodeTBS() []byte {
 	return buf.Bytes()
 }
 
-// Parse decodes a certificate produced by Marshal.
+// Parse decodes a certificate produced by Marshal. The result does not
+// share memory with data.
 func Parse(data []byte) (*Certificate, error) {
+	data = append([]byte(nil), data...)
 	r := &reader{data: data}
 	v := r.byte()
 	if r.err == nil && v != encodingVersion {
@@ -446,17 +472,20 @@ func Parse(data []byte) (*Certificate, error) {
 	}
 	// The wire bytes are the canonical encoding: everything before the
 	// signature's length prefix is the TBS section.
-	c.tbs = append([]byte(nil), data[:len(data)-2-len(c.Signature)]...)
-	c.seal()
+	c.seal(data)
 	return c, nil
 }
 
 // MarshalChain serialises a certificate chain, leaf first, in the TLS
 // Certificate-message layout (per-certificate 24-bit length prefixes).
 func MarshalChain(chain []*Certificate) []byte {
-	var buf bytes.Buffer
+	n := 0
 	for _, c := range chain {
-		enc := c.Marshal()
+		n += 3 + len(c.encoding())
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n))
+	for _, c := range chain {
+		enc := c.encoding()
 		buf.WriteByte(byte(len(enc) >> 16))
 		buf.WriteByte(byte(len(enc) >> 8))
 		buf.WriteByte(byte(len(enc)))
@@ -465,7 +494,11 @@ func MarshalChain(chain []*Certificate) []byte {
 	return buf.Bytes()
 }
 
-// ParseChain decodes a chain produced by MarshalChain.
+// ParseChain decodes a chain produced by MarshalChain. Certificates are
+// interned by the SHA-256 of their encoding, so a chain presented again
+// yields the same sealed pointers and CheckSignatureFrom's memo skips
+// the links it has already checked. Changed bytes hash differently, so
+// a corrupted certificate always gets its own entry and its own verdict.
 func ParseChain(data []byte) ([]*Certificate, error) {
 	var chain []*Certificate
 	for len(data) > 0 {
@@ -477,7 +510,7 @@ func ParseChain(data []byte) ([]*Certificate, error) {
 		if len(data) < n {
 			return nil, io.ErrUnexpectedEOF
 		}
-		c, err := Parse(data[:n])
+		c, err := parseInterned(data[:n])
 		if err != nil {
 			return nil, err
 		}
@@ -485,6 +518,48 @@ func ParseChain(data []byte) ([]*Certificate, error) {
 		data = data[n:]
 	}
 	return chain, nil
+}
+
+// internCap bounds the intern table; when it is full, the table starts
+// over. The 40-device catalog study interns 2,096 distinct certificates
+// (most of them spoofed-CA probe chains) and a 2,000-device fleet over
+// six months 49, so the cap holds about four catalog studies' worth.
+const internCap = 1 << 13
+
+// interned maps the SHA-256 of an encoding to the sealed certificate
+// ParseChain returned for it. It is process-wide on purpose: a sealed
+// certificate is immutable and every verdict about it is a pure
+// function of its bytes, so sharing one across handshakes, goroutines
+// and studies changes nothing but pointer identity.
+var interned = struct {
+	sync.Mutex
+	m map[[sha256.Size]byte]*Certificate
+}{m: make(map[[sha256.Size]byte]*Certificate)}
+
+// parseInterned is Parse through the intern table. Only certificates
+// that parse enter it.
+func parseInterned(enc []byte) (*Certificate, error) {
+	sum := sha256.Sum256(enc)
+	interned.Lock()
+	c := interned.m[sum]
+	interned.Unlock()
+	if c != nil {
+		return c, nil
+	}
+	c, err := Parse(enc)
+	if err != nil {
+		return nil, err
+	}
+	interned.Lock()
+	defer interned.Unlock()
+	if prev := interned.m[sum]; prev != nil {
+		return prev, nil // a concurrent parse of the same bytes won
+	}
+	if len(interned.m) >= internCap {
+		clear(interned.m)
+	}
+	interned.m[sum] = c
+	return c, nil
 }
 
 // --- low-level encoding helpers ---------------------------------------

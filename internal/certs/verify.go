@@ -3,10 +3,6 @@ package certs
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -60,35 +56,21 @@ func (e BasicConstraintsError) Error() string {
 }
 
 // Pool is a set of trusted root certificates indexed by subject name.
-// It models a device's trusted root store.
-//
-// Verification results are memoized per pool, keyed by the presented
-// chain's fingerprints and the verification options. Fingerprints cover
-// every certificate byte (signature included), so two chains with equal
-// keys verify identically against the same pool contents; Add and
-// Remove drop the memo. Concurrent Verify calls against a fixed pool
-// are safe; mutating the pool itself is not synchronised.
+// It models a device's trusted root store. Concurrent Verify calls
+// against a fixed pool are safe; mutating the pool itself is not
+// synchronised.
 type Pool struct {
 	bySubject map[string][]*Certificate
 	count     int
-	verified  atomic.Pointer[sync.Map] // key string -> *verifyResult
-}
-
-type verifyResult struct {
-	path []*Certificate
-	err  error
 }
 
 // NewPool returns an empty pool.
 func NewPool() *Pool {
-	p := &Pool{bySubject: make(map[string][]*Certificate)}
-	p.verified.Store(&sync.Map{})
-	return p
+	return &Pool{bySubject: make(map[string][]*Certificate)}
 }
 
 // Add inserts a root certificate. Duplicate fingerprints are ignored.
 func (p *Pool) Add(c *Certificate) {
-	p.invalidate()
 	key := c.Subject.String()
 	for _, existing := range p.bySubject[key] {
 		if existing.Fingerprint() == c.Fingerprint() {
@@ -101,7 +83,6 @@ func (p *Pool) Add(c *Certificate) {
 
 // Remove deletes any stored certificate with the same fingerprint.
 func (p *Pool) Remove(c *Certificate) {
-	p.invalidate()
 	key := c.Subject.String()
 	list := p.bySubject[key]
 	for i, existing := range list {
@@ -113,29 +94,6 @@ func (p *Pool) Remove(c *Certificate) {
 			}
 			return
 		}
-	}
-}
-
-// invalidate drops the verification memo after a membership change.
-func (p *Pool) invalidate() {
-	p.verified.Store(&sync.Map{})
-}
-
-func (p *Pool) cachedVerify(key string) (*verifyResult, bool) {
-	m := p.verified.Load()
-	if m == nil {
-		return nil, false
-	}
-	v, ok := m.Load(key)
-	if !ok {
-		return nil, false
-	}
-	return v.(*verifyResult), true
-}
-
-func (p *Pool) storeVerify(key string, r *verifyResult) {
-	if m := p.verified.Load(); m != nil {
-		m.Store(key, r)
 	}
 }
 
@@ -200,6 +158,8 @@ type VerifyOptions struct {
 
 // Verify validates the presented chain (leaf first) against opts. On
 // success it returns the constructed path ending at the matched root.
+// Every check runs on every call; only the signature of a link between
+// two sealed certificates is memoized, by CheckSignatureFrom.
 //
 // The error type encodes the failure class precisely because the paper's
 // root-store probing technique depends on distinguishing "unknown CA"
@@ -217,43 +177,6 @@ func Verify(chain []*Certificate, opts VerifyOptions) ([]*Certificate, error) {
 	if opts.Roots == nil {
 		return nil, errors.New("certs: no root pool configured")
 	}
-	key := verifyCacheKey(chain, opts)
-	if r, ok := opts.Roots.cachedVerify(key); ok {
-		return r.path, r.err
-	}
-	path, err := verifyChain(chain, opts)
-	opts.Roots.storeVerify(key, &verifyResult{path: path, err: err})
-	return path, err
-}
-
-// verifyCacheKey identifies a (chain, options) pair for the pool memo.
-// Fingerprints read the live certificate bytes, so any alteration —
-// including signature corruption of a copied certificate — yields a
-// distinct key.
-func verifyCacheKey(chain []*Certificate, opts VerifyOptions) string {
-	var b strings.Builder
-	b.Grow(len(chain)*65 + len(opts.Hostname) + 16)
-	for _, c := range chain {
-		b.WriteString(c.Fingerprint())
-		b.WriteByte('|')
-	}
-	b.WriteString(opts.Hostname)
-	b.WriteByte('|')
-	if opts.SkipHostname {
-		b.WriteByte('h')
-	}
-	if opts.SkipBasicConstraints {
-		b.WriteByte('b')
-	}
-	b.WriteByte('|')
-	if !opts.At.IsZero() {
-		b.WriteString(strconv.FormatInt(opts.At.Unix(), 10))
-	}
-	return b.String()
-}
-
-// verifyChain is the uncached verification walk.
-func verifyChain(chain []*Certificate, opts VerifyOptions) ([]*Certificate, error) {
 	leaf := chain[0]
 
 	if !opts.At.IsZero() && !leaf.ValidAt(opts.At) {
@@ -267,7 +190,7 @@ func verifyChain(chain []*Certificate, opts VerifyOptions) ([]*Certificate, erro
 
 	// Walk the presented chain, validating each link, until an issuer is
 	// found in the root pool.
-	path := []*Certificate{leaf}
+	path := append(make([]*Certificate, 0, len(chain)+1), leaf)
 	current := leaf
 	rest := chain[1:]
 	for {

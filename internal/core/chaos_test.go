@@ -1,6 +1,8 @@
 package core
 
 import (
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
@@ -123,5 +125,69 @@ func TestChaosAggressiveRunsDegraded(t *testing.T) {
 		if !strings.Contains(render, want) {
 			t.Errorf("degraded render missing %q", want)
 		}
+	}
+}
+
+// internStudy renders the 40-device catalog study over the chaos
+// matrix's six-month passive window, under the aggressive fault plan at
+// seed 7 when faulty. Its corrupt faults flip bytes of presented
+// certificate chains, so the study parses certificates no clean study
+// does.
+func internStudy(t *testing.T, faulty bool) string {
+	t.Helper()
+	s := NewStudy()
+	s.PassiveFrom = device.StudyStart
+	s.PassiveTo = clock.Month{Year: 2018, Mon: 6}
+	if faulty {
+		s.SetFaultPlan(fault.NewPlan(7, fault.Profiles["aggressive"]))
+	}
+	rep, err := s.RunAll()
+	if err != nil {
+		t.Fatalf("RunAll(faulty=%v): %v", faulty, err)
+	}
+	return rep.Render(s)
+}
+
+// TestChaosInternedCertsAcrossStudies checks that the process-wide
+// table certs.ParseChain interns certificates in carries nothing from
+// one study into the next, as `iotls serve` needs: it runs many studies
+// in one process. A clean study renders the same before and after a
+// fault study, and the fault study renders as it does when it is the
+// first study of a fresh process.
+func TestChaosInternedCertsAcrossStudies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos run skipped in -short mode")
+	}
+	clean := internStudy(t, false)
+	faulty := internStudy(t, true)
+	if again := internStudy(t, false); again != clean {
+		t.Errorf("clean study rendered differently after a fault study: %s", firstDiff(clean, again))
+	}
+
+	out := t.TempDir() + "/render.txt"
+	cmd := exec.Command(os.Args[0], "-test.run=^TestInternedFaultStudyChild$", "-test.count=1", "-test.timeout=10m")
+	cmd.Env = append(os.Environ(), "IOTLS_INTERN_CHILD_OUT="+out)
+	if b, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("fresh-process fault study: %v\n%s", err, b)
+	}
+	fresh, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatalf("fresh-process fault study wrote no render: %v", err)
+	}
+	if faulty != string(fresh) {
+		t.Errorf("fault study after a clean one rendered differently from a fresh process: %s",
+			firstDiff(string(fresh), faulty))
+	}
+}
+
+// TestInternedFaultStudyChild renders the fault study as the first
+// study of its process, for TestChaosInternedCertsAcrossStudies.
+func TestInternedFaultStudyChild(t *testing.T) {
+	out := os.Getenv("IOTLS_INTERN_CHILD_OUT")
+	if out == "" {
+		t.Skip("driven by TestChaosInternedCertsAcrossStudies only")
+	}
+	if err := os.WriteFile(out, []byte(internStudy(t, true)), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -81,10 +81,11 @@ type Proxy struct {
 	legitLeaf    certs.KeyPair // valid chain for AttackerDomain
 	trustedCA    certs.KeyPair // the operational CA that signed legitLeaf
 
-	mu       sync.Mutex
-	leaves   map[string]certs.KeyPair // forged per-host leaves (self-signed root)
-	bcLeaves map[string]certs.KeyPair // per-host leaves issued by the CA=false legitLeaf
-	spoofs   map[string]spoofChain    // per-(target, host) spoofed-CA chains
+	mu         sync.Mutex
+	leaves     map[string]certs.KeyPair // forged per-host leaves (self-signed root)
+	bcLeaves   map[string]certs.KeyPair // per-host leaves issued by the CA=false legitLeaf
+	spoofs     map[string]spoofChain    // per-(target, host) spoofed-CA chains
+	spoofRoots map[string]certs.KeyPair // per-target spoofed roots, shared across hosts
 }
 
 // spoofChain is a memoized SpoofedCA attack chain: the spoofed copy of
@@ -114,6 +115,7 @@ func NewProxy(nw *netem.Network, u *rootstore.Universe) *Proxy {
 		leaves:       make(map[string]certs.KeyPair),
 		bcLeaves:     make(map[string]certs.KeyPair),
 		spoofs:       make(map[string]spoofChain),
+		spoofRoots:   make(map[string]certs.KeyPair),
 	}
 	p.legitLeaf = trusted.Issue(certs.Template{
 		SerialNumber: 6667,
@@ -184,14 +186,21 @@ func (p *Proxy) bcLeaf(host string) certs.KeyPair {
 }
 
 // spoofChain memoizes the SpoofedCA chain for one (target, host) pair.
+// The spoofed root depends only on the target, so every host attacked
+// with one target shares it; the leaf is per host.
 func (p *Proxy) spoofChain(spoofTarget *certs.Certificate, host string) spoofChain {
-	key := spoofTarget.Fingerprint() + "|" + host
+	target := spoofTarget.Fingerprint()
+	key := target + "|" + host
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if sc, ok := p.spoofs[key]; ok {
 		return sc
 	}
-	spoof := certs.Spoof(spoofTarget, "mitm-spoof-"+spoofTarget.SubjectKey())
+	spoof, ok := p.spoofRoots[target]
+	if !ok {
+		spoof = certs.Spoof(spoofTarget, "mitm-spoof-"+spoofTarget.SubjectKey())
+		p.spoofRoots[target] = spoof
+	}
 	leaf := spoof.Issue(certs.Template{
 		SerialNumber: serial(host) + 2,
 		Subject:      certs.Name{CommonName: host},

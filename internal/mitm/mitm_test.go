@@ -228,6 +228,33 @@ func TestSpoofedCAAlertSideChannel(t *testing.T) {
 	}
 }
 
+func TestSpoofedRootSharedAcrossHosts(t *testing.T) {
+	// The spoofed root depends only on the target, so two hosts attacked
+	// with one target share it; each host still gets its own leaf, and
+	// each leaf chains to the shared root.
+	_, reg, _, p := testbed(t)
+	target := device.OperationalCAs(reg.Universe)[0].Pair.Cert
+	a := p.spoofChain(target, "a.example.com")
+	b := p.spoofChain(target, "b.example.com")
+	if a.spoof.Cert != b.spoof.Cert {
+		t.Fatal("hosts attacked with one target got distinct spoofed roots")
+	}
+	if a.leaf.Cert == b.leaf.Cert || a.leaf.Cert.Fingerprint() == b.leaf.Cert.Fingerprint() {
+		t.Fatal("hosts attacked with one target share a leaf")
+	}
+	for _, sc := range []spoofChain{a, b} {
+		if err := sc.leaf.Cert.CheckSignatureFrom(sc.spoof.Cert); err != nil {
+			t.Fatalf("leaf %s does not chain to the shared spoofed root: %v", sc.leaf.Cert.Subject, err)
+		}
+	}
+	if a.spoof.Cert.SubjectKey() != target.SubjectKey() || a.spoof.Cert.Fingerprint() == target.Fingerprint() {
+		t.Fatal("shared root is not a spoof of the target")
+	}
+	if again := p.spoofChain(target, "a.example.com"); again.leaf.Cert != a.leaf.Cert {
+		t.Fatal("repeated (target, host) rebuilt its chain")
+	}
+}
+
 func TestInterceptedTrafficIsDecryptable(t *testing.T) {
 	// The whole point of interception: the proxy reads plaintext.
 	_, reg, _, p := testbed(t)

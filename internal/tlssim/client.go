@@ -65,9 +65,8 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	}
 
 	ch := cfg.BuildClientHello(serverName, seq)
-	var transcript bytes.Buffer
 	chMsg := ch.Message()
-	transcript.Write(chMsg.Marshal())
+	transcript := newTranscript(chMsg)
 
 	recordVersion := ciphers.MinVersion(cfg.MaxVersion, ciphers.TLS12)
 	// Deadline covers the send too: a black-holed connection (nothing
@@ -92,7 +91,7 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	if err != nil {
 		return nil, failSendingAlert(conn, recordVersion, FailParameters, wire.AlertDecodeError, err)
 	}
-	transcript.Write(shMsg.Marshal())
+	transcript.add(shMsg)
 
 	// Read the rest of the server flight before reacting: real stacks
 	// process the full flight (TCP buffers it), and alerting mid-flight
@@ -124,7 +123,7 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	if err != nil {
 		return nil, failSendingAlert(conn, recordVersion, FailParameters, wire.AlertDecodeError, err)
 	}
-	transcript.Write(certMsg.Marshal())
+	transcript.add(certMsg)
 
 	// Certificate validation, per the instance's policy.
 	state := cfg.State()
@@ -143,7 +142,7 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	}
 	if !bypass {
 		vsp := cfg.Trace.Child("chain_verify", serverName)
-		verr := validateServerCert(cfg, cm.Chain, serverName, doneMsg.Body, transcript.Bytes(), stapled)
+		verr := validateServerCert(cfg, cm.Chain, serverName, doneMsg.Body, transcript.proofInput(), stapled)
 		if verr != nil {
 			vsp.End("rejected")
 		} else {
@@ -166,7 +165,7 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 		state.consecutiveFailures.Store(0)
 		sp.Phase("certificate_validated")
 	}
-	transcript.Write(doneMsg.Marshal())
+	transcript.add(doneMsg)
 
 	// Optional revocation checking (soft-fail, like real clients).
 	if len(cm.Chain) > 0 && cfg.AuxDialer != nil {
@@ -175,16 +174,16 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 
 	// Client flight: ClientKeyExchange, ChangeCipherSpec, Finished.
 	cke := wire.ClientKeyExchange(keyExchangeMaterial(ch.Random, sh.Random))
-	transcript.Write(cke.Marshal())
+	transcript.add(cke)
 	if err := wire.WriteHandshake(conn, recordVersion, cke); err != nil {
 		return nil, failure(FailIO, nil, err)
 	}
 	if err := wire.WriteRecord(conn, wire.Record{Type: wire.TypeChangeCipherSpec, Version: recordVersion, Payload: []byte{1}}); err != nil {
 		return nil, failure(FailIO, nil, err)
 	}
-	fin := wire.FinishedMsg{VerifyData: wire.ComputeVerifyData(transcript.Bytes(), "client")}
+	fin := wire.FinishedMsg{VerifyData: wire.ComputeVerifyData(transcript.bytes(), "client")}
 	finMsg := fin.Message()
-	transcript.Write(finMsg.Marshal())
+	transcript.add(finMsg)
 	if err := wire.WriteHandshake(conn, recordVersion, finMsg); err != nil {
 		return nil, failure(FailIO, nil, err)
 	}
@@ -195,7 +194,7 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	if herr != nil {
 		return nil, herr
 	}
-	want := wire.ComputeVerifyData(transcript.Bytes(), "server")
+	want := wire.ComputeVerifyData(transcript.bytes(), "server")
 	if !bytes.Equal(sfin.Body, want) {
 		a := wire.Alert{Level: wire.LevelFatal, Description: wire.AlertDecryptError}
 		wire.WriteAlert(conn, recordVersion, a)
@@ -254,8 +253,8 @@ func (e PinMismatchError) Error() string {
 
 // validateServerCert applies the configured validation mode and verifies
 // the server's possession proof (the transcript signature carried in
-// ServerHelloDone).
-func validateServerCert(cfg *ClientConfig, chain []*certs.Certificate, serverName string, proof, transcript []byte, stapled bool) error {
+// ServerHelloDone) over proofInput.
+func validateServerCert(cfg *ClientConfig, chain []*certs.Certificate, serverName string, proof, proofInput []byte, stapled bool) error {
 	if len(chain) == 0 {
 		return errors.New("tlssim: server presented no certificate")
 	}
@@ -283,7 +282,7 @@ func validateServerCert(cfg *ClientConfig, chain []*certs.Certificate, serverNam
 	}
 	// Possession proof: the presenter must hold the leaf private key.
 	if len(chain[0].PublicKey) != ed25519.PublicKeySize ||
-		!ed25519.Verify(chain[0].PublicKey, transcriptProofInput(transcript), proof) {
+		!ed25519.Verify(chain[0].PublicKey, proofInput, proof) {
 		return certs.ErrSignature
 	}
 	// RFC 7633 must-staple: hard-fail when we asked for a staple, the
@@ -340,10 +339,38 @@ func keyExchangeMaterial(cr, sr [32]byte) []byte {
 	return out
 }
 
-// transcriptProofInput prefixes the transcript for the possession proof.
-func transcriptProofInput(transcript []byte) []byte {
-	return append([]byte("iotls server proof:"), transcript...)
+// proofPrefix opens the possession-proof input: the server signs, and
+// the client verifies, proofPrefix followed by the transcript so far.
+const proofPrefix = "iotls server proof:"
+
+// transcriptTail is the room a transcript leaves after the ClientHello.
+// Every other message of a handshake presenting a chain of up to three
+// certificates fits in it; the catalog study's largest need is 914
+// bytes. A longer handshake only costs a reallocation.
+const transcriptTail = 1024
+
+// transcript accumulates the framed handshake messages both sides hash
+// into Finished and sign or verify as the possession proof. Its buffer
+// starts with proofPrefix, so the proof input is the buffer itself
+// rather than a prefixed copy of the transcript.
+type transcript struct{ buf []byte }
+
+// newTranscript starts a transcript with the ClientHello.
+func newTranscript(hello wire.Handshake) *transcript {
+	t := &transcript{buf: make([]byte, 0, len(proofPrefix)+4+len(hello.Body)+transcriptTail)}
+	t.buf = append(t.buf, proofPrefix...)
+	t.add(hello)
+	return t
 }
+
+// add appends msg as framed by wire.Handshake.Marshal.
+func (t *transcript) add(msg wire.Handshake) { t.buf = msg.AppendTo(t.buf) }
+
+// bytes returns the transcript so far.
+func (t *transcript) bytes() []byte { return t.buf[len(proofPrefix):] }
+
+// proofInput returns proofPrefix followed by the transcript so far.
+func (t *transcript) proofInput() []byte { return t.buf }
 
 // noDeadline clears a connection deadline.
 var noDeadline time.Time

@@ -71,8 +71,7 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 	res.ClientHello = ch
 	sp.Phase("client_hello_received")
 
-	var transcript bytes.Buffer
-	transcript.Write(chMsg.Marshal())
+	transcript := newTranscript(chMsg)
 
 	switch cfg.Behavior {
 	case ServeIncompleteHandshake:
@@ -136,14 +135,14 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 		sh.Extensions = append(sh.Extensions, wire.Extension{Type: wire.ExtStatusRequest})
 	}
 	shMsg := sh.Message()
-	transcript.Write(shMsg.Marshal())
+	transcript.add(shMsg)
 	if err := wire.WriteHandshake(conn, recordVersion, shMsg); err != nil {
 		res.Err = failure(FailIO, nil, err)
 		return res
 	}
 
 	certMsg := (&wire.CertificateMsg{Chain: cfg.Chain}).Message()
-	transcript.Write(certMsg.Marshal())
+	transcript.add(certMsg)
 	if err := wire.WriteHandshake(conn, recordVersion, certMsg); err != nil {
 		res.Err = failure(FailIO, nil, err)
 		return res
@@ -151,9 +150,9 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 
 	// ServerHelloDone carries the possession proof: an Ed25519 signature
 	// over the transcript so far, by the leaf key.
-	proof := ed25519.Sign(cfg.Key.Key, transcriptProofInput(transcript.Bytes()))
+	proof := ed25519.Sign(cfg.Key.Key, transcript.proofInput())
 	doneMsg := wire.Handshake{Type: wire.TypeServerHelloDone, Body: proof}
-	transcript.Write(doneMsg.Marshal())
+	transcript.add(doneMsg)
 	if err := wire.WriteHandshake(conn, recordVersion, doneMsg); err != nil {
 		res.Err = failure(FailIO, nil, err)
 		return res
@@ -169,20 +168,20 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 		res.Err = herr
 		return res
 	}
-	transcript.Write(ckeMsg.Marshal())
+	transcript.add(ckeMsg)
 	finMsg, herr := mr.expect(wire.TypeFinished)
 	if herr != nil {
 		res.ClientAlert = mr.LastAlert
 		res.Err = herr
 		return res
 	}
-	wantClient := wire.ComputeVerifyData(transcript.Bytes(), "client")
+	wantClient := wire.ComputeVerifyData(transcript.bytes(), "client")
 	if !bytes.Equal(finMsg.Body, wantClient) {
 		res.Err = failSendingAlert(conn, recordVersion, FailParameters, wire.AlertDecryptError,
 			errors.New("tlssim: client Finished verify data mismatch"))
 		return res
 	}
-	transcript.Write(finMsg.Marshal())
+	transcript.add(finMsg)
 	sp.Phase("client_finished_verified")
 
 	// Server CCS + Finished.
@@ -190,7 +189,7 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 		res.Err = failure(FailIO, nil, err)
 		return res
 	}
-	sfin := wire.FinishedMsg{VerifyData: wire.ComputeVerifyData(transcript.Bytes(), "server")}
+	sfin := wire.FinishedMsg{VerifyData: wire.ComputeVerifyData(transcript.bytes(), "server")}
 	if err := wire.WriteHandshake(conn, recordVersion, sfin.Message()); err != nil {
 		res.Err = failure(FailIO, nil, err)
 		return res

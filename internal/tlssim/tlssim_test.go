@@ -1,6 +1,7 @@
 package tlssim
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -721,5 +722,30 @@ func TestHandshakeErrorFormatting(t *testing.T) {
 	}
 	if he.Unwrap() == nil {
 		t.Fatal("Unwrap lost cause")
+	}
+}
+
+// TestTranscriptBytes pins the transcript both sides hash and sign: the
+// framed messages in order, exactly as Handshake.Marshal frames them,
+// and the proof input as the fixed prefix followed by those bytes —
+// including past the pre-sized capacity.
+func TestTranscriptBytes(t *testing.T) {
+	msgs := []wire.Handshake{
+		{Type: wire.TypeClientHello, Body: []byte("hello")},
+		{Type: wire.TypeServerHello, Body: nil},
+		{Type: wire.TypeCertificate, Body: make([]byte, 3*transcriptTail)},
+		{Type: wire.TypeFinished, Body: []byte{1, 2, 3}},
+	}
+	tr := newTranscript(msgs[0])
+	want := msgs[0].Marshal()
+	for _, m := range msgs[1:] {
+		tr.add(m)
+		want = append(want, m.Marshal()...)
+		if !bytes.Equal(tr.bytes(), want) {
+			t.Fatalf("after %s: transcript = %x, want %x", m.Type, tr.bytes(), want)
+		}
+		if !bytes.Equal(tr.proofInput(), append([]byte("iotls server proof:"), want...)) {
+			t.Fatalf("after %s: proof input does not frame the transcript", m.Type)
+		}
 	}
 }

@@ -50,13 +50,14 @@ type Handshake struct {
 
 // Marshal frames the message with the 4-byte handshake header.
 func (h Handshake) Marshal() []byte {
-	out := make([]byte, 4+len(h.Body))
-	out[0] = byte(h.Type)
-	out[1] = byte(len(h.Body) >> 16)
-	out[2] = byte(len(h.Body) >> 8)
-	out[3] = byte(len(h.Body))
-	copy(out[4:], h.Body)
-	return out
+	return h.AppendTo(make([]byte, 0, 4+len(h.Body)))
+}
+
+// AppendTo appends the framed message (the bytes Marshal returns) to b.
+func (h Handshake) AppendTo(b []byte) []byte {
+	n := len(h.Body)
+	b = append(b, byte(h.Type), byte(n>>16), byte(n>>8), byte(n))
+	return append(b, h.Body...)
 }
 
 // ParseHandshake decodes one handshake message and returns any trailing
