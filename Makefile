@@ -86,10 +86,10 @@ fleet:
 # trace pins the causal-trace contracts under the race detector: an
 # aggressive-fault study at parallelism 1 and 8 emits byte-identical
 # trace.bin shards and Chrome exports, passive-phase abandonments are
-# attributed to fault-injection spans, and a full study leaks no spans
-# (trace or telemetry).
+# attributed to fault-injection spans, a full study leaks no spans, and
+# every phase's span.phase.* metrics carry its tree span's status.
 trace:
-	$(GO) test -race -run 'TestTraceDeterminism|TestTraceErrorsAttributesDegradations|TestStudyLeaksNoSpans' \
+	$(GO) test -race -run 'TestTraceDeterminism|TestTraceErrorsAttributesDegradations|TestStudyLeaksNoSpans|TestPhaseMetricsMatchTree' \
 		-count=1 -timeout 10m ./internal/core/
 
 # bench measures the full study sequential vs parallel (in-memory and

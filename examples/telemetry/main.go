@@ -1,7 +1,7 @@
 // Telemetry: run a short passive window and inspect what the built-in
-// observability layer recorded — handshake outcome counters, the alert
-// taxonomy, gateway mirror traffic, and handshake spans traced against
-// the virtual clock — then dump the full snapshot as JSON.
+// observability layer recorded — handshake outcome counters, gateway
+// mirror traffic, and the per-phase rows of the metrics report, timed
+// against the virtual clock — then dump the full snapshot as JSON.
 //
 // Run with: go run ./examples/telemetry
 package main
@@ -12,9 +12,11 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -39,15 +41,13 @@ func main() {
 	fmt.Println("gateway mirror:")
 	printFamily(snap.Counters, "netem.mirror.")
 
-	// Spans trace individual handshakes through their protocol phases
-	// on the simulated clock; the registry retains the most recent ones.
-	if n := len(snap.Spans); n > 0 {
-		last := snap.Spans[n-1]
-		fmt.Printf("last span: %s (%s), %d phases, %s of virtual time\n",
-			last.Name, last.Status, len(last.Phases), last.End.Sub(last.Start))
-		for _, ph := range last.Phases {
-			fmt.Printf("  %-28s %s\n", ph.Name, ph.At.Format("2006-01-02 15:04:05.000"))
-		}
+	// Each study phase leaves one record: how often it ran, its
+	// outcome (the status of its span in the trace tree) and the
+	// simulated time it covered. The metrics report rolls them up.
+	fmt.Println("study phases:")
+	for _, ph := range telemetry.BuildReport(snap, "passive").Phases {
+		fmt.Printf("  %-12s runs=%d statuses=%v virtual=%s\n",
+			ph.Name, ph.Runs, ph.Statuses, time.Duration(ph.VirtualUS)*time.Microsecond)
 	}
 
 	// The whole snapshot marshals to deterministic JSON — the same

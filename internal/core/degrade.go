@@ -1,5 +1,5 @@
 // Graceful degradation: the machinery that lets a fault-ridden study
-// finish anyway. Every RunAll phase runs contained — a panic or typed
+// finish anyway. Every study phase runs contained — a panic or typed
 // error becomes a Degradation entry instead of an abort — and per-device
 // suite work recovers individually, substituting an empty report for the
 // device that failed. The report then renders with explicit PARTIAL
@@ -7,16 +7,19 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
 // Degradation records one contained incident of a study run.
 type Degradation struct {
-	// Phase is the RunAll phase the incident occurred in.
+	// Phase is the study phase the incident occurred in.
 	Phase string
 	// Reason is a human-readable description.
 	Reason string
@@ -84,19 +87,28 @@ func (s *Study) Degradations() []Degradation {
 	return out
 }
 
-// phase runs one RunAll phase contained, recording a degradation on
+// errSkipped is the contained error of a phase a drained study skipped.
+var errSkipped = errors.New("phase skipped: study interrupted (drain)")
+
+// phase runs one study phase contained, recording a degradation on
 // failure and — under an armed fault plan — when devices abandoned
-// connections (retry budgets exhausted) during the phase.
-func (s *Study) phase(name string, fn func() error) {
+// connections (retry budgets exhausted) during the phase. It is the
+// phase's single record: it fires PhaseStart/PhaseDone, opens the trace
+// tree's phase span, and keeps the phase metrics (recorded with tracing
+// off too) in agreement with that span's status. It returns the
+// contained error: a *PhaseError, or nil.
+func (s *Study) phase(name string, fn func() error) (err error) {
 	if s.PhaseStart != nil {
 		s.PhaseStart(name)
 	}
+	end := s.phaseMetrics(name)
 	psp := s.traceStudyRoot().Child("phase", name)
 	s.tracePhase = psp
 	status := "ok"
 	defer func() {
 		s.tracePhase = nil
 		psp.End(status)
+		end(status)
 		if s.PhaseDone != nil {
 			s.PhaseDone(name)
 		}
@@ -106,11 +118,11 @@ func (s *Study) phase(name string, fn func() error) {
 		// degrades the run (the report is partial), which the exit-code
 		// contract and the serve drain path both rely on.
 		status = "skipped"
-		s.noteDegraded(name, "phase skipped: study interrupted (drain)")
-		return
+		s.noteDegraded(name, errSkipped.Error())
+		return &PhaseError{Phase: name, Err: errSkipped}
 	}
 	pre := s.Telemetry.Counter("driver.giveups").Value()
-	if err := s.runContained(name, fn); err != nil {
+	if err = s.runContained(name, fn); err != nil {
 		status = "error"
 		s.noteDegraded(name, err.Error())
 	}
@@ -119,6 +131,21 @@ func (s *Study) phase(name string, fn func() error) {
 			status = "degraded"
 		}
 		s.noteDegraded(name, fmt.Sprintf("%d connection(s) abandoned after retry exhaustion", d))
+	}
+	return err
+}
+
+// phaseMetrics counts core.phase.<name> as a phase starts and returns
+// the func that ends it: span.phase.<name>.<status> plus the phase's
+// virtual and wall durations.
+func (s *Study) phaseMetrics(name string) func(status string) {
+	tel := s.Telemetry
+	tel.Counter("core.phase." + name).Inc()
+	virt, wall := tel.Now(), time.Now()
+	return func(status string) {
+		tel.Counter("span.phase." + name + "." + status).Inc()
+		tel.Histogram("span.phase."+name+".virtual_us", telemetry.DurationBucketsUS).Observe(tel.Now().Sub(virt).Microseconds())
+		tel.Histogram("span.phase."+name+".wall_us", telemetry.DurationBucketsUS).Observe(time.Since(wall).Microseconds())
 	}
 }
 

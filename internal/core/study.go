@@ -8,6 +8,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -64,13 +65,14 @@ type Study struct {
 	// runs use a short window to keep the fault matrix fast.
 	PassiveFrom, PassiveTo clock.Month
 
-	// PhaseDone, when non-nil, is invoked after each RunAll phase
-	// finishes (contained), with the phase name. The serve layer's
-	// drain tests use it to coordinate a deterministic interruption
-	// point; it must not block on study work.
+	// PhaseDone, when non-nil, is invoked after each study phase
+	// finishes (contained), with the phase name. Each Run* method is
+	// one phase; RunAll adds passive_analysis. The serve layer's drain
+	// tests use it to coordinate a deterministic interruption point; it
+	// must not block on study work.
 	PhaseDone func(name string)
 
-	// PhaseStart, when non-nil, is invoked as each RunAll phase begins
+	// PhaseStart, when non-nil, is invoked as each study phase begins
 	// — the serve layer's live event stream. Same contract as
 	// PhaseDone: it must not block on study work.
 	PhaseStart func(name string)
@@ -222,13 +224,6 @@ func NewStudyWithRegistry(mkReg func(clk clock.Clock) *device.Registry) *Study {
 // testbed.
 func (s *Study) MetricsSnapshot() *telemetry.Snapshot { return s.Telemetry.Snapshot() }
 
-// phaseSpan opens a study-phase span and counts the phase start; the
-// derived counters appear as span.phase.<name>.<status>.
-func (s *Study) phaseSpan(name string) *telemetry.Span {
-	s.Telemetry.Counter("core.phase." + name).Inc()
-	return s.Telemetry.StartSpan("phase." + name)
-}
-
 // NameOf maps a device ID to its display name.
 func (s *Study) NameOf(id string) string {
 	if d, ok := s.Registry.Get(id); ok {
@@ -255,18 +250,25 @@ func (s *Study) runSpans(items int, name string, detail func(int) string, fn fun
 // RunPassiveWindow simulates the passive collection over a custom
 // month window (a cheap subset of RunPassive for smoke runs and the
 // metrics subcommand).
-func (s *Study) RunPassiveWindow(from, to clock.Month) (*traffic.Stats, error) {
-	sp := s.phaseSpan("passive")
-	gen := traffic.New(s.Network, s.Registry, s.Collector, s.Clock)
-	gen.Parallelism = s.Workers()
-	gen.Pool = s.workerSet
-	gen.Stop = s.Interrupted
-	gen.Trace = s.tracePhase
-	if s.SpillMonth != nil {
-		gen.MonthDone = s.spillMonth
-	}
-	stats, err := gen.Run(from, to)
-	sp.EndErr(err)
+func (s *Study) RunPassiveWindow(from, to clock.Month) (stats *traffic.Stats, err error) {
+	err = s.phase("passive", func() error {
+		gen := traffic.New(s.Network, s.Registry, s.Collector, s.Clock)
+		gen.Parallelism = s.Workers()
+		gen.Pool = s.workerSet
+		gen.Stop = s.Interrupted
+		gen.Trace = s.tracePhase
+		if s.SpillMonth != nil {
+			gen.MonthDone = s.spillMonth
+		}
+		var err error
+		if stats, err = gen.Run(from, to); err == nil && s.Interrupted() {
+			// The generator stops cleanly at a month boundary, so the cut
+			// is only visible here: record it, or a drained dataset would
+			// pass for a full capture of the window.
+			err = fmt.Errorf("passive window interrupted after %d month(s) (drain)", stats.Months)
+		}
+		return err
+	})
 	return stats, err
 }
 
@@ -278,8 +280,8 @@ func (s *Study) spillMonth(m clock.Month) error {
 }
 
 // advanceToActiveWindow moves the virtual clock to the 2021 snapshot.
-// Lingering server handlers are joined first so no handshake span gets
-// stamped across the jump.
+// Lingering server handlers are joined first so no handshake runs
+// across the jump.
 func (s *Study) advanceToActiveWindow() {
 	at := device.ActiveSnapshot.Start()
 	if s.Clock.Now().Before(at) {
@@ -291,65 +293,67 @@ func (s *Study) advanceToActiveWindow() {
 // CaptureActiveSnapshot reboots every active device at the 2021
 // snapshot, recording its traffic into a dedicated store — the data
 // behind the fingerprinting analysis (§5.3).
-func (s *Study) CaptureActiveSnapshot() (*capture.Store, error) {
-	s.advanceToActiveWindow()
-	sp := s.phaseSpan("active_capture")
-	store := capture.NewStore()
-	store.SetTelemetry(s.Telemetry)
-	col := capture.NewCollector(store)
-	s.Network.SetMirror(col.Mirror)
-	defer s.Network.SetMirror(s.Collector.Mirror)
+func (s *Study) CaptureActiveSnapshot() (store *capture.Store, err error) {
+	err = s.phase("active_capture", func() error {
+		s.advanceToActiveWindow()
+		store = capture.NewStore()
+		store.SetTelemetry(s.Telemetry)
+		col := capture.NewCollector(store)
+		s.Network.SetMirror(col.Mirror)
+		defer s.Network.SetMirror(s.Collector.Mirror)
 
-	// Each device's boot sequence base is fixed by its registry index,
-	// so its hello randoms are identical at any parallelism.
-	devs := s.Registry.ActiveDevices()
-	s.runSpans(len(devs), "device",
-		func(i int) string { return devs[i].ID },
-		func(_, i int, dsp *trace.Span) {
-			driver.BootTraced(s.Network, devs[i], device.ActiveSnapshot, uint64(i)*100000, dsp)
-		})
-	if err := col.WaitIdlePatient(10*time.Second, 2); err != nil {
-		sp.End("lagging")
-		return store, fmt.Errorf("core: active capture lagging (%d observations stored): %w", store.Len(), err)
-	}
-	sp.End("ok")
-	return store, nil
+		// Each device's boot sequence base is fixed by its registry
+		// index, so its hello randoms are identical at any parallelism.
+		devs := s.Registry.ActiveDevices()
+		s.runSpans(len(devs), "device",
+			func(i int) string { return devs[i].ID },
+			func(_, i int, dsp *trace.Span) {
+				driver.BootTraced(s.Network, devs[i], device.ActiveSnapshot, uint64(i)*100000, dsp)
+			})
+		if err := col.WaitIdlePatient(10*time.Second, 2); err != nil {
+			return fmt.Errorf("core: active capture lagging (%d observations stored): %w", store.Len(), err)
+		}
+		return nil
+	})
+	return store, err
 }
 
 // RunInterceptionSuite attacks every active device (Table 7).
-func (s *Study) RunInterceptionSuite() []*mitm.InterceptionReport {
-	s.advanceToActiveWindow()
-	sp := s.phaseSpan("interception")
-	defer sp.End("ok")
-	devs := s.Registry.ActiveDevices()
-	out := make([]*mitm.InterceptionReport, len(devs))
-	s.runSpans(len(devs), "device",
-		func(i int) string { return devs[i].ID },
-		func(_, i int, dsp *trace.Span) {
-			defer s.recoverDevice("interception", devs[i].ID, dsp, func() {
-				out[i] = &mitm.InterceptionReport{Device: devs[i].ID}
+func (s *Study) RunInterceptionSuite() (out []*mitm.InterceptionReport) {
+	s.phase("interception", func() error {
+		s.advanceToActiveWindow()
+		devs := s.Registry.ActiveDevices()
+		out = make([]*mitm.InterceptionReport, len(devs))
+		s.runSpans(len(devs), "device",
+			func(i int) string { return devs[i].ID },
+			func(_, i int, dsp *trace.Span) {
+				defer s.recoverDevice("interception", devs[i].ID, dsp, func() {
+					out[i] = &mitm.InterceptionReport{Device: devs[i].ID}
+				})
+				out[i] = s.Proxy.RunInterceptionTraced(devs[i], dsp)
 			})
-			out[i] = s.Proxy.RunInterceptionTraced(devs[i], dsp)
-		})
+		return nil
+	})
 	return out
 }
 
 // RunDowngradeSuite probes every active device for downgrade behaviour
 // (Table 5).
-func (s *Study) RunDowngradeSuite() []*mitm.DowngradeReport {
-	s.advanceToActiveWindow()
-	sp := s.phaseSpan("downgrade")
-	defer sp.End("ok")
-	devs := s.Registry.ActiveDevices()
-	out := make([]*mitm.DowngradeReport, len(devs))
-	s.runSpans(len(devs), "device",
-		func(i int) string { return devs[i].ID },
-		func(_, i int, dsp *trace.Span) {
-			defer s.recoverDevice("downgrade", devs[i].ID, dsp, func() {
-				out[i] = &mitm.DowngradeReport{Device: devs[i].ID}
+func (s *Study) RunDowngradeSuite() (out []*mitm.DowngradeReport) {
+	s.phase("downgrade", func() error {
+		s.advanceToActiveWindow()
+		devs := s.Registry.ActiveDevices()
+		out = make([]*mitm.DowngradeReport, len(devs))
+		s.runSpans(len(devs), "device",
+			func(i int) string { return devs[i].ID },
+			func(_, i int, dsp *trace.Span) {
+				defer s.recoverDevice("downgrade", devs[i].ID, dsp, func() {
+					out[i] = &mitm.DowngradeReport{Device: devs[i].ID}
+				})
+				out[i] = s.Proxy.RunDowngradeTraced(devs[i], dsp)
 			})
-			out[i] = s.Proxy.RunDowngradeTraced(devs[i], dsp)
-		})
+		return nil
+	})
 	return out
 }
 
@@ -357,53 +361,66 @@ func (s *Study) RunDowngradeSuite() []*mitm.DowngradeReport {
 // device (Table 6). It always runs sequentially: forcing a protocol
 // version retunes the shared cloud endpoint the device talks to, so
 // concurrent devices would observe each other's forced versions.
-func (s *Study) RunOldVersionSuite() []*mitm.OldVersionReport {
-	s.advanceToActiveWindow()
-	sp := s.phaseSpan("old_version")
-	defer sp.End("ok")
-	var out []*mitm.OldVersionReport
-	for _, dev := range s.Registry.ActiveDevices() {
-		func() {
-			dsp := s.tracePhase.Child("device", dev.ID)
-			defer dsp.End("ok")
-			defer s.recoverDevice("old_version", dev.ID, dsp, func() {
-				out = append(out, &mitm.OldVersionReport{Device: dev.ID})
-			})
-			out = append(out, mitm.RunOldVersionCheckTraced(s.Network, s.Cloud, dev, dsp))
-		}()
-	}
+func (s *Study) RunOldVersionSuite() (out []*mitm.OldVersionReport) {
+	s.phase("old_version", func() error {
+		s.advanceToActiveWindow()
+		for _, dev := range s.Registry.ActiveDevices() {
+			func() {
+				dsp := s.tracePhase.Child("device", dev.ID)
+				defer dsp.End("ok")
+				defer s.recoverDevice("old_version", dev.ID, dsp, func() {
+					out = append(out, &mitm.OldVersionReport{Device: dev.ID})
+				})
+				out = append(out, mitm.RunOldVersionCheckTraced(s.Network, s.Cloud, dev, dsp))
+			}()
+		}
+		return nil
+	})
 	return out
 }
 
 // RunPassthroughSuite runs the TrafficPassthrough control for every
 // active device (§4.2).
 func (s *Study) RunPassthroughSuite() []*mitm.PassthroughReport {
-	s.advanceToActiveWindow()
-	sp := s.phaseSpan("passthrough")
-	defer sp.End("ok")
-	devs := s.Registry.ActiveDevices()
-	out := make([]*mitm.PassthroughReport, len(devs))
-	s.runSpans(len(devs), "device",
-		func(i int) string { return devs[i].ID },
-		func(_, i int, dsp *trace.Span) {
-			defer s.recoverDevice("passthrough", devs[i].ID, dsp, func() {
-				out[i] = &mitm.PassthroughReport{Device: devs[i].ID}
+	return s.runPassthrough(nil)
+}
+
+// runPassthrough is RunPassthroughSuite with an optional check of the
+// reports run inside the phase, so connections the check abandons
+// count against the phase.
+func (s *Study) runPassthrough(check func([]*mitm.PassthroughReport)) (out []*mitm.PassthroughReport) {
+	s.phase("passthrough", func() error {
+		s.advanceToActiveWindow()
+		devs := s.Registry.ActiveDevices()
+		out = make([]*mitm.PassthroughReport, len(devs))
+		s.runSpans(len(devs), "device",
+			func(i int) string { return devs[i].ID },
+			func(_, i int, dsp *trace.Span) {
+				defer s.recoverDevice("passthrough", devs[i].ID, dsp, func() {
+					out[i] = &mitm.PassthroughReport{Device: devs[i].ID}
+				})
+				out[i] = s.Proxy.RunPassthroughTraced(devs[i], dsp)
 			})
-			out[i] = s.Proxy.RunPassthroughTraced(devs[i], dsp)
-		})
+		if check != nil {
+			check(out)
+		}
+		return nil
+	})
 	return out
 }
 
 // RunProbe explores every probe candidate's root store (Table 9,
 // Figure 4).
 func (s *Study) RunProbe() (amenable []*probe.Report, candidates int, err error) {
-	s.advanceToActiveWindow()
-	sp := s.phaseSpan("probe")
-	s.Prober.Parallelism = s.Workers()
-	s.Prober.Pool = s.workerSet
-	s.Prober.Trace = s.tracePhase
-	amenable, candidates, err = s.Prober.ExploreAll()
-	sp.EndErr(err)
+	err = s.phase("probe", func() error {
+		s.advanceToActiveWindow()
+		s.Prober.Parallelism = s.Workers()
+		s.Prober.Pool = s.workerSet
+		s.Prober.Trace = s.tracePhase
+		var err error
+		amenable, candidates, err = s.Prober.ExploreAll()
+		return err
+	})
 	return amenable, candidates, err
 }
 
@@ -449,38 +466,19 @@ type Report struct {
 // Report.Degradations and annotated in the rendered output. The error
 // return is always nil today; it is kept for interface stability.
 func (s *Study) RunAll() (*Report, error) {
-	sp := s.phaseSpan("all")
-	defer func() { sp.End("done") }()
+	end := s.phaseMetrics("all")
 	// One persistent worker set serves every phase: goroutine spawn is
 	// paid once per study, not once per month barrier and phase.
 	s.workerSet = pool.NewWorkers(s.Workers())
 	defer func() { s.workerSet.Close(); s.workerSet = nil }()
-	defer func() {
-		status := "ok"
-		if len(s.Degradations()) > 0 {
-			status = "degraded"
-		}
-		s.traceStudyRoot().End(status)
-	}()
 	rep := &Report{}
 	nameOf := s.NameOf
 
-	s.phase("passive", func() error {
-		var err error
-		from, to := s.passiveWindow()
-		rep.PassiveStats, err = s.RunPassiveWindow(from, to)
-		if err == nil && s.Interrupted() {
-			// The generator stops cleanly at a month boundary, so the cut
-			// is only visible here: record it, or a drained dataset would
-			// pass for a full capture of the window.
-			err = fmt.Errorf("passive window interrupted after %d month(s) (drain)", rep.PassiveStats.Months)
-		}
-		return err
-	})
+	// Each phase records its own failure as a degradation, so RunAll
+	// keeps only the results.
+	rep.PassiveStats, _ = s.RunPassiveWindow(s.passiveWindow())
 
 	s.phase("passive_analysis", func() error {
-		sp := s.phaseSpan("passive_analysis")
-		defer sp.End("ok")
 		if s.SpillMonth != nil {
 			// Streaming mode: the passive months were drained to disk as
 			// they completed, so there is nothing in the store to analyse.
@@ -497,36 +495,37 @@ func (s *Study) RunAll() (*Report, error) {
 		return nil
 	})
 
-	s.phase("active_capture", func() error {
-		activeStore, err := s.CaptureActiveSnapshot()
-		if activeStore != nil {
-			rep.ActiveStore = activeStore
-			rep.Figure5 = analysis.BuildFigure5(activeStore, device.ReferenceDB(), nameOf)
-		}
-		return err
-	})
+	if store, _ := s.CaptureActiveSnapshot(); store != nil {
+		rep.ActiveStore = store
+		rep.Figure5 = analysis.BuildFigure5(store, device.ReferenceDB(), nameOf)
+	}
 
 	rep.Table4Rows = analysis.BuildTable4()
-	s.phase("downgrade", func() error { rep.Downgrades = s.RunDowngradeSuite(); return nil })
-	s.phase("old_version", func() error { rep.OldVersions = s.RunOldVersionSuite(); return nil })
-	s.phase("interception", func() error { rep.Interceptions = s.RunInterceptionSuite(); return nil })
+	rep.Downgrades = s.RunDowngradeSuite()
+	rep.OldVersions = s.RunOldVersionSuite()
+	rep.Interceptions = s.RunInterceptionSuite()
 
-	s.phase("probe", func() error {
-		probeReports, _, err := s.RunProbe()
-		rep.ProbeReports = probeReports
-		rep.Figure4 = analysis.BuildFigure4(probeReports, nameOf)
-		return err
-	})
+	// A skipped probe leaves Figure 4 unset, so it renders as PARTIAL;
+	// a failed one still draws from whatever it explored.
+	if reports, _, err := s.RunProbe(); !errors.Is(err, errSkipped) {
+		rep.ProbeReports = reports
+		rep.Figure4 = analysis.BuildFigure4(reports, nameOf)
+	}
 
-	s.phase("passthrough", func() error {
-		passthrough := s.RunPassthroughSuite()
-		rep.Passthroughs = passthrough
-		rep.Passthrough = analysis.BuildPassthroughStat(passthrough)
-		rep.Passthrough.NoNewValidationFailures = s.verifyNoNewFailures(passthrough, rep.Interceptions)
-		return nil
+	// The §4.2 re-test of newly exposed hosts dials, so it runs inside
+	// the passthrough phase.
+	rep.Passthroughs = s.runPassthrough(func(reports []*mitm.PassthroughReport) {
+		rep.Passthrough = analysis.BuildPassthroughStat(reports)
+		rep.Passthrough.NoNewValidationFailures = s.verifyNoNewFailures(reports, rep.Interceptions)
 	})
 
 	rep.Degradations = s.Degradations()
+	status := "ok"
+	if rep.Degraded() {
+		status = "degraded"
+	}
+	s.traceStudyRoot().End(status)
+	end(status)
 	return rep, nil
 }
 

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/clock"
@@ -193,7 +195,7 @@ func TestTraceErrorsAttributesDegradations(t *testing.T) {
 }
 
 // TestStudyLeaksNoSpans is the leak gate: after a full study, every
-// trace span and every telemetry span must have ended.
+// trace span must have ended.
 func TestStudyLeaksNoSpans(t *testing.T) {
 	if testing.Short() {
 		t.Skip("leak gate run skipped in -short mode")
@@ -202,9 +204,41 @@ func TestStudyLeaksNoSpans(t *testing.T) {
 	if live := s.Tracer().Live(); live != 0 {
 		t.Errorf("study leaked %d trace spans", live)
 	}
-	snap := s.MetricsSnapshot()
-	if leaked := snap.Counters["telemetry.spans.leaked"]; leaked != 0 {
-		t.Errorf("telemetry.spans.leaked = %d after a full study", leaked)
+}
+
+// TestPhaseMetricsMatchTree pins the phase metrics to the trace tree:
+// on an aggressive-fault study, every phase's span.phase.<name>.<status>
+// counter names exactly the status of its phase span, so `iotls
+// metrics` and serve job status agree with trace.bin about which phases
+// degraded.
+func TestPhaseMetricsMatchTree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("aggressive-fault study skipped in -short mode")
+	}
+	s, _ := traceRun(t, 2)
+	counters := s.MetricsSnapshot().Counters
+	phases, degraded := 0, 0
+	for _, r := range s.Tracer().Spans() {
+		if r.Name != "phase" {
+			continue
+		}
+		phases++
+		if r.Status != "ok" {
+			degraded++
+		}
+		prefix := "span.phase." + r.Detail + "."
+		var got []string
+		for name, v := range counters {
+			if status, ok := strings.CutPrefix(name, prefix); ok && v > 0 {
+				got = append(got, fmt.Sprintf("%s=%d", status, v))
+			}
+		}
+		if want := []string{r.Status + "=1"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("phase %s: metrics record %v, trace tree says %q", r.Detail, got, r.Status)
+		}
+	}
+	if phases == 0 || degraded == 0 {
+		t.Fatalf("traced %d phases, %d not ok; the aggressive run should degrade some", phases, degraded)
 	}
 }
 

@@ -72,8 +72,8 @@ func (o FetchOptions) withDefaults() FetchOptions {
 func Fetch(baseURL, destDir string, opts FetchOptions) (m *Manifest, err error) {
 	f := &fetcher{base: strings.TrimRight(baseURL, "/"), dest: destDir, opts: opts.withDefaults()}
 	f.tel = f.opts.Telemetry
-	span := f.tel.StartSpan("dataset.fetch")
-	defer func() { span.EndErr(err) }()
+	end := timeOp(f.tel, "fetch")
+	defer func() { end(err) }()
 	if err := os.MkdirAll(destDir, 0o755); err != nil {
 		return nil, fmt.Errorf("dataset: fetch dest: %w", err)
 	}

@@ -183,8 +183,19 @@ func TestFetchVerifiedRetryAndResume(t *testing.T) {
 	}
 
 	// The fetched dataset is readable and restorable.
-	if _, err := dataset.Read(dest, nil); err != nil {
+	if _, err := dataset.Read(dest, tel); err != nil {
 		t.Fatalf("Read(fetched): %v", err)
+	}
+	// Each operation leaves one outcome counter and one wall-time
+	// observation.
+	snap = tel.Snapshot()
+	for _, op := range []string{"fetch", "read"} {
+		if got := snap.Counters["span.dataset."+op+".ok"]; got != 1 {
+			t.Errorf("span.dataset.%s.ok = %d, want 1", op, got)
+		}
+		if got := snap.Histograms["span.dataset."+op+".wall_us"].Count; got != 1 {
+			t.Errorf("span.dataset.%s.wall_us count = %d, want 1", op, got)
+		}
 	}
 }
 
@@ -282,12 +293,17 @@ func TestFetchGivesUpBounded(t *testing.T) {
 	srv := httptest.NewServer(fs)
 	defer srv.Close()
 
+	tel := telemetry.New(nil)
 	_, err := dataset.Fetch(srv.URL, t.TempDir(), dataset.FetchOptions{
-		Attempts: 3,
-		Sleep:    func(time.Duration) {},
+		Attempts:  3,
+		Telemetry: tel,
+		Sleep:     func(time.Duration) {},
 	})
 	if err == nil {
 		t.Fatal("Fetch succeeded against a permanently corrupt shard")
+	}
+	if got := tel.Snapshot().Counters["span.dataset.fetch.error"]; got != 1 {
+		t.Errorf("span.dataset.fetch.error = %d, want 1", got)
 	}
 	if !strings.Contains(err.Error(), "gave up after 3 attempts") {
 		t.Fatalf("error %q does not report bounded give-up", err)

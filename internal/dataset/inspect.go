@@ -42,8 +42,7 @@ func (r *InspectReport) OK() bool {
 // keeps going past a corrupt shard so the report covers the whole
 // directory; the error return is reserved for I/O-level failures.
 func Inspect(dir string, tel *telemetry.Registry) *InspectReport {
-	span := tel.StartSpan("dataset.inspect")
-	defer span.End("ok")
+	defer timeOp(tel, "inspect")(nil)
 	rep := &InspectReport{Dir: dir}
 	m, err := readManifest(dir)
 	if err != nil {

@@ -156,8 +156,8 @@ type bucketSource struct {
 // share the schema version, and provenance collisions (the same seed,
 // fault profile, and window with overlapping devices) are rejected.
 func Merge(outDir string, inDirs []string, opts Options) (err error) {
-	span := opts.Telemetry.StartSpan("dataset.merge")
-	defer func() { span.EndErr(err) }()
+	end := timeOp(opts.Telemetry, "merge")
+	defer func() { end(err) }()
 	if len(inDirs) == 0 {
 		return fmt.Errorf("dataset: merge needs at least one input")
 	}

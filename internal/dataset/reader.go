@@ -102,8 +102,8 @@ done:
 // sorted-manifest order, so the in-memory record order is identical to
 // a sequential scan at any parallelism.
 func Read(dir string, tel *telemetry.Registry) (ds *Dataset, err error) {
-	span := tel.StartSpan("dataset.read")
-	defer func() { span.EndErr(err) }()
+	end := timeOp(tel, "read")
+	defer func() { end(err) }()
 	m, err := readManifest(dir)
 	if err != nil {
 		return nil, err

@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"time"
 
 	"repro/internal/capture"
 	"repro/internal/clock"
@@ -26,7 +27,8 @@ type Options struct {
 	// and byte counts in the manifest always cover the uncompressed
 	// record stream, so integrity checking is compression-independent.
 	Gzip bool
-	// Telemetry receives dataset.* I/O counters and spans; nil is fine.
+	// Telemetry receives the dataset.* I/O counters and the
+	// span.dataset.* operation outcomes; nil is fine.
 	Telemetry *telemetry.Registry
 }
 
@@ -36,6 +38,21 @@ type writeCounters struct {
 	shards  *telemetry.Counter
 	records *telemetry.Counter
 	bytes   *telemetry.Counter
+}
+
+// timeOp starts timing one dataset operation; the returned func ends
+// it, counting span.dataset.<op>.ok (or .error when err is non-nil) and
+// observing the elapsed wall time in span.dataset.<op>.wall_us.
+func timeOp(tel *telemetry.Registry, op string) func(err error) {
+	start := time.Now()
+	return func(err error) {
+		status := "ok"
+		if err != nil {
+			status = "error"
+		}
+		tel.Counter("span.dataset." + op + "." + status).Inc()
+		tel.Histogram("span.dataset."+op+".wall_us", telemetry.DurationBucketsUS).Observe(time.Since(start).Microseconds())
+	}
 }
 
 func newWriteCounters(tel *telemetry.Registry) writeCounters {
@@ -417,8 +434,8 @@ func (w *Writer) finishAll() error {
 // the bulk and streaming paths share one encoder and one section order.
 // A failed write leaves no manifest and no open shard files.
 func Write(dir string, ds *Dataset, opts Options) (err error) {
-	span := opts.Telemetry.StartSpan("dataset.write")
-	defer func() { span.EndErr(err) }()
+	end := timeOp(opts.Telemetry, "write")
+	defer func() { end(err) }()
 	w, err := NewWriter(dir, opts)
 	if err != nil {
 		return err

@@ -196,8 +196,6 @@ func (p *Prober) Explore(dev *device.Device) (*Report, error) {
 // device's span dsp.
 func (p *Prober) ExploreTraced(dev *device.Device, dsp *trace.Span) (*Report, error) {
 	tel := p.Proxy.Telemetry()
-	sp := tel.StartSpan("probe.explore")
-	defer sp.End("ok")
 	report := &Report{Device: dev.ID}
 	amenable, badSig, unknown, err := p.calibrate(dev, dsp)
 	if err != nil {

@@ -155,7 +155,7 @@ func (j *Job) ArtifactDir() string { return filepath.Join(j.Dir(), "artifacts") 
 // PhaseStatus is one RunAll phase's progress.
 type PhaseStatus struct {
 	Name  string `json:"name"`
-	State string `json:"state"` // pending | running | done
+	State string `json:"state"` // pending | running | done | skipped
 }
 
 // Status is the API view of a job.
@@ -174,7 +174,8 @@ type Status struct {
 
 // StatusNow derives the job's current status; per-phase progress comes
 // from the job registry's phase counters (core.phase.<name> marks a
-// start, span.phase.<name>.<status> marks the finish).
+// start, span.phase.<name>.<status> marks the finish, and the status
+// "skipped" marks a phase a drain skipped).
 func (j *Job) StatusNow() Status {
 	j.mu.Lock()
 	st := Status{
@@ -203,14 +204,14 @@ func (j *Job) StatusNow() Status {
 			if snap.Counters["core.phase."+name] > 0 {
 				ps.State = "running"
 			}
-			finished := int64(0)
 			for cname, v := range snap.Counters {
-				if strings.HasPrefix(cname, "span.phase."+name+".") {
-					finished += v
+				if status, ok := strings.CutPrefix(cname, "span.phase."+name+"."); ok && v > 0 {
+					ps.State = "done"
+					if status == "skipped" {
+						ps.State = "skipped"
+						break
+					}
 				}
-			}
-			if finished > 0 {
-				ps.State = "done"
 			}
 			st.Phases = append(st.Phases, ps)
 		}

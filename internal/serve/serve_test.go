@@ -179,6 +179,26 @@ func holdAtPhase(m *Manager, phase string) (entered, release chan struct{}) {
 	return entered, release
 }
 
+// checkDrainedPhases asserts the per-phase status of a study job
+// drained while held after its passive phase: passive is done and every
+// later phase reports skipped, neither pending forever nor done.
+func checkDrainedPhases(t *testing.T, j *Job) {
+	t.Helper()
+	phases := j.StatusNow().Phases
+	if len(phases) != len(runAllPhases) {
+		t.Fatalf("drained job status has %d phases, want %d", len(phases), len(runAllPhases))
+	}
+	for _, p := range phases {
+		want := "skipped"
+		if p.Name == "passive" {
+			want = "done"
+		}
+		if p.State != want {
+			t.Errorf("drained job phase %s is %q, want %q", p.Name, p.State, want)
+		}
+	}
+}
+
 // TestDrainMidStudy pins the SIGTERM drain contract: a running study
 // is interrupted at a phase boundary, its dataset persists, the
 // passive shards are byte-identical to a clean capture of the same
@@ -227,6 +247,7 @@ func TestDrainMidStudy(t *testing.T) {
 	if j.State() != StateDone || !j.Degraded() {
 		t.Fatalf("drained job: state %s degraded %v (err %q), want done+degraded", j.State(), j.Degraded(), j.Err())
 	}
+	checkDrainedPhases(t, j)
 
 	// The persisted dataset restores — `iotls analyze` accepts it.
 	ds, err := dataset.Read(j.DatasetDir(), nil)
@@ -299,6 +320,7 @@ func TestDrainCancelsQueuedJobs(t *testing.T) {
 	if running.State() != StateDone {
 		t.Errorf("held job state = %s (err %q), want done", running.State(), running.Err())
 	}
+	checkDrainedPhases(t, running)
 	if _, err := m.Submit(JobSpec{Kind: KindStudy, Window: "2018-01..2018-01"}); err == nil {
 		t.Error("Submit after drain succeeded, want refusal")
 	}

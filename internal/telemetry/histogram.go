@@ -9,7 +9,7 @@ import (
 // implicit overflow bucket catches everything above the last bound.
 var (
 	// DurationBucketsUS spans 50µs to 1s, the range of interest for
-	// handshake latency (wall or virtual) in this testbed.
+	// phase and dataset-operation wall times in this testbed.
 	DurationBucketsUS = []int64{50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000, 1_000_000}
 
 	// SizeBuckets spans 64B to 64KiB, the range of per-connection byte

@@ -7,8 +7,7 @@ import (
 )
 
 // TestWritePrometheus pins the text exposition byte-for-byte: sanitised
-// sorted names, cumulative histogram buckets with an explicit +Inf, and
-// the implicit spans.leaked counter every snapshot carries.
+// sorted names and cumulative histogram buckets with an explicit +Inf.
 func TestWritePrometheus(t *testing.T) {
 	r := New(nil)
 	r.Counter("serve.requests").Add(3)
@@ -33,8 +32,6 @@ func TestWritePrometheus(t *testing.T) {
 		"jobs_running 2",
 		"# TYPE serve_requests counter",
 		"serve_requests 3",
-		"# TYPE telemetry_spans_leaked counter",
-		"telemetry_spans_leaked 0",
 		"",
 	}, "\n")
 	if got := buf.String(); got != want {
@@ -56,22 +53,6 @@ func TestPromName(t *testing.T) {
 		if got := promName(in); got != want {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-// TestSpanLeakCounter checks the leak gate instrument: an unended span
-// shows up as telemetry.spans.leaked, and ending it (once) clears the
-// count. A double End must not drive the count negative.
-func TestSpanLeakCounter(t *testing.T) {
-	r := New(nil)
-	sp := r.StartSpan("leaky")
-	if got := r.Snapshot().Counters["telemetry.spans.leaked"]; got != 1 {
-		t.Errorf("spans.leaked with one live span = %d, want 1", got)
-	}
-	sp.End("ok")
-	sp.End("ok") // first-wins: must not decrement twice
-	if got := r.Snapshot().Counters["telemetry.spans.leaked"]; got != 0 {
-		t.Errorf("spans.leaked after End = %d, want 0", got)
 	}
 }
 

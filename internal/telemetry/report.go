@@ -22,7 +22,8 @@ type PhaseStat struct {
 	// VirtualUS is the total simulated time spent in the phase, in
 	// microseconds.
 	VirtualUS int64 `json:"virtual_us"`
-	// Statuses counts phase completions by status ("ok", "error", ...).
+	// Statuses counts phase completions by the status of the phase's
+	// trace span: "ok", "error", "degraded" or "skipped".
 	Statuses map[string]int64 `json:"statuses,omitempty"`
 }
 

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
@@ -11,17 +10,13 @@ import (
 // Snapshot is a consistent-enough copy of every instrument in a
 // registry, taken instrument-by-instrument (counters keep advancing
 // while a snapshot is in progress; each read value is itself atomic).
-// It marshals to deterministic JSON: encoding/json sorts map keys, and
-// retained spans are ordered by sequence number.
+// It marshals to deterministic JSON: encoding/json sorts map keys.
 type Snapshot struct {
 	// TakenAt is the virtual time of the snapshot.
 	TakenAt    time.Time                    `json:"taken_at"`
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	// Spans holds the most recently finished spans (the inspector's
-	// trace window), oldest first.
-	Spans []SpanRecord `json:"spans,omitempty"`
 }
 
 // Snapshot captures the current state of every instrument. A nil
@@ -36,10 +31,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		return s
 	}
 	s.TakenAt = r.Now()
-	// Unended spans are leaks: the count should be zero at any quiescent
-	// point (end of a study). Surfaced as a counter so leak tests and
-	// the Prometheus exposition see it without a dedicated field.
-	s.Counters["telemetry.spans.leaked"] = r.liveSpans.Load()
 	r.mu.RLock()
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
@@ -51,11 +42,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Histograms[name] = h.snapshot()
 	}
 	r.mu.RUnlock()
-
-	r.spanMu.Lock()
-	s.Spans = append(append([]SpanRecord(nil), r.spans[r.spanNext:]...), r.spans[:r.spanNext]...)
-	r.spanMu.Unlock()
-	sort.Slice(s.Spans, func(i, j int) bool { return s.Spans[i].Seq < s.Spans[j].Seq })
 	return s
 }
 

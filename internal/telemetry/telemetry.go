@@ -1,7 +1,9 @@
-// Package telemetry is the testbed's dependency-free observability
-// core: atomic counters and gauges, fixed-bucket histograms, and
-// lightweight spans that trace a TLS handshake (or a whole study phase)
-// through its stages on the simulated clock.
+// Package telemetry is the testbed's dependency-free metrics core:
+// atomic counters and gauges and fixed-bucket histograms, snapshotted
+// against the simulated clock. Causal, per-connection records live in
+// repro/internal/trace; study phases and dataset operations report
+// their outcomes here as span.<name>.<status> counters with duration
+// histograms.
 //
 // Design constraints, in order:
 //
@@ -34,7 +36,7 @@ import (
 	"time"
 )
 
-// Clock is the time source for spans and snapshots. It is satisfied by
+// Clock is the time source for snapshots. It is satisfied by
 // repro/internal/clock.Clock without importing it, keeping this package
 // dependency-free.
 type Clock interface {
@@ -83,21 +85,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	spanMu   sync.Mutex
-	spans    []SpanRecord // ring buffer of the most recent finished spans
-	spanNext int          // next write position in the ring
-	spanSeq  uint64
-	maxSpans int
-
-	// liveSpans counts started-but-unended spans; Snapshot surfaces it
-	// as telemetry.spans.leaked so leak tests can assert it hits zero.
-	liveSpans atomic.Int64
 }
-
-// DefaultSpanRetention is how many finished spans a Registry keeps for
-// inspection (the live inspector's trace window).
-const DefaultSpanRetention = 256
 
 // New builds an empty registry reading time through clk. A nil clk
 // falls back to the wall clock.
@@ -107,7 +95,6 @@ func New(clk Clock) *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		maxSpans: DefaultSpanRetention,
 	}
 }
 
@@ -190,18 +177,4 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	h = newHistogram(bounds)
 	r.hists[name] = h
 	return h
-}
-
-// retain stores a finished span in the ring buffer.
-func (r *Registry) retain(rec SpanRecord) {
-	r.spanMu.Lock()
-	defer r.spanMu.Unlock()
-	r.spanSeq++
-	rec.Seq = r.spanSeq
-	if len(r.spans) < r.maxSpans {
-		r.spans = append(r.spans, rec)
-		return
-	}
-	r.spans[r.spanNext] = rec
-	r.spanNext = (r.spanNext + 1) % r.maxSpans
 }

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// fakeClock is a manually advanced Clock for span tests.
+// fakeClock is a manually advanced Clock for snapshot tests.
 type fakeClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -43,9 +43,8 @@ func TestConcurrentHammer(t *testing.T) {
 				r.Counter("hammer.add").Add(3)
 				r.Gauge("hammer.gauge").Set(int64(i))
 				r.Histogram("hammer.hist", SizeBuckets).Observe(int64(i % 5000))
-				sp := r.StartSpan("hammer")
-				sp.Phase("mid")
-				sp.End("ok")
+				r.Counter("span.hammer.ok").Inc()
+				r.Histogram("span.hammer.wall_us", DurationBucketsUS).Observe(int64(i))
 				if i%100 == 0 {
 					_ = r.Snapshot()
 				}
@@ -75,8 +74,8 @@ func TestConcurrentHammer(t *testing.T) {
 	if got := snap.Counters["span.hammer.ok"]; got != workers*iters {
 		t.Errorf("span.hammer.ok = %d, want %d", got, workers*iters)
 	}
-	if len(snap.Spans) != DefaultSpanRetention {
-		t.Errorf("retained spans = %d, want %d", len(snap.Spans), DefaultSpanRetention)
+	if got := snap.Histograms["span.hammer.wall_us"].Count; got != workers*iters {
+		t.Errorf("span.hammer.wall_us count = %d, want %d", got, workers*iters)
 	}
 }
 
@@ -87,12 +86,8 @@ func TestNilRegistrySafe(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Gauge("x").Set(7)
 	r.Histogram("x", DurationBucketsUS).Observe(12)
-	sp := r.StartSpan("x")
-	sp.Phase("p")
-	sp.End("ok")
-	sp.EndErr(nil)
 	snap := r.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Spans) != 0 {
+	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", snap)
 	}
 }
@@ -103,15 +98,15 @@ func drive(r *Registry, clk *fakeClock) {
 		r.Counter("run.events").Inc()
 		r.Counter("run.bytes").Add(int64(i * 17 % 301))
 		r.Histogram("run.size", SizeBuckets).Observe(int64(i * 31 % 4096))
-		sp := r.StartSpan("op")
-		clk.advance(time.Duration(i%7) * time.Millisecond)
-		sp.Phase("middle")
-		clk.advance(time.Millisecond)
+		virt, wall := r.Now(), time.Now()
+		clk.advance(time.Duration(i%7+1) * time.Millisecond)
+		status := "ok"
 		if i%9 == 0 {
-			sp.End("failed")
-		} else {
-			sp.End("ok")
+			status = "failed"
 		}
+		r.Counter("span.op." + status).Inc()
+		r.Histogram("span.op.virtual_us", DurationBucketsUS).Observe(r.Now().Sub(virt).Microseconds())
+		r.Histogram("span.op.wall_us", DurationBucketsUS).Observe(time.Since(wall).Microseconds())
 	}
 }
 
@@ -145,56 +140,6 @@ func TestSnapshotDeterminism(t *testing.T) {
 	}
 	if _, ok := a.DeterministicHistograms()["span.op.wall_us"]; ok {
 		t.Error("wall histogram leaked into deterministic set")
-	}
-}
-
-// TestSpanOrdering checks phase events carry the simulated clock's
-// timestamps in order, and the span record reflects virtual duration.
-func TestSpanOrdering(t *testing.T) {
-	clk := &fakeClock{now: time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)}
-	r := New(clk)
-
-	sp := r.StartSpan("handshake")
-	clk.advance(2 * time.Millisecond)
-	sp.Phase("client_hello")
-	clk.advance(3 * time.Millisecond)
-	sp.Phase("server_flight")
-	clk.advance(5 * time.Millisecond)
-	sp.End("ok")
-
-	snap := r.Snapshot()
-	if len(snap.Spans) != 1 {
-		t.Fatalf("spans = %d, want 1", len(snap.Spans))
-	}
-	rec := snap.Spans[0]
-	if rec.Name != "handshake" || rec.Status != "ok" {
-		t.Errorf("record = %s/%s", rec.Name, rec.Status)
-	}
-	if got := rec.End.Sub(rec.Start); got != 10*time.Millisecond {
-		t.Errorf("virtual duration = %v, want 10ms", got)
-	}
-	if len(rec.Phases) != 2 {
-		t.Fatalf("phases = %d, want 2", len(rec.Phases))
-	}
-	if rec.Phases[0].Name != "client_hello" || rec.Phases[1].Name != "server_flight" {
-		t.Errorf("phase names = %v", rec.Phases)
-	}
-	if !rec.Phases[0].At.Before(rec.Phases[1].At) {
-		t.Errorf("phase timestamps out of order: %v !< %v", rec.Phases[0].At, rec.Phases[1].At)
-	}
-	if !rec.Phases[1].At.Before(rec.End) {
-		t.Errorf("last phase %v not before end %v", rec.Phases[1].At, rec.End)
-	}
-	h := snap.Histograms["span.handshake.virtual_us"]
-	if h.Count != 1 || h.Sum != 10_000 {
-		t.Errorf("virtual_us histogram = %+v, want count 1 sum 10000", h)
-	}
-	// A second span must sequence after the first.
-	sp2 := r.StartSpan("handshake")
-	sp2.End("failed")
-	snap = r.Snapshot()
-	if len(snap.Spans) != 2 || snap.Spans[0].Seq >= snap.Spans[1].Seq {
-		t.Errorf("span sequence not monotonic: %+v", snap.Spans)
 	}
 }
 

@@ -48,16 +48,15 @@ func (s *Session) Close() error { return s.Conn.Close() }
 // what the paper's probing technique measures.
 func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (sess *Session, err error) {
 	tel := cfg.Telemetry
-	sp := tel.StartSpan("handshake.client")
 	defer func() {
 		// Every failure path must release the transport, or a server
 		// configured to withhold its flight would block forever.
 		if err != nil {
 			conn.Close()
-			finishClientFailure(tel, cfg, sp, err)
+			finishClientFailure(tel, cfg, err)
 		} else {
 			conn.SetDeadline(noDeadline)
-			finishClientSuccess(tel, cfg, sp, sess)
+			finishClientSuccess(tel, cfg, sess)
 		}
 	}()
 	if cfg.Library == nil {
@@ -75,7 +74,6 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	if err := wire.WriteHandshake(conn, recordVersion, chMsg); err != nil {
 		return nil, classifyReadError(err)
 	}
-	sp.Phase("client_hello_sent")
 
 	// Read the server flight: ServerHello, Certificate, ServerHelloDone.
 	// Deadlines use wall time: the handshake itself runs in real time
@@ -104,7 +102,6 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	if herr != nil {
 		return nil, herr
 	}
-	sp.Phase("server_flight_received")
 
 	// Version acceptance: the server's choice must be one we offered.
 	if !acceptableVersion(cfg, ch, sh.Version) {
@@ -149,7 +146,6 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 			vsp.End("ok")
 		}
 		if verr != nil {
-			sp.Phase("certificate_rejected")
 			n := state.consecutiveFailures.Add(1)
 			if cfg.DisableValidationAfter > 0 && int(n) >= cfg.DisableValidationAfter {
 				state.validationDisabled.Store(true)
@@ -163,7 +159,6 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 			return nil, failure(FailCertificate, sent, verr)
 		}
 		state.consecutiveFailures.Store(0)
-		sp.Phase("certificate_validated")
 	}
 	transcript.add(doneMsg)
 
@@ -187,7 +182,6 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	if err := wire.WriteHandshake(conn, recordVersion, finMsg); err != nil {
 		return nil, failure(FailIO, nil, err)
 	}
-	sp.Phase("client_flight_sent")
 
 	// Server Finished.
 	sfin, herr := mr.expect(wire.TypeFinished)

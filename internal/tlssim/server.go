@@ -37,7 +37,6 @@ type ServerResult struct {
 func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 	res := &ServerResult{}
 	tel := cfg.Telemetry
-	sp := tel.StartSpan("handshake.server")
 	defer func() {
 		tel.Counter("tlssim.server.handshakes").Inc()
 		if res.Err != nil {
@@ -45,14 +44,9 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 			class := res.Err.Class.String()
 			tel.Counter("tlssim.server.failed").Inc()
 			tel.Counter("tlssim.server.failed." + class).Inc()
-			if res.ClientAlert != nil {
-				tel.Counter("tlssim.server.alerts.from_client." + metricLabel(res.ClientAlert.Description.String())).Inc()
-			}
-			sp.End(class)
 		} else {
 			tel.Counter("tlssim.server.established").Inc()
 			tel.Counter("tlssim.server.established.version." + metricLabel(res.NegotiatedVersion.String())).Inc()
-			sp.End("established")
 		}
 	}()
 
@@ -69,7 +63,6 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 		return res
 	}
 	res.ClientHello = ch
-	sp.Phase("client_hello_received")
 
 	transcript := newTranscript(chMsg)
 
@@ -157,7 +150,6 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 		res.Err = failure(FailIO, nil, err)
 		return res
 	}
-	sp.Phase("server_flight_sent")
 
 	// Client flight: ClientKeyExchange, (CCS), Finished — or an alert if
 	// the client rejected our certificate.
@@ -182,7 +174,6 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 		return res
 	}
 	transcript.add(finMsg)
-	sp.Phase("client_finished_verified")
 
 	// Server CCS + Finished.
 	if err := wire.WriteRecord(conn, wire.Record{Type: wire.TypeChangeCipherSpec, Version: recordVersion, Payload: []byte{1}}); err != nil {

@@ -13,11 +13,11 @@ func metricLabel(s string) string {
 	return strings.ReplaceAll(s, " ", "_")
 }
 
-// finishClientFailure records the client-side outcome counters and ends
-// the handshake span with the failure class. The alert taxonomy is
-// attributed to the library profile: the paper's probing technique
-// reads exactly this per-library alert behaviour (Table 4).
-func finishClientFailure(tel *telemetry.Registry, cfg *ClientConfig, sp *telemetry.Span, err error) {
+// finishClientFailure records the client-side outcome counters under
+// the failure class. The alert taxonomy is attributed to the library
+// profile: the paper's probing technique reads exactly this per-library
+// alert behaviour (Table 4).
+func finishClientFailure(tel *telemetry.Registry, cfg *ClientConfig, err error) {
 	tel.Counter("tlssim.client.handshakes").Inc()
 	tel.Counter("tlssim.client.failed").Inc()
 	class := "error"
@@ -42,11 +42,10 @@ func finishClientFailure(tel *telemetry.Registry, cfg *ClientConfig, sp *telemet
 	if cfg.Library != nil {
 		tel.Counter("tlssim.client.lib." + metricLabel(cfg.Library.Name) + ".failed").Inc()
 	}
-	sp.End(class)
 }
 
-// finishClientSuccess records establishment counters and ends the span.
-func finishClientSuccess(tel *telemetry.Registry, cfg *ClientConfig, sp *telemetry.Span, sess *Session) {
+// finishClientSuccess records establishment counters.
+func finishClientSuccess(tel *telemetry.Registry, cfg *ClientConfig, sess *Session) {
 	tel.Counter("tlssim.client.handshakes").Inc()
 	tel.Counter("tlssim.client.established").Inc()
 	tel.Counter("tlssim.client.established.version." + metricLabel(sess.Version.String())).Inc()
@@ -57,5 +56,4 @@ func finishClientSuccess(tel *telemetry.Registry, cfg *ClientConfig, sp *telemet
 	if cfg.Library != nil {
 		tel.Counter("tlssim.client.lib." + metricLabel(cfg.Library.Name) + ".established").Inc()
 	}
-	sp.End("established")
 }

@@ -136,7 +136,6 @@ func (g *Generator) Run(first, last clock.Month) (*Stats, error) {
 			tel.Counter("traffic.stopped").Inc()
 			break
 		}
-		sp := tel.StartSpan("traffic.month")
 		msp := g.Trace.Child("month", m.String())
 		// Mid-month timestamp so observations land in the right bucket.
 		if t := m.Start().Add(14 * 24 * time.Hour); t.After(g.Clock.Now()) {
@@ -196,14 +195,13 @@ func (g *Generator) Run(first, last clock.Month) (*Stats, error) {
 		// Lagging is usually a transiently overloaded host, so the
 		// barrier retries with doubled timeouts before failing the month.
 		if err := g.Collector.WaitIdlePatient(captureTimeout, 2); err != nil {
-			sp.End("lagging")
 			msp.End("lagging")
 			return stats, fmt.Errorf("traffic: capture lagging in %s (%d observations stored): %w",
 				m, g.Collector.Store.Len(), err)
 		}
 		// Server handler goroutines must also finish before the clock
-		// moves, or a late-scheduled handler would stamp its handshake
-		// span with next month's virtual time.
+		// moves, or a late-scheduled handler would run its handshake at
+		// next month's virtual time.
 		g.Network.WaitHandlers()
 		// All sniffers have published; merge the worker buffers into the
 		// shared store. Canonical read-side ordering makes the merge
@@ -214,14 +212,12 @@ func (g *Generator) Run(first, last clock.Month) (*Stats, error) {
 		}
 		if g.MonthDone != nil {
 			if err := g.MonthDone(m); err != nil {
-				sp.End("spill_failed")
 				msp.End("spill_failed")
 				return stats, fmt.Errorf("traffic: month %s barrier: %w", m, err)
 			}
 		}
 		stats.Months++
 		tel.Counter("traffic.months").Inc()
-		sp.End("ok")
 		msp.End("ok")
 	}
 	return stats, nil
