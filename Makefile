@@ -20,8 +20,10 @@ endif
 build:
 	$(GO) build ./...
 
+# vet also fails on formatting drift: any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -203,7 +203,7 @@ func NewService(nw *netem.Network, host string, ca certs.KeyPair) *Service {
 		Key:              leaf,
 		HandshakeTimeout: 5 * time.Second,
 		MinVersion:       ciphers.SSL30, // accept anything: the point is to observe
-		MaxVersion: ciphers.TLS13,
+		MaxVersion:       ciphers.TLS13,
 		CipherSuites: []ciphers.Suite{
 			ciphers.TLS_AES_128_GCM_SHA256,
 			ciphers.TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256,

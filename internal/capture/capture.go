@@ -206,11 +206,13 @@ func (s *Store) Add(o *Observation) {
 	s.gen.Add(1)
 }
 
-// AddAll appends a batch of observations, hoisting the device-shard
-// hash out of the per-observation path: consecutive observations for
-// the same device (the natural shape of restore streams and worker
-// buffers) hash once, and each touched shard lock is taken once per
-// run of same-shard observations instead of once per observation.
+// AddAll appends a batch of observations — dataset.Restore's bulk
+// load — hoisting the device-shard hash out of the per-observation
+// path: consecutive observations for the same device (the natural shape
+// of restore streams) hash once, and each touched shard lock is taken
+// once per run of same-shard observations instead of once per
+// observation. The result is the store a per-observation Add would
+// build.
 func (s *Store) AddAll(obs []*Observation) {
 	if len(obs) == 0 {
 		return
@@ -263,52 +265,18 @@ func (s *Store) prepare(o *Observation, hot *storeCounters) {
 	}
 }
 
-// WorkerBuffer is a lock-free observation sink owned by one worker
-// goroutine. During a parallel phase each worker publishes into its own
-// buffer (no shard locks, no cross-worker cache traffic); at the phase
-// barrier Flush batches the buffered observations into the shared store
-// via AddAll. Read-side accessors present observations in canonical
-// order regardless of arrival, so buffered and direct publishes yield
-// byte-identical downstream artifacts.
-type WorkerBuffer struct {
-	store *Store
-	obs   []*Observation
-}
-
-// NewWorkerBuffer returns an empty buffer publishing into s.
-func (s *Store) NewWorkerBuffer() *WorkerBuffer {
-	return &WorkerBuffer{store: s}
-}
-
-// Add buffers an observation. Only the owning worker may call it.
-func (b *WorkerBuffer) Add(o *Observation) {
-	b.obs = append(b.obs, o)
-}
-
-// Len reports the number of buffered (unflushed) observations.
-func (b *WorkerBuffer) Len() int { return len(b.obs) }
-
-// Flush publishes the buffered observations into the store and empties
-// the buffer. Call at a phase barrier, after the collector's WaitIdle.
-func (b *WorkerBuffer) Flush() {
-	if len(b.obs) == 0 {
-		return
-	}
-	b.store.AddAll(b.obs)
-	b.obs = b.obs[:0]
-}
-
 // TakeMonth removes and returns every observation and revocation event
 // belonging to month m, each in canonical order — the streaming engine's
-// spill primitive. The traffic generator calls it at the month barrier
-// (after WaitIdle has joined every sniffer and the worker buffers have
-// flushed), when all of month m's records are in the store and no later
-// month has begun; draining there keeps peak store size bounded by one
-// month's traffic instead of the whole run's. Because the canonical
-// observation order begins with the timestamp, and every month's
-// timestamps precede the next month's, sorting each drained month
-// independently yields exactly the per-month groups a whole-run
-// canonical sort would: the spilled shard bytes match the bulk path's.
+// spill primitive. The core layer calls it from the traffic generator's
+// month barrier, once WaitIdlePatient has joined every sniffer (each
+// publishes straight into the store through Add): all of month m's
+// records are then in the store and no later month has begun. Draining
+// there keeps peak store size bounded by one month's traffic instead of
+// the whole run's. Because the canonical observation order begins with
+// the timestamp, and every month's timestamps precede the next month's,
+// sorting each drained month independently yields exactly the per-month
+// groups a whole-run canonical sort would: the spilled shard bytes match
+// the bulk path's.
 func (s *Store) TakeMonth(m clock.Month) ([]*Observation, []RevocationEvent) {
 	var obs []*Observation
 	for i := range s.shards {
@@ -412,13 +380,6 @@ type Collector struct {
 	mu         sync.Mutex
 	nextWeight map[string]int // "src->host:port" -> weight
 
-	// bufMu guards buffers, the per-device worker-buffer bindings. A
-	// bound device's sniffers publish into the binding buffer instead of
-	// the shared store; devices are dispatched to exactly one worker, so
-	// the buffer sees only its owner's goroutine.
-	bufMu   sync.RWMutex
-	buffers map[string]*WorkerBuffer
-
 	wg      sync.WaitGroup
 	created atomic.Int64
 	closed  atomic.Int64
@@ -473,37 +434,6 @@ func (c *Collector) WillDial(src, host string, port int, weight int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextWeight[weightKey(src, host, port)] = weight
-}
-
-// BindDevice routes the device's future publishes into b (nil unbinds).
-// The caller must guarantee the device's connections are driven — and
-// closed — by the goroutine that owns b, which is exactly the engine's
-// device-is-the-unit-of-dispatch contract.
-func (c *Collector) BindDevice(device string, b *WorkerBuffer) {
-	c.bufMu.Lock()
-	defer c.bufMu.Unlock()
-	if b == nil {
-		delete(c.buffers, device)
-		return
-	}
-	if c.buffers == nil {
-		c.buffers = make(map[string]*WorkerBuffer)
-	}
-	c.buffers[device] = b
-}
-
-// UnbindAll drops every device-buffer binding (the phase-barrier reset).
-func (c *Collector) UnbindAll() {
-	c.bufMu.Lock()
-	defer c.bufMu.Unlock()
-	c.buffers = nil
-}
-
-// bufferFor returns the worker buffer bound to device, or nil.
-func (c *Collector) bufferFor(device string) *WorkerBuffer {
-	c.bufMu.RLock()
-	defer c.bufMu.RUnlock()
-	return c.buffers[device]
 }
 
 func (c *Collector) takeWeight(src, host string, port int) int {

@@ -352,13 +352,12 @@ func TestWaitIdlePatientExhausts(t *testing.T) {
 	}
 }
 
-// TestWorkerBufferMergeOrder pins the per-worker-buffer publish path
-// against the original sharded-store path: distributing the same
-// observations across worker buffers (device-affine, as the traffic
-// generator does) and flushing at the barrier must yield exactly the
-// sequence the old per-observation Add path produced — at parallelism 1
-// and 8.
-func TestWorkerBufferMergeOrder(t *testing.T) {
+// TestAddAllMatchesAdd pins the bulk publish path dataset.Restore uses
+// against the per-observation path the sniffers use: splitting the same
+// observations into device-affine batches and loading each with AddAll
+// must yield exactly the store a per-observation Add builds — at 1 and
+// 8 batches.
+func TestAddAllMatchesAdd(t *testing.T) {
 	// A mixed workload: many devices, interleaved months, duplicate
 	// timestamps, and ties that exercise every canonical sort key.
 	build := func() []*Observation {
@@ -383,36 +382,34 @@ func TestWorkerBufferMergeOrder(t *testing.T) {
 	}
 	want := direct.All()
 
-	for _, workers := range []int{1, 8} {
-		buffered := NewStore()
-		bufs := make([]*WorkerBuffer, workers)
-		for w := range bufs {
-			bufs[w] = buffered.NewWorkerBuffer()
-		}
-		// Device-affine distribution, mirroring the traffic generator:
-		// one device's observations always land in one worker's buffer.
+	for _, nbatch := range []int{1, 8} {
+		batched := NewStore()
+		// Device-affine batches: one device's observations always land
+		// in the same batch, keeping their relative order.
+		batches := make([][]*Observation, nbatch)
 		for _, o := range build() {
-			bufs[shardFor(o.Device)%workers].Add(o)
+			b := shardFor(o.Device) % nbatch
+			batches[b] = append(batches[b], o)
 		}
-		for _, b := range bufs {
-			b.Flush()
-			if b.Len() != 0 {
-				t.Fatalf("worker buffer not empty after Flush: %d", b.Len())
-			}
+		for _, b := range batches {
+			batched.AddAll(b)
 		}
-		got := buffered.All()
+		if batched.Len() != direct.Len() {
+			t.Fatalf("batches=%d: Len %d, want %d", nbatch, batched.Len(), direct.Len())
+		}
+		got := batched.All()
 		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d observations, want %d", workers, len(got), len(want))
+			t.Fatalf("batches=%d: %d observations, want %d", nbatch, len(got), len(want))
 		}
 		for i := range want {
 			if got[i].Device != want[i].Device || got[i].Host != want[i].Host ||
 				got[i].Port != want[i].Port || !got[i].Time.Equal(want[i].Time) ||
 				got[i].Weight != want[i].Weight || got[i].Month != want[i].Month {
-				t.Errorf("workers=%d: observation %d differs:\n got %+v\nwant %+v", workers, i, *got[i], *want[i])
+				t.Errorf("batches=%d: observation %d differs:\n got %+v\nwant %+v", nbatch, i, *got[i], *want[i])
 			}
 		}
-		if buffered.TotalWeight() != direct.TotalWeight() {
-			t.Errorf("workers=%d: total weight %d, want %d", workers, buffered.TotalWeight(), direct.TotalWeight())
+		if batched.TotalWeight() != direct.TotalWeight() {
+			t.Errorf("batches=%d: total weight %d, want %d", nbatch, batched.TotalWeight(), direct.TotalWeight())
 		}
 	}
 }

@@ -78,11 +78,7 @@ func (s *sniffer) CloseMirror() {
 	// deterministically the attempt's last child.
 	wsp := s.meta.Trace.Child("capture_write", s.meta.SrcHost+"->"+s.meta.DstHost)
 	s.obs.Weight = s.collector.takeWeight(s.meta.SrcHost, s.meta.DstHost, s.meta.DstPort)
-	if b := s.collector.bufferFor(s.meta.SrcHost); b != nil {
-		b.Add(s.obs)
-	} else {
-		s.collector.Store.Add(s.obs)
-	}
+	s.collector.Store.Add(s.obs)
 	wsp.End("ok")
 }
 

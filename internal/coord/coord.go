@@ -222,14 +222,14 @@ type attempt struct {
 }
 
 type workerState struct {
-	name     string
-	url      string
-	client   *workerClient
-	state    string
-	lease    string
-	inflight int
-	misses   int
-	stop     context.CancelFunc // ends the monitor goroutine
+	name    string
+	url     string
+	client  *workerClient
+	state   string
+	lease   string
+	running int
+	misses  int
+	stop    context.CancelFunc // ends the monitor goroutine
 }
 
 // event kinds flowing into the control loop.
@@ -382,8 +382,8 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 	defer tick.Stop()
 	for {
 		c.dispatch(loopCtx, workDir)
-		done, lost, inflight := c.progress()
-		if done+lost == len(c.jobs) && inflight == 0 {
+		done, lost, running := c.progress()
+		if done+lost == len(c.jobs) && running == 0 {
 			break
 		}
 		select {
@@ -520,7 +520,7 @@ func (c *Coordinator) pickWorker(j *subJob) *workerState {
 	var best *workerState
 	for _, name := range names {
 		w := c.workers[name]
-		if w.state != workerReady || j.excluded[w.name] || w.inflight > 0 {
+		if w.state != workerReady || j.excluded[w.name] || w.running > 0 {
 			continue
 		}
 		for _, at := range j.attempts {
@@ -560,7 +560,7 @@ func (c *Coordinator) startAttempt(ctx context.Context, j *subJob, w *workerStat
 	at := &attempt{job: j, worker: w, speculative: speculative, started: time.Now(), cancel: cancel}
 	j.attempts = append(j.attempts, at)
 	j.state = jobRunning
-	w.inflight++
+	w.running++
 	c.tel.Counter("coord.jobs.dispatched").Inc()
 	if speculative {
 		c.tel.Counter("coord.speculative.launched").Inc()
@@ -638,7 +638,7 @@ func dropAttempt(at *attempt) {
 			break
 		}
 	}
-	at.worker.inflight--
+	at.worker.running--
 }
 
 // handle applies one event to the loop state.
@@ -771,7 +771,7 @@ func (c *Coordinator) completedCount() int {
 }
 
 // progress summarises the job table.
-func (c *Coordinator) progress() (done, lost, inflight int) {
+func (c *Coordinator) progress() (done, lost, running int) {
 	for _, j := range c.jobs {
 		switch j.state {
 		case jobDone:
@@ -779,7 +779,7 @@ func (c *Coordinator) progress() (done, lost, inflight int) {
 		case jobLost:
 			lost++
 		}
-		inflight += len(j.attempts)
+		running += len(j.attempts)
 	}
 	return
 }

@@ -290,7 +290,7 @@ func TestNoSpeculationStormOnInstantJobs(t *testing.T) {
 
 	// A healthy attempt a few milliseconds in, with an idle second
 	// worker eager to take a backup: no speculation may launch.
-	busy := &workerState{name: "w0", state: workerReady, inflight: 1}
+	busy := &workerState{name: "w0", state: workerReady, running: 1}
 	idle := &workerState{name: "w1", state: workerReady}
 	c.workers = map[string]*workerState{"w0": busy, "w1": idle}
 	j := &subJob{index: 0, state: jobRunning, excluded: map[string]bool{}}

@@ -98,11 +98,6 @@ type Study struct {
 	workersOnce sync.Once
 	workers     int
 
-	// workerSet is the persistent worker pool RunAll threads through
-	// every phase (nil outside RunAll: individually-invoked phases fall
-	// back to per-call dispatch).
-	workerSet *pool.Workers
-
 	// tracer, when armed, records the study's causal span tree. The
 	// root is created lazily at the first phase; tracePhase holds the
 	// running phase's span (phases are strictly sequential).
@@ -237,16 +232,6 @@ func (s *Study) RunPassive() (*traffic.Stats, error) {
 	return s.RunPassiveWindow(device.StudyStart, device.StudyEnd)
 }
 
-// runSpans dispatches a phase's device batch: over the persistent
-// worker set inside RunAll, or a one-shot pool otherwise.
-func (s *Study) runSpans(items int, name string, detail func(int) string, fn func(worker, item int, sp *trace.Span)) {
-	if s.workerSet != nil {
-		s.workerSet.RunSpans(items, s.tracePhase, name, detail, fn)
-		return
-	}
-	pool.RunSpans(s.Workers(), items, s.tracePhase, name, detail, fn)
-}
-
 // RunPassiveWindow simulates the passive collection over a custom
 // month window (a cheap subset of RunPassive for smoke runs and the
 // metrics subcommand).
@@ -254,7 +239,6 @@ func (s *Study) RunPassiveWindow(from, to clock.Month) (stats *traffic.Stats, er
 	err = s.phase("passive", func() error {
 		gen := traffic.New(s.Network, s.Registry, s.Collector, s.Clock)
 		gen.Parallelism = s.Workers()
-		gen.Pool = s.workerSet
 		gen.Stop = s.Interrupted
 		gen.Trace = s.tracePhase
 		if s.SpillMonth != nil {
@@ -305,7 +289,7 @@ func (s *Study) CaptureActiveSnapshot() (store *capture.Store, err error) {
 		// Each device's boot sequence base is fixed by its registry
 		// index, so its hello randoms are identical at any parallelism.
 		devs := s.Registry.ActiveDevices()
-		s.runSpans(len(devs), "device",
+		pool.RunSpans(s.Workers(), len(devs), s.tracePhase, "device",
 			func(i int) string { return devs[i].ID },
 			func(_, i int, dsp *trace.Span) {
 				driver.BootTraced(s.Network, devs[i], device.ActiveSnapshot, uint64(i)*100000, dsp)
@@ -324,7 +308,7 @@ func (s *Study) RunInterceptionSuite() (out []*mitm.InterceptionReport) {
 		s.advanceToActiveWindow()
 		devs := s.Registry.ActiveDevices()
 		out = make([]*mitm.InterceptionReport, len(devs))
-		s.runSpans(len(devs), "device",
+		pool.RunSpans(s.Workers(), len(devs), s.tracePhase, "device",
 			func(i int) string { return devs[i].ID },
 			func(_, i int, dsp *trace.Span) {
 				defer s.recoverDevice("interception", devs[i].ID, dsp, func() {
@@ -344,7 +328,7 @@ func (s *Study) RunDowngradeSuite() (out []*mitm.DowngradeReport) {
 		s.advanceToActiveWindow()
 		devs := s.Registry.ActiveDevices()
 		out = make([]*mitm.DowngradeReport, len(devs))
-		s.runSpans(len(devs), "device",
+		pool.RunSpans(s.Workers(), len(devs), s.tracePhase, "device",
 			func(i int) string { return devs[i].ID },
 			func(_, i int, dsp *trace.Span) {
 				defer s.recoverDevice("downgrade", devs[i].ID, dsp, func() {
@@ -393,7 +377,7 @@ func (s *Study) runPassthrough(check func([]*mitm.PassthroughReport)) (out []*mi
 		s.advanceToActiveWindow()
 		devs := s.Registry.ActiveDevices()
 		out = make([]*mitm.PassthroughReport, len(devs))
-		s.runSpans(len(devs), "device",
+		pool.RunSpans(s.Workers(), len(devs), s.tracePhase, "device",
 			func(i int) string { return devs[i].ID },
 			func(_, i int, dsp *trace.Span) {
 				defer s.recoverDevice("passthrough", devs[i].ID, dsp, func() {
@@ -415,7 +399,6 @@ func (s *Study) RunProbe() (amenable []*probe.Report, candidates int, err error)
 	err = s.phase("probe", func() error {
 		s.advanceToActiveWindow()
 		s.Prober.Parallelism = s.Workers()
-		s.Prober.Pool = s.workerSet
 		s.Prober.Trace = s.tracePhase
 		var err error
 		amenable, candidates, err = s.Prober.ExploreAll()
@@ -467,10 +450,6 @@ type Report struct {
 // return is always nil today; it is kept for interface stability.
 func (s *Study) RunAll() (*Report, error) {
 	end := s.phaseMetrics("all")
-	// One persistent worker set serves every phase: goroutine spawn is
-	// paid once per study, not once per month barrier and phase.
-	s.workerSet = pool.NewWorkers(s.Workers())
-	defer func() { s.workerSet.Close(); s.workerSet = nil }()
 	rep := &Report{}
 	nameOf := s.NameOf
 

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -195,14 +196,25 @@ func TestTraceErrorsAttributesDegradations(t *testing.T) {
 }
 
 // TestStudyLeaksNoSpans is the leak gate: after a full study, every
-// trace span must have ended.
+// trace span must have ended and every goroutine the study started —
+// pool workers, server handlers, sniffers — must have exited. A
+// long-lived worker set surviving RunAll would fail the second check.
 func TestStudyLeaksNoSpans(t *testing.T) {
 	if testing.Short() {
 		t.Skip("leak gate run skipped in -short mode")
 	}
+	base := runtime.NumGoroutine()
 	s, _ := traceRun(t, 4)
 	if live := s.Tracer().Live(); live != 0 {
 		t.Errorf("study leaked %d trace spans", live)
+	}
+	// Exiting goroutines are reaped asynchronously; poll briefly.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > base {
+		t.Errorf("study left %d goroutines running (%d before, %d after)", n-base, base, n)
 	}
 }
 

@@ -24,10 +24,10 @@ import (
 // first, and every month's timestamps precede the next month's, so
 // sorting each drained month independently produces exactly the
 // per-month groups a whole-run canonical sort would — and each month's
-// shard streams its observations before its revocations in both paths. The month barrier
-// guarantees completeness: WaitIdle has joined every sniffer and the
-// worker buffers have flushed before the drain, so no record of a
-// spilled month can arrive late.
+// shard streams its observations before its revocations in both paths.
+// The month barrier guarantees completeness: WaitIdle has joined every
+// sniffer, each of which published straight into the store, before the
+// drain, so no record of a spilled month can arrive late.
 //
 // Usage:
 //

@@ -349,11 +349,11 @@ func Devices(u *rootstore.Universe, spec Spec) []*device.Device {
 		}
 
 		devs[i] = &device.Device{
-			ID:          ID(i),
-			Name:        fmt.Sprintf("Fleet Device %d", i),
-			Category:    cat,
-			PassiveOnly: true,
-			Slots:       []*device.Slot{slotFor(cell{st: st, upgrade: upgrade, val: val})},
+			ID:           ID(i),
+			Name:         fmt.Sprintf("Fleet Device %d", i),
+			Category:     cat,
+			PassiveOnly:  true,
+			Slots:        []*device.Slot{slotFor(cell{st: st, upgrade: upgrade, val: val})},
 			Destinations: dsts,
 			ActiveFrom:   device.StudyStart,
 			ActiveTo:     device.ActiveSnapshot,

@@ -123,11 +123,8 @@ type Network struct {
 	faults          *fault.Plan
 
 	// handlers counts in-flight server handler goroutines, so barriers
-	// can join them before the virtual clock moves. inflight shadows the
-	// WaitGroup count so WaitHandlers can answer "nothing in flight" with
-	// one atomic load instead of a rendezvous.
+	// can join them before the virtual clock moves.
 	handlers sync.WaitGroup
-	inflight atomic.Int64
 
 	// hot caches the dial-path counter handles; Registry.Counter is a
 	// lock-guarded map lookup, too heavy for once-per-dial (and
@@ -475,9 +472,7 @@ func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Spa
 	}
 
 	n.handlers.Add(1)
-	n.inflight.Add(1)
 	go func() {
-		defer n.inflight.Add(-1)
 		defer n.handlers.Done()
 		handler(srv, meta)
 	}()
@@ -489,14 +484,9 @@ func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Spa
 // wait first: a handler scheduled late would otherwise stamp its spans
 // with post-advance virtual times, making telemetry histograms depend
 // on goroutine scheduling. Callers must ensure no concurrent Dials —
-// barriers are naturally quiescent points.
+// barriers are naturally quiescent points. With nothing in flight,
+// Wait returns after a single atomic load.
 func (n *Network) WaitHandlers() {
-	// Fast path: barriers fire far more often than handlers linger, and
-	// the caller guarantees no concurrent Dials, so a zero in-flight
-	// count is stable and the rendezvous can be skipped outright.
-	if n.inflight.Load() == 0 {
-		return
-	}
 	n.handlers.Wait()
 }
 

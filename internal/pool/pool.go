@@ -70,110 +70,3 @@ func RunSpans(parallelism, items int, parent *trace.Span, name string, detail fu
 		fn(worker, i, sp)
 	})
 }
-
-// Workers is a persistent worker set: the goroutines are spawned once
-// and reused across many Run calls, so a study paying dozens of
-// dispatch barriers (one per month, plus one per active phase) amortizes
-// goroutine spawn instead of re-paying it at every barrier.
-//
-// A Workers value is a serial resource: calls to Run/RunSpans must not
-// overlap. A nil *Workers is usable and runs everything inline.
-type Workers struct {
-	n     int
-	chans []chan *batch
-	wg    sync.WaitGroup
-}
-
-// batch is one Run dispatch: a pre-enumerated item range drained by
-// atomic work stealing, with a completion barrier.
-type batch struct {
-	items int
-	fn    func(worker, item int)
-	next  atomic.Int64
-	done  sync.WaitGroup
-}
-
-// NewWorkers spawns a persistent set of Parallelism(parallelism)
-// workers. Close must be called to release the goroutines; a set of one
-// spawns nothing and runs inline.
-func NewWorkers(parallelism int) *Workers {
-	n := Parallelism(parallelism)
-	w := &Workers{n: n}
-	if n <= 1 {
-		return w
-	}
-	w.chans = make([]chan *batch, n)
-	for i := range w.chans {
-		ch := make(chan *batch, 1)
-		w.chans[i] = ch
-		w.wg.Add(1)
-		go func(worker int, ch chan *batch) {
-			defer w.wg.Done()
-			for b := range ch {
-				for {
-					i := int(b.next.Add(1)) - 1
-					if i >= b.items {
-						break
-					}
-					b.fn(worker, i)
-				}
-				b.done.Done()
-			}
-		}(i, ch)
-	}
-	return w
-}
-
-// Count reports the worker count; callers size per-worker accumulators
-// by it. A nil set counts one.
-func (w *Workers) Count() int {
-	if w == nil {
-		return 1
-	}
-	return w.n
-}
-
-// Run is the persistent-set equivalent of the package-level Run: a
-// barrier invoking fn(worker, item) for every item in [0, items). A nil
-// receiver, a single-worker set, or a single item runs inline on the
-// calling goroutine in item order.
-func (w *Workers) Run(items int, fn func(worker, item int)) {
-	if items <= 0 {
-		return
-	}
-	if w == nil || w.n <= 1 || items == 1 {
-		for i := 0; i < items; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	b := &batch{items: items, fn: fn}
-	b.done.Add(len(w.chans))
-	for _, ch := range w.chans {
-		ch <- b
-	}
-	b.done.Wait()
-}
-
-// RunSpans is Run with per-item trace spans, mirroring the package-level
-// RunSpans contract.
-func (w *Workers) RunSpans(items int, parent *trace.Span, name string, detail func(item int) string, fn func(worker, item int, sp *trace.Span)) {
-	w.Run(items, func(worker, i int) {
-		sp := parent.ChildAt(uint64(i), name, detail(i))
-		defer sp.End("ok")
-		fn(worker, i, sp)
-	})
-}
-
-// Close releases the worker goroutines. Run must not be called after
-// Close; Close is idempotent and safe on a nil or inline set.
-func (w *Workers) Close() {
-	if w == nil || w.chans == nil {
-		return
-	}
-	for _, ch := range w.chans {
-		close(ch)
-	}
-	w.wg.Wait()
-	w.chans = nil
-}

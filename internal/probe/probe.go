@@ -130,10 +130,6 @@ type Prober struct {
 	// independent — each taps only its own device's traffic — and
 	// reports come back in candidate order regardless of the value.
 	Parallelism int
-	// Pool, when non-nil, dispatches the explorations over a persistent
-	// worker set instead of spawning workers; Parallelism is then
-	// ignored in favour of the set's size.
-	Pool *pool.Workers
 	// Trace, when set, is the probe phase's span: ExploreAll hangs one
 	// device span per candidate off it and every probe connection is
 	// traced beneath.
@@ -276,13 +272,8 @@ func (p *Prober) ExploreAll() (amenable []*Report, candidates int, err error) {
 	run := func(_, i int, dsp *trace.Span) {
 		reports[i], errs[i] = p.ExploreTraced(devs[i], dsp)
 	}
-	if p.Pool != nil {
-		p.Pool.RunSpans(len(devs), p.Trace, "device",
-			func(i int) string { return devs[i].ID }, run)
-	} else {
-		pool.RunSpans(p.Parallelism, len(devs), p.Trace, "device",
-			func(i int) string { return devs[i].ID }, run)
-	}
+	pool.RunSpans(p.Parallelism, len(devs), p.Trace, "device",
+		func(i int) string { return devs[i].ID }, run)
 	for i := range devs {
 		// Mirror the sequential engine: the first failing candidate (in
 		// candidate order) aborts, counting only the devices up to it.

@@ -43,11 +43,6 @@ type Generator struct {
 	// engine exactly (and any value reproduces its artifacts).
 	Parallelism int
 
-	// Pool, when non-nil, dispatches each month's batch over a
-	// persistent worker set instead of spawning workers per month.
-	// Parallelism is ignored in favour of the set's size.
-	Pool *pool.Workers
-
 	// Trace, when set, is the passive phase's span: each month becomes
 	// a child, each device's monthly batch a child of the month, and
 	// every handshake a connect span beneath.
@@ -62,13 +57,13 @@ type Generator struct {
 	Stop func() bool
 
 	// MonthDone, when non-nil, is invoked at each month barrier — after
-	// WaitIdle has joined every sniffer, the server handlers have
-	// drained, and the worker buffers have flushed — with the completed
-	// month. At that point every observation and revocation of the month
-	// is in the store and no later month has begun, which is the spill
-	// point of the streaming engine: the core layer drains the month from
-	// the store and appends it to the dataset, bounding peak memory by
-	// one month's traffic. An error aborts the run.
+	// WaitIdle has joined every sniffer and the server handlers have
+	// drained — with the completed month. At that point every
+	// observation and revocation of the month is in the store and no
+	// later month has begun, which is the spill point of the streaming
+	// engine: the core layer drains the month from the store and
+	// appends it to the dataset, bounding peak memory by one month's
+	// traffic. An error aborts the run.
 	MonthDone func(m clock.Month) error
 
 	// seq numbers every planned connection. It only advances during
@@ -97,11 +92,6 @@ func (s *Stats) add(o Stats) {
 	s.FailedConnects += o.FailedConnects
 }
 
-// RunStudy simulates the full passive window.
-func (g *Generator) RunStudy() (*Stats, error) {
-	return g.Run(device.StudyStart, device.StudyEnd)
-}
-
 // workItem is one device's handshake batch for one month, with the
 // sequence number of each planned connection pre-assigned.
 type workItem struct {
@@ -115,22 +105,10 @@ func (g *Generator) Run(first, last clock.Month) (*Stats, error) {
 	stats := &Stats{}
 	tel := g.Network.Telemetry()
 	workers := pool.Parallelism(g.Parallelism)
-	if g.Pool != nil {
-		workers = g.Pool.Count()
-	}
 	handshakes := tel.Counter("traffic.handshakes")
 	weightedConns := tel.Counter("traffic.weighted_conns")
 	failedConnects := tel.Counter("traffic.failed_connects")
 
-	// Per-worker capture buffers: sniffers for a device publish into the
-	// buffer of the worker driving it, so the month's hot publish path
-	// never touches the shared store's shard locks. Buffers are flushed
-	// (and bindings dropped) at each month barrier, after WaitIdle has
-	// joined every sniffer.
-	bufs := make([]*capture.WorkerBuffer, workers)
-	for i := range bufs {
-		bufs[i] = g.Collector.Store.NewWorkerBuffer()
-	}
 	for m := first; !last.Before(m); m = m.Next() {
 		if g.Stop != nil && g.Stop() {
 			tel.Counter("traffic.stopped").Inc()
@@ -160,19 +138,11 @@ func (g *Generator) Run(first, last clock.Month) (*Stats, error) {
 
 		accs := make([]Stats, workers)
 		month := m
-		dispatch := func(items int, parent *trace.Span, name string, detail func(int) string, fn func(int, int, *trace.Span)) {
-			if g.Pool != nil {
-				g.Pool.RunSpans(items, parent, name, detail, fn)
-			} else {
-				pool.RunSpans(workers, items, parent, name, detail, fn)
-			}
-		}
-		dispatch(len(items), msp, "device",
+		pool.RunSpans(workers, len(items), msp, "device",
 			func(i int) string { return items[i].dev.ID },
 			func(worker, i int, dsp *trace.Span) {
 				it := items[i]
 				acc := &accs[worker]
-				g.Collector.BindDevice(it.dev.ID, bufs[worker])
 				for k, dst := range it.dsts {
 					g.Collector.WillDial(it.dev.ID, dst.Host, 443, dst.MonthlyConns)
 					out := driver.ConnectTraced(g.Network, it.dev, dst, month, it.seqs[k], dsp)
@@ -203,13 +173,6 @@ func (g *Generator) Run(first, last clock.Month) (*Stats, error) {
 		// moves, or a late-scheduled handler would run its handshake at
 		// next month's virtual time.
 		g.Network.WaitHandlers()
-		// All sniffers have published; merge the worker buffers into the
-		// shared store. Canonical read-side ordering makes the merge
-		// order irrelevant to downstream artifacts.
-		g.Collector.UnbindAll()
-		for _, b := range bufs {
-			b.Flush()
-		}
 		if g.MonthDone != nil {
 			if err := g.MonthDone(m); err != nil {
 				msp.End("spill_failed")
