@@ -1,18 +1,19 @@
 GO ?= go
 
-.PHONY: check build test race race-parallel chaos dataset serve trace cluster fleet vet bench bench-telemetry bench-gate profile clean
+.PHONY: check build test race race-parallel chaos dataset serve trace cluster fleet perfbench vet bench bench-telemetry bench-gate profile clean
 
 # check is the full verification gate: vet, build, the test suite under
 # the race detector, the parallel-study workload under the race
 # detector at eight workers, the fault-injection chaos matrix, the
 # dataset round-trip and merge determinism suite, the study-service
 # scheduler/drain suite, and the trace determinism/attribution/leak
-# suite, and the fleet-scale smoke (10k synthetic devices through the
-# month-spill path under a peak-RSS ceiling). Set BENCH_GATE=1 to
+# suite, the fleet-scale smoke (10k synthetic devices through the
+# month-spill path under a peak-RSS ceiling), and the perfbench module's
+# own vet and tests. Set BENCH_GATE=1 to
 # additionally run the performance
 # regression gate (off by default: it re-measures codec throughput, so
 # it is meaningful only on quiet, comparable hardware).
-check: vet build race race-parallel chaos dataset serve trace cluster fleet
+check: vet build race race-parallel chaos dataset serve trace cluster fleet perfbench
 ifneq ($(BENCH_GATE),)
 check: bench-gate
 endif
@@ -84,6 +85,12 @@ cluster:
 # the fleet to 1k devices for quick iteration.
 fleet:
 	$(GO) test -run 'TestFleetSmoke|TestFleetDeterminism' -count=1 -timeout 15m ./internal/fleet/
+
+# perfbench vets and tests the benchmark module. It has its own go.mod,
+# so `go build ./...` and `go test ./...` at the root never compile it,
+# yet it drives the dataset and core APIs directly.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # trace pins the causal-trace contracts under the race detector: an
 # aggressive-fault study at parallelism 1 and 8 emits byte-identical

@@ -3,11 +3,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/report"
+	"repro/internal/telemetry"
 )
 
 // runCapture runs the full study and persists it as a dataset
@@ -29,26 +31,12 @@ func runCapture(args []string) error {
 			return err
 		}
 	}
-	rep, spilled, err := spillCapture(s, *out, *gz)
+	// Stream each completed passive month into the dataset and seal it
+	// once the run ends; on failure the directory is left without a
+	// manifest.
+	sp, err := dataset.NewSpiller(*out, s, dataset.Options{Gzip: *gz, Telemetry: s.Telemetry})
 	if err != nil {
 		return err
-	}
-	fmt.Printf("captured %d passive records (streamed per month) to %s\n", spilled, *out)
-	if rep.Degraded() {
-		return fmt.Errorf("%w: %d incident(s) contained", errDegraded, len(rep.Degradations))
-	}
-	return nil
-}
-
-// spillCapture runs the study through the memory-bounded engine,
-// streaming each completed passive month into a dataset at out and
-// sealing it once the run ends. It returns the run's report and the
-// count of passive records streamed; on failure the directory is left
-// without a manifest.
-func spillCapture(s *core.Study, out string, gz bool) (*core.Report, int, error) {
-	sp, err := dataset.NewSpiller(out, s, dataset.Options{Gzip: gz, Telemetry: s.Telemetry})
-	if err != nil {
-		return nil, 0, err
 	}
 	rep, err := s.RunAll()
 	if err == nil {
@@ -56,41 +44,53 @@ func spillCapture(s *core.Study, out string, gz bool) (*core.Report, int, error)
 	}
 	if err != nil {
 		sp.Abort()
-		return nil, 0, err
+		return err
 	}
-	return rep, sp.Spilled(), nil
+	fmt.Printf("captured %d passive records (streamed per month) to %s\n", sp.Spilled(), *out)
+	if rep.Degraded() {
+		return fmt.Errorf("%w: %d incident(s) contained", errDegraded, len(rep.Degradations))
+	}
+	return nil
 }
 
 // runAnalyze renders the full report from one or more dataset
 // directories without touching the simulator: the analyze half of the
-// split. Multiple inputs (comma-separated or repeated) are unioned
-// under the same provenance rules as `iotls dataset merge`.
+// split. The datasets name their own testbed, so no study flag applies.
+// Multiple inputs (comma-separated or repeated) are first merged into a
+// temporary dataset under the same provenance rules as
+// `iotls dataset merge`.
 func runAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
-	in := fs.String("in", "", "dataset directory (comma-separated for a multi-run union; required)")
+	in := fs.String("in", "", "dataset directory (comma-separated to merge several; required)")
 	dir := fs.String("dir", "", "also write per-artifact files to this directory")
 	fs.Parse(args)
 	dirs := splitDirs(*in, fs.Args())
 	if len(dirs) == 0 {
 		return fmt.Errorf("analyze: -in is required")
 	}
-	s := newStudy()
-	sets := make([]*dataset.Dataset, 0, len(dirs))
-	for _, d := range dirs {
-		ds, err := dataset.Read(d, s.Telemetry)
+	tel := telemetry.New(nil)
+	debugTelemetry.Store(tel)
+	src := dirs[0]
+	if len(dirs) > 1 {
+		tmp, err := os.MkdirTemp("", "iotls-analyze-")
 		if err != nil {
 			return err
 		}
-		sets = append(sets, ds)
+		defer os.RemoveAll(tmp)
+		src = filepath.Join(tmp, "merged")
+		if err := dataset.Merge(src, dirs, dataset.Options{Telemetry: tel}); err != nil {
+			return err
+		}
 	}
-	ds, err := dataset.Union(sets...)
+	ds, err := dataset.Read(src, tel)
 	if err != nil {
 		return err
 	}
-	rep, err := dataset.Restore(s, ds)
+	s, rep, err := dataset.Analyze(ds)
 	if err != nil {
 		return err
 	}
+	debugTelemetry.Store(s.Telemetry)
 	fmt.Println(rep.Render(s))
 	if *dir != "" {
 		files, err := report.Write(*dir, s, rep)
@@ -140,7 +140,7 @@ func runDatasetInspect(args []string) error {
 	return nil
 }
 
-// runDatasetMerge unions several capture runs into one dataset.
+// runDatasetMerge merges several capture runs into one dataset.
 func runDatasetMerge(args []string) error {
 	fs := flag.NewFlagSet("dataset merge", flag.ExitOnError)
 	out := fs.String("out", "", "output dataset directory (required)")

@@ -11,12 +11,14 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
-// debugStudy is the study the live inspector reports on: newStudy
-// stores every testbed it builds here, so /debug/vars always reflects
-// the run in progress.
-var debugStudy atomic.Pointer[core.Study]
+// debugTelemetry is the registry the live inspector reports on:
+// newStudy stores the registry of every testbed it builds here, and
+// analyze stores its dataset-read registry and then its restored
+// study's, so /debug/vars always reflects the run in progress.
+var debugTelemetry atomic.Pointer[telemetry.Registry]
 
 // studyConfig accumulates the global flags (-parallel, -fault-seed,
 // -fault-profile, -window, -io-deadline) into one job-scoped study
@@ -45,7 +47,7 @@ func newStudy() *core.Study {
 		fmt.Fprintln(os.Stderr, "iotls:", err)
 		os.Exit(1)
 	}
-	debugStudy.Store(s)
+	debugTelemetry.Store(s.Telemetry)
 	return s
 }
 
@@ -58,11 +60,11 @@ var publishOnce sync.Once
 func startDebugServer(addr string) (string, error) {
 	publishOnce.Do(func() {
 		expvar.Publish("iotls.telemetry", expvar.Func(func() any {
-			s := debugStudy.Load()
-			if s == nil {
+			reg := debugTelemetry.Load()
+			if reg == nil {
 				return nil
 			}
-			return s.MetricsSnapshot()
+			return reg.Snapshot()
 		}))
 	})
 	ln, err := net.Listen("tcp", addr)

@@ -8,7 +8,6 @@
 //	iotls fingerprint        capture an active snapshot and print Figure 5
 //	iotls report             run the full study and print every artifact
 //	iotls capture -out DIR   run the full study and persist a dataset directory
-//	iotls fleet -n N -seed S run a synthetic fleet through the streaming engine
 //	iotls analyze -in DIR    render every artifact from persisted datasets
 //	iotls dataset ...        inspect or merge dataset directories
 //	iotls tables             print the static methodology tables (1-4)
@@ -76,7 +75,7 @@ func main() {
 	window := global.String("window", "", "passive collection window FROM..TO, e.g. 2018-01..2018-06 (default: the full study)")
 	ioDeadline := global.Duration("io-deadline", 0, "wall-clock safety-net deadline for post-handshake I/O (0 = the 5s default)")
 	noTrace := global.Bool("no-trace", false, "disable the causal trace tree (on by default; capture persists it as trace.bin)")
-	fleetN := global.Int("fleet", 0, "replace the 40-device catalog with a synthetic fleet of N seeded devices (see `iotls fleet`)")
+	fleetN := global.Int("fleet", 0, "replace the 40-device catalog with a synthetic fleet of N seeded devices (trace-free)")
 	fleetSeed := global.Uint64("fleet-seed", 1, "sample seed for the synthetic fleet (with -fleet)")
 	global.Parse(os.Args[1:])
 	studyConfig.Parallelism = *parallel
@@ -132,8 +131,6 @@ func main() {
 		err = runServe(args)
 	case "coordinate":
 		err = runCoordinate(args)
-	case "fleet":
-		err = runFleet(args)
 	case "metrics":
 		err = runMetrics(args)
 	case "trace":
@@ -177,21 +174,19 @@ commands:
   fingerprint  capture an active snapshot (Figure 5)
   report       run everything and print the full report (-dir writes files)
   capture      run everything and persist a dataset directory
-               (-out dir, -gzip, -devices id1,id2 for sharded fleets)
+               (-out dir, -gzip, -devices id1,id2 for sharded fleets);
+               with -fleet N it streams a synthetic fleet month by month
   analyze      render the full report from dataset directories without
-               re-simulating (-in dir[,dir...], -dir writes files)
+               re-simulating, on the testbed the data names
+               (-in dir[,dir...] merges several first; -dir writes files)
   dataset      dataset maintenance:
                  inspect DIR...            print manifest, shards, and
                                            integrity (fails on corruption)
-                 merge -out DIR IN1 IN2..  union runs into one dataset
+                 merge -out DIR IN1 IN2..  merge runs into one dataset
   tables       print the static methodology tables (1-4)
   export       run the passive simulation and export JSONL (-o file)
   audit        grade every device's TLS offer via the audit service (§6)
   guard        boot all devices behind the gateway guard and report blocks (§6)
-  fleet        generate a synthetic N-device fleet and run its passive
-               window through the memory-bounded streaming engine
-               (-n N, -seed S; -out DIR streams a dataset, otherwise
-               records are counted and discarded; -devices subsets)
   metrics      run a phase (passive|active|probe|report) and print the
                JSON telemetry report (-o file, -months N)
   trace        analyze a captured run's trace shard:
@@ -229,7 +224,9 @@ flags:
   -fleet N             replace the 40-device catalog with a synthetic
                        fleet of N seeded devices for any subcommand
                        (capture, coordinate, ...); -fleet-seed S picks
-                       the sample (see the fleet command)
+                       the sample. Fleet runs never trace, and their
+                       datasets record the fleet, so analyze needs
+                       neither flag
   -debug-addr ADDR     serve the live inspector (expvar at /debug/vars,
                        pprof at /debug/pprof/) on ADDR while running
 
@@ -297,12 +294,10 @@ func runReport(args []string) error {
 		return err
 	}
 	// The default report renders through the dataset layer — snapshot
-	// the run, restore it into a fresh scaffold, render from that — so
-	// the in-process path and the capture/analyze split share one code
-	// path and cannot drift.
-	ds := dataset.FromStudy(s, rep)
-	s = newStudy()
-	if rep, err = dataset.Restore(s, ds); err != nil {
+	// the run, restore it onto the testbed it names, render from that —
+	// so the in-process path and the capture/analyze split share one
+	// code path and cannot drift.
+	if s, rep, err = dataset.Analyze(dataset.FromStudy(s, rep)); err != nil {
 		return err
 	}
 	fmt.Println(rep.Render(s))

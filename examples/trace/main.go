@@ -35,29 +35,34 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := s.RunAll()
+	// Persist the run the way `iotls capture` does: each passive month
+	// streams to disk as it completes, and Finish writes the rest. The
+	// tracer's canonical DFS serialisation becomes the trace.bin shard,
+	// CRC'd in the manifest like every other shard.
+	dir := "trace-example-data"
+	sp, err := dataset.NewSpiller(dir, s, dataset.Options{})
 	if err != nil {
+		log.Fatal(err)
+	}
+	rep, err := s.RunAll()
+	if err == nil {
+		err = sp.Finish(rep)
+	}
+	if err != nil {
+		sp.Abort()
 		log.Fatal(err)
 	}
 	fmt.Printf("study done: %d degradations under the aggressive fault plan\n",
 		len(s.Degradations()))
 
-	// Persist the run. The tracer's canonical DFS serialisation becomes
-	// the trace.bin shard, CRC'd in the manifest like every other shard.
-	dir := "trace-example-data"
-	ds := dataset.FromStudy(s, rep)
-	if err := dataset.Write(dir, ds, dataset.Options{}); err != nil {
+	// Reload from disk — exactly what `iotls trace -in DIR` does — and
+	// drive the three consumers.
+	ds, err := dataset.Read(dir, nil)
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("dataset written to %s/ (%d trace spans in trace.bin)\n\n",
 		dir, len(ds.TraceSpans))
-
-	// Reload from disk — exactly what `iotls trace -in DIR` does — and
-	// drive the three consumers.
-	ds, err = dataset.Read(dir, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	// 1. Chrome trace-event export, for Perfetto / chrome://tracing.
 	f, err := os.Create("trace.json")

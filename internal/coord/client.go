@@ -10,70 +10,20 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
 
-// retryPolicy shapes the capped exponential backoff the coordinator
-// applies to transient worker-API failures (transport errors, 5xx,
-// 429). The jitter is a pure function of (seed, key, attempt), so retry
-// schedules are reproducible.
-type retryPolicy struct {
-	attempts int
-	base     time.Duration
-	cap      time.Duration
-	seed     uint64
-	sleep    func(time.Duration)
-}
-
-func (p retryPolicy) withDefaults() retryPolicy {
-	if p.attempts <= 0 {
-		p.attempts = 4
-	}
-	if p.base <= 0 {
-		p.base = 50 * time.Millisecond
-	}
-	if p.cap <= 0 {
-		p.cap = 2 * time.Second
-	}
-	if p.sleep == nil {
-		p.sleep = time.Sleep
-	}
-	return p
-}
-
-// backoff returns the sleep before retry `attempt` (1-based) of key.
-func (p retryPolicy) backoff(key string, attempt int) time.Duration {
-	d := p.base << (attempt - 1)
-	if d <= 0 || d > p.cap {
-		d = p.cap
-	}
-	h := mix64(p.seed ^ uint64(attempt)*0x9e3779b97f4a7c15)
-	for i := 0; i < len(key); i++ {
-		h = mix64(h ^ uint64(key[i]))
-	}
-	jitter := float64(h>>11) / (1 << 53)
-	return d/2 + time.Duration(float64(d/2)*jitter)
-}
-
-// mix64 is the SplitMix64 finalizer (as in internal/fault).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // workerClient is the coordinator's HTTP face onto one `iotls serve`
 // worker.
 type workerClient struct {
-	name  string
-	base  string
-	hc    *http.Client
-	retry retryPolicy
+	name string
+	base string
+	// retry is the coordinator's defaulted retry policy and HTTP client,
+	// shared with its dataset fetches: transient failures (transport
+	// errors, 5xx, 429) back off on the same deterministic schedule.
+	retry dataset.FetchOptions
 	tel   *telemetry.Registry
 }
 
@@ -94,10 +44,10 @@ func (w *workerClient) doJSON(ctx context.Context, method, path string, body, ou
 		}
 	}
 	var lastErr error
-	for attempt := 0; attempt < w.retry.attempts; attempt++ {
+	for attempt := 0; attempt < w.retry.Attempts; attempt++ {
 		if attempt > 0 {
 			w.tel.Counter("coord.http.retries").Inc()
-			w.retry.sleep(w.retry.backoff(w.name+path, attempt))
+			w.retry.Sleep(w.retry.Backoff(w.name+path, attempt))
 		}
 		if err := ctx.Err(); err != nil {
 			return 0, err
@@ -113,7 +63,7 @@ func (w *workerClient) doJSON(ctx context.Context, method, path string, body, ou
 		if payload != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}
-		resp, err := w.hc.Do(req)
+		resp, err := w.retry.Client.Do(req)
 		if err != nil {
 			lastErr = err
 			continue
@@ -141,7 +91,7 @@ func (w *workerClient) doJSON(ctx context.Context, method, path string, body, ou
 		}
 		lastErr = err
 	}
-	return 0, fmt.Errorf("coord: worker %s: gave up after %d attempts: %w", w.name, w.retry.attempts, lastErr)
+	return 0, fmt.Errorf("coord: worker %s: gave up after %d attempts: %w", w.name, w.retry.Attempts, lastErr)
 }
 
 // submit posts a job spec and returns the accepted job's status.
@@ -205,7 +155,7 @@ func (w *workerClient) ready(ctx context.Context) readiness {
 	if err != nil {
 		return readiness{}
 	}
-	resp, err := w.hc.Do(req)
+	resp, err := w.retry.Client.Do(req)
 	if err != nil {
 		return readiness{}
 	}
@@ -248,7 +198,7 @@ func (w *workerClient) releaseLease(ctx context.Context, id string) {
 	if err != nil {
 		return
 	}
-	if resp, err := w.hc.Do(req); err == nil {
+	if resp, err := w.retry.Client.Do(req); err == nil {
 		resp.Body.Close()
 	}
 }

@@ -97,7 +97,8 @@ type Options struct {
 	PollInterval time.Duration
 
 	// Attempts/RetryBase/RetryCap bound the per-call HTTP retry loop
-	// and the per-shard fetch retry loop. Defaults 4, 50ms, 2s.
+	// and the per-shard fetch retry loop. Defaults 4, 50ms, 2s (see
+	// dataset.FetchOptions, the one retry policy both loops share).
 	Attempts  int
 	RetryBase time.Duration
 	RetryCap  time.Duration
@@ -145,15 +146,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PollInterval <= 0 {
 		o.PollInterval = 150 * time.Millisecond
-	}
-	if o.Attempts <= 0 {
-		o.Attempts = 4
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 50 * time.Millisecond
-	}
-	if o.RetryCap <= 0 {
-		o.RetryCap = 2 * time.Second
 	}
 	if o.Client == nil {
 		o.Client = &http.Client{}
@@ -259,6 +251,9 @@ type event struct {
 type Coordinator struct {
 	opts Options
 	tel  *telemetry.Registry
+	// retry is the one retry policy for worker-API calls and shard
+	// fetches, built from opts.
+	retry dataset.FetchOptions
 
 	events chan event
 
@@ -273,8 +268,16 @@ type Coordinator struct {
 func New(opts Options) *Coordinator {
 	o := opts.withDefaults()
 	return &Coordinator{
-		opts:    o,
-		tel:     o.Telemetry,
+		opts: o,
+		tel:  o.Telemetry,
+		retry: dataset.FetchOptions{
+			Client:    o.Client,
+			Attempts:  o.Attempts,
+			RetryBase: o.RetryBase,
+			RetryCap:  o.RetryCap,
+			Seed:      o.Config.FaultSeed,
+			Telemetry: o.Telemetry,
+		}.WithDefaults(),
 		events:  make(chan event, 64),
 		workers: make(map[string]*workerState),
 	}
@@ -430,16 +433,10 @@ func (c *Coordinator) admitWorker(ctx context.Context, url string) *workerState 
 	name := fmt.Sprintf("w%d", c.nextW)
 	c.nextW++
 	wc := &workerClient{
-		name: name,
-		base: strings.TrimRight(url, "/"),
-		hc:   c.opts.Client,
-		retry: retryPolicy{
-			attempts: c.opts.Attempts,
-			base:     c.opts.RetryBase,
-			cap:      c.opts.RetryCap,
-			seed:     c.opts.Config.FaultSeed,
-		}.withDefaults(),
-		tel: c.tel,
+		name:  name,
+		base:  strings.TrimRight(url, "/"),
+		retry: c.retry,
+		tel:   c.tel,
 	}
 	mctx, stop := context.WithCancel(ctx)
 	w := &workerState{name: name, url: wc.base, client: wc, state: workerReady, stop: stop}
@@ -610,14 +607,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, at *attempt, spec serve.Jo
 		return
 	}
 	os.RemoveAll(dest)
-	_, err = dataset.Fetch(at.worker.client.base+"/jobs/"+st.ID+"/dataset", dest, dataset.FetchOptions{
-		Client:    c.opts.Client,
-		Attempts:  c.opts.Attempts,
-		RetryBase: c.opts.RetryBase,
-		RetryCap:  c.opts.RetryCap,
-		Seed:      c.opts.Config.FaultSeed,
-		Telemetry: c.tel,
-	})
+	_, err = dataset.Fetch(at.worker.client.base+"/jobs/"+st.ID+"/dataset", dest, c.retry)
 	if err != nil {
 		fail(fmt.Errorf("fetch: %w", err))
 		return
@@ -864,8 +854,7 @@ func (c *Coordinator) collect(workDir string) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coord: read merged: %w", err)
 	}
-	scaffold := core.NewStudy()
-	rep, err := dataset.Restore(scaffold, ds)
+	scaffold, rep, err := dataset.Analyze(ds)
 	if err != nil {
 		return nil, fmt.Errorf("coord: restore merged: %w", err)
 	}

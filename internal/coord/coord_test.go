@@ -59,8 +59,7 @@ func localBaseline(t *testing.T, cfg core.Config) (dsDir, artDir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaffold := core.NewStudy()
-	rep2, err := dataset.Restore(scaffold, ds)
+	scaffold, rep2, err := dataset.Analyze(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +198,34 @@ func TestCoordinateMatchesLocal(t *testing.T) {
 	}
 	if got := counter(c.Telemetry(), "coord.jobs.requeued"); got < 1 {
 		t.Fatalf("coord.jobs.requeued = %d, want >= 1", got)
+	}
+	assertSameBytes(t, "dataset", res.DatasetDir, wantDS, dataset.ManifestName)
+	assertSameBytes(t, "artifacts", res.ArtifactDir, wantArt)
+}
+
+// TestCoordinateMatchesLocalFleet is the synthetic-fleet case of the
+// pin above: a coordinated fleet study renders artifacts byte-identical
+// to a single-node capture plus analyze, because the merged dataset
+// names its fleet and the coordinator restores onto it rather than
+// onto the catalog.
+func TestCoordinateMatchesLocalFleet(t *testing.T) {
+	cfg := testConfig(t, "2018-01..2018-01")
+	cfg.FleetN, cfg.FleetSeed = 24, 7
+	wantDS, wantArt := localBaseline(t, cfg)
+
+	workers, err := SpawnLocalWorkers(2, LocalOptions{WorkDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer CloseLocalWorkers(workers)
+	opts := fastOptions(cfg, URLs(workers), t.TempDir())
+	opts.Jobs = 2
+	res, err := New(opts).Run(context.Background())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Partial || res.Completed != 2 {
+		t.Fatalf("completed %d jobs (partial %v), want 2", res.Completed, res.Partial)
 	}
 	assertSameBytes(t, "dataset", res.DatasetDir, wantDS, dataset.ManifestName)
 	assertSameBytes(t, "artifacts", res.ArtifactDir, wantArt)

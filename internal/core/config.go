@@ -47,6 +47,9 @@ type Config struct {
 	// into deterministic device instances. FleetSeed selects the sample;
 	// the same (FleetN, FleetSeed) always builds the same fleet, so
 	// Devices subsetting and distributed coordination compose with it.
+	// Fleet studies never trace: spans are per handshake, which would
+	// reintroduce the O(run) memory the month-spill path exists to
+	// avoid, so NoTrace is implied.
 	FleetN    int
 	FleetSeed uint64
 
@@ -57,8 +60,9 @@ type Config struct {
 	IODeadline time.Duration
 
 	// NoTrace disables the causal trace tree. Tracing is on by default
-	// (its spans are seeded off FaultSeed, so traces are deterministic
-	// either way); benchmarks use this to measure a traced-off baseline.
+	// for the catalog (its spans are seeded off FaultSeed, so traces are
+	// deterministic either way); benchmarks use this to measure a
+	// traced-off baseline.
 	NoTrace bool
 }
 
@@ -95,8 +99,8 @@ func (c Config) Validate() error {
 	if c.IODeadline < 0 {
 		return fmt.Errorf("core: negative I/O deadline %s", c.IODeadline)
 	}
-	if c.FleetN < 0 {
-		return fmt.Errorf("core: negative fleet size %d", c.FleetN)
+	if c.FleetN < 0 || c.FleetN > fleet.MaxN {
+		return fmt.Errorf("core: fleet size %d outside 0..%d", c.FleetN, fleet.MaxN)
 	}
 	return nil
 }
@@ -113,16 +117,17 @@ func NewStudyFromConfig(c Config) (*Study, error) {
 	s := NewStudy()
 	if c.FleetN > 0 {
 		spec := fleet.Spec{N: c.FleetN, Seed: c.FleetSeed}
-		s = NewStudyWithRegistry(func(clk clock.Clock) *device.Registry {
+		s = newStudyWithRegistry(func(clk clock.Clock) *device.Registry {
 			return fleet.NewRegistry(clk, spec)
 		})
+		s.fleet = spec
 	}
 	s.Parallelism = c.Parallelism
 	s.PassiveFrom, s.PassiveTo = c.WindowFrom, c.WindowTo
 	if plan != nil {
 		s.SetFaultPlan(plan)
 	}
-	if !c.NoTrace {
+	if !c.NoTrace && c.FleetN == 0 {
 		// The tracer shares the fault seed (zero on clean runs): span
 		// IDs are then a pure function of the config, like every other
 		// artifact.

@@ -88,6 +88,29 @@ func TestConfigFaultArming(t *testing.T) {
 	}
 }
 
+// TestConfigFleetRunsTraceFree pins that a synthetic fleet never arms
+// the in-memory tracer, even with NoTrace left false, while the catalog
+// traces by default; and that the study remembers its fleet spec.
+func TestConfigFleetRunsTraceFree(t *testing.T) {
+	t.Parallel()
+	s, err := NewStudyFromConfig(Config{FleetN: 20, FleetSeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Tracer() != nil {
+		t.Error("fleet study armed a tracer")
+	}
+	if got := s.Fleet(); got.N != 20 || got.Seed != 7 {
+		t.Errorf("Fleet() = n=%d seed=%d, want n=20 seed=7", got.N, got.Seed)
+	}
+	if s, err = NewStudyFromConfig(Config{}); err != nil || s.Tracer() == nil {
+		t.Errorf("catalog study: tracer = %v, err = %v; want a tracer", s.Tracer(), err)
+	}
+	if got := s.Fleet(); got.N != 0 {
+		t.Errorf("catalog Fleet().N = %d, want 0", got.N)
+	}
+}
+
 // TestConfigIODeadlineThreads pins that the config knob reaches the
 // network, and that zero keeps the default.
 func TestConfigIODeadlineThreads(t *testing.T) {

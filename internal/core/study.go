@@ -23,6 +23,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/fault"
 	"repro/internal/fingerprint"
+	"repro/internal/fleet"
 	"repro/internal/mitm"
 	"repro/internal/netem"
 	"repro/internal/pool"
@@ -106,6 +107,10 @@ type Study struct {
 	traceRoot  *trace.Span
 	tracePhase *trace.Span
 
+	// fleet is the synthetic-fleet spec the registry was generated
+	// from; the zero Spec means the 40-device catalog.
+	fleet fleet.Spec
+
 	interrupted atomic.Bool
 
 	degradeMu    sync.Mutex
@@ -157,6 +162,11 @@ func (s *Study) SetFaultPlan(p *fault.Plan) {
 	s.Network.SetFaultPlan(p)
 }
 
+// Fleet returns the synthetic-fleet spec the testbed was built from
+// (the dataset subsystem records it as run provenance, so a restore
+// rebuilds the same devices); N is zero for the 40-device catalog.
+func (s *Study) Fleet() fleet.Spec { return s.fleet }
+
 // Window returns the resolved passive-collection bounds of this study
 // (the dataset subsystem records them as run provenance).
 func (s *Study) Window() (from, to clock.Month) { return s.passiveWindow() }
@@ -183,16 +193,16 @@ func (s *Study) passiveWindow() (from, to clock.Month) {
 
 // NewStudy builds a fresh testbed with the gateway mirror armed.
 func NewStudy() *Study {
-	return NewStudyWithRegistry(device.NewRegistry)
+	return newStudyWithRegistry(device.NewRegistry)
 }
 
-// NewStudyWithRegistry builds a fresh testbed around a caller-supplied
-// registry constructor — the synthetic-fleet path, where the device set
-// is generated instead of the 40-device catalog. The constructor
-// receives the testbed's virtual clock; everything downstream (cloud
-// endpoints, capture, proxy, prober) is assembled around its devices
-// exactly as for the catalog.
-func NewStudyWithRegistry(mkReg func(clk clock.Clock) *device.Registry) *Study {
+// newStudyWithRegistry builds a fresh testbed around a registry
+// constructor — the synthetic-fleet path (see NewStudyFromConfig),
+// where the device set is generated instead of the 40-device catalog.
+// The constructor receives the testbed's virtual clock; everything
+// downstream (cloud endpoints, capture, proxy, prober) is assembled
+// around its devices exactly as for the catalog.
+func newStudyWithRegistry(mkReg func(clk clock.Clock) *device.Registry) *Study {
 	clk := clock.NewSimulated(device.StudyStart.Start())
 	nw := netem.New(clk)
 	reg := mkReg(clk)

@@ -16,7 +16,10 @@
 // fleets) deterministically: merging A,B and B,A produce
 // byte-identical output, and provenance collisions are rejected.
 //
-// For one fixed seed, a capture→write→read→restore round trip renders
+// Each run's provenance names the testbed it was captured on (the
+// catalog, or a synthetic fleet's size and seed), so Analyze restores
+// any dataset without being told which devices it describes. For one
+// fixed seed, a capture→write→read→restore round trip renders
 // byte-identical artifacts to the in-memory study; the determinism
 // tests pin that contract at every parallelism and under fault plans.
 package dataset
@@ -139,9 +142,12 @@ func reportSections(s *core.Study, rep *core.Report) *Dataset {
 // runProvenance builds one capture run's provenance record.
 func runProvenance(s *core.Study, rep *core.Report) Run {
 	from, to := s.Window()
+	fl := s.Fleet()
 	run := Run{
 		WindowFrom: from.String(),
 		WindowTo:   to.String(),
+		FleetN:     fl.N,
+		FleetSeed:  fl.Seed,
 	}
 	if s.Faults != nil {
 		run.FaultSeed = s.Faults.Seed()
@@ -259,6 +265,41 @@ func sortByDevice[T any](items []T, id func(T) string, rank func(string) (int, s
 		}
 		return ti < tj
 	})
+}
+
+// Analyze restores ds onto the testbed its runs were captured on — the
+// 40-device catalog, or the synthetic fleet their provenance names —
+// and returns that scaffold study and the restored report. It is the
+// one restore every analyze entry point shares, so artifact rendering
+// is a pure function of the dataset: no caller chooses the devices.
+// Runs captured on different testbeds, or naming devices their testbed
+// does not contain, are an error.
+func Analyze(ds *Dataset) (*core.Study, *core.Report, error) {
+	cfg := core.Config{NoTrace: true}
+	for _, r := range ds.Runs {
+		first := sourcedRun{run: ds.Runs[0], src: "the dataset"}
+		if err := checkTestbed(first, sourcedRun{run: r, src: "the dataset"}); err != nil {
+			return nil, nil, err
+		}
+		cfg.FleetN, cfg.FleetSeed = r.FleetN, r.FleetSeed
+	}
+	s, err := core.NewStudyFromConfig(cfg)
+	if err != nil {
+		return nil, nil, corruptf("run provenance: %v", err)
+	}
+	for _, r := range ds.Runs {
+		for _, id := range r.Devices {
+			if _, ok := s.Registry.Get(id); !ok {
+				return nil, nil, corruptf("testbed mismatch: run %s lists device %q, which %s does not contain (a fleet dataset that predates fleet_n/fleet_seed does not name its fleet)",
+					r.Fingerprint(), id, r.testbed())
+			}
+		}
+	}
+	rep, err := Restore(s, ds)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, rep, nil
 }
 
 // Restore rebuilds the full analysis state inside a fresh study

@@ -3,6 +3,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
@@ -15,10 +16,14 @@ import (
 )
 
 // crcHeader mirrors serve.CRCHeader (defining it there would invert the
-// dependency): the manifest CRC32 of a streamed shard, hex-encoded.
+// dependency): the CRC32 of a streamed dataset file — a shard's
+// manifest CRC, or the manifest's own — hex-encoded.
 const crcHeader = "X-IoTLS-CRC32"
 
-// FetchOptions configure a remote dataset pull.
+// FetchOptions configure a remote dataset pull. Their retry fields
+// (Attempts, RetryBase, RetryCap, Seed, Sleep) are also the
+// coordinator's policy for every worker-API call, so the whole study
+// fabric retries on one backoff schedule.
 type FetchOptions struct {
 	// Client issues the requests; nil means http.DefaultClient.
 	Client *http.Client
@@ -41,7 +46,8 @@ type FetchOptions struct {
 	Sleep func(time.Duration)
 }
 
-func (o FetchOptions) withDefaults() FetchOptions {
+// WithDefaults fills every zero field with its documented default.
+func (o FetchOptions) WithDefaults() FetchOptions {
 	if o.Client == nil {
 		o.Client = http.DefaultClient
 	}
@@ -70,7 +76,7 @@ func (o FetchOptions) withDefaults() FetchOptions {
 // it has been proven. The result is byte-identical to the server's
 // dataset directory.
 func Fetch(baseURL, destDir string, opts FetchOptions) (m *Manifest, err error) {
-	f := &fetcher{base: strings.TrimRight(baseURL, "/"), dest: destDir, opts: opts.withDefaults()}
+	f := &fetcher{base: strings.TrimRight(baseURL, "/"), dest: destDir, opts: opts.WithDefaults()}
 	f.tel = f.opts.Telemetry
 	end := timeOp(f.tel, "fetch")
 	defer func() { end(err) }()
@@ -100,24 +106,25 @@ type fetcher struct {
 	tel  *telemetry.Registry
 }
 
-// backoff returns the sleep before retry `attempt` (1-based) of key:
-// capped exponential with deterministic jitter in [d/2, d).
-func (f *fetcher) backoff(key string, attempt int) time.Duration {
-	d := f.opts.RetryBase << (attempt - 1)
-	if d <= 0 || d > f.opts.RetryCap {
-		d = f.opts.RetryCap
+// Backoff returns the sleep before retry `attempt` (1-based) of key:
+// capped exponential with deterministic jitter in [d/2, d). Call it on
+// defaulted options (WithDefaults).
+func (o FetchOptions) Backoff(key string, attempt int) time.Duration {
+	d := o.RetryBase << (attempt - 1)
+	if d <= 0 || d > o.RetryCap {
+		d = o.RetryCap
 	}
-	h := fetchMix64(f.opts.Seed ^ uint64(attempt)*0x9e3779b97f4a7c15)
+	h := mix64(o.Seed ^ uint64(attempt)*0x9e3779b97f4a7c15)
 	for i := 0; i < len(key); i++ {
-		h = fetchMix64(h ^ uint64(key[i]))
+		h = mix64(h ^ uint64(key[i]))
 	}
 	jitter := float64(h>>11) / (1 << 53)
 	return d/2 + time.Duration(float64(d/2)*jitter)
 }
 
-// fetchMix64 is the SplitMix64 finalizer (as in internal/fault), local
-// so the jitter schedule needs no shared PRNG state.
-func fetchMix64(x uint64) uint64 {
+// mix64 is the SplitMix64 finalizer (as in internal/fault), local so
+// the jitter schedule needs no shared PRNG state.
+func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -134,7 +141,7 @@ func (f *fetcher) pullManifest() (*Manifest, []byte, error) {
 	for attempt := 0; attempt < f.opts.Attempts; attempt++ {
 		if attempt > 0 {
 			f.tel.Counter("dataset.fetch.retries").Inc()
-			f.opts.Sleep(f.backoff(ManifestName, attempt))
+			f.opts.Sleep(f.opts.Backoff(ManifestName, attempt))
 		}
 		raw, err := f.get(f.base + "/" + ManifestName)
 		if err != nil {
@@ -151,7 +158,9 @@ func (f *fetcher) pullManifest() (*Manifest, []byte, error) {
 	return nil, nil, fmt.Errorf("dataset: fetch manifest from %s: %w", f.base, lastErr)
 }
 
-// get issues one bounded GET and returns the body.
+// get issues one bounded GET and returns the body, verified against
+// the server's CRC header when it sent one: a manifest damaged in
+// transit into still-valid JSON would otherwise install silently.
 func (f *fetcher) get(url string) ([]byte, error) {
 	resp, err := f.opts.Client.Get(url)
 	if err != nil {
@@ -162,7 +171,18 @@ func (f *fetcher) get(url string) ([]byte, error) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	if err != nil {
+		return nil, err
+	}
+	if hdr := resp.Header.Get(crcHeader); hdr != "" {
+		want, perr := strconv.ParseUint(hdr, 16, 32)
+		if got := crc32.ChecksumIEEE(body); perr != nil || uint32(want) != got {
+			f.tel.Counter("dataset.fetch.corrupt").Inc()
+			return nil, corruptf("GET %s: body CRC %08x, server CRC header %q", url, got, hdr)
+		}
+	}
+	return body, nil
 }
 
 // contentRangeStart parses the first-byte position out of a
@@ -193,7 +213,7 @@ func (f *fetcher) pullShard(m *Manifest, sh ShardInfo) error {
 	for attempt := 0; attempt < f.opts.Attempts; attempt++ {
 		if attempt > 0 {
 			f.tel.Counter("dataset.fetch.retries").Inc()
-			f.opts.Sleep(f.backoff(sh.File, attempt))
+			f.opts.Sleep(f.opts.Backoff(sh.File, attempt))
 		}
 		err, retryable := f.attemptShard(path, m, sh, &resumable)
 		if err == nil {

@@ -1,7 +1,10 @@
 package dataset_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -310,5 +314,88 @@ func TestFetchGivesUpBounded(t *testing.T) {
 	}
 	if got := fs.hitCount(shards[0]); got != 3 {
 		t.Fatalf("server saw %d attempts for %s, want 3", got, shards[0])
+	}
+}
+
+// TestFetchVerifiesManifest pins that a manifest damaged in transit
+// into still-valid JSON — one letter's case flipped inside a device ID
+// — is caught against the server's CRC header and refetched, so the
+// installed provenance is the server's, byte for byte.
+func TestFetchVerifiesManifest(t *testing.T) {
+	t.Parallel()
+	src := runsDataset(t, t.TempDir(), dataset.Run{WindowFrom: "2018-01", WindowTo: "2018-01", Devices: []string{"samsung-dryer"}})
+	var manifestHits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		name := path.Base(r.URL.Path)
+		body, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			http.NotFound(w, r)
+			return
+		}
+		if name == dataset.ManifestName {
+			w.Header().Set("X-IoTLS-CRC32", fmt.Sprintf("%08x", crc32.ChecksumIEEE(body)))
+			if manifestHits.Add(1) == 1 {
+				body = bytes.Replace(body, []byte("samsung-dryer"), []byte("samsung-dryeR"), 1)
+			}
+		}
+		w.Write(body)
+	}))
+	defer srv.Close()
+
+	tel := telemetry.New(nil)
+	dest := t.TempDir()
+	if _, err := dataset.Fetch(srv.URL, dest, dataset.FetchOptions{Attempts: 3, Telemetry: tel, Sleep: func(time.Duration) {}}); err != nil {
+		t.Fatalf("Fetch: %v", err)
+	}
+	if got := manifestHits.Load(); got != 2 {
+		t.Errorf("server saw %d manifest requests, want 2 (one damaged, one retry)", got)
+	}
+	if got := tel.Snapshot().Counters["dataset.fetch.corrupt"]; got != 1 {
+		t.Errorf("dataset.fetch.corrupt = %d, want 1", got)
+	}
+	if got, want := dirBytes(t, dest)[dataset.ManifestName], dirBytes(t, src)[dataset.ManifestName]; got != want {
+		t.Errorf("installed manifest differs from the server's:\n%s", got)
+	}
+}
+
+// TestFetchBackoffSchedule pins the one retry policy that shard fetches
+// and the coordinator's worker-API calls share: a table of
+// (seed, key, attempt) → delay, with jitter a pure function of the
+// three. The values were computed from the two policies this one
+// replaced, which agreed on every row.
+func TestFetchBackoffSchedule(t *testing.T) {
+	t.Parallel()
+	defaults := dataset.FetchOptions{}.WithDefaults()
+	fast := dataset.FetchOptions{RetryBase: 20 * time.Millisecond, RetryCap: 200 * time.Millisecond}.WithDefaults()
+	cases := []struct {
+		opts    dataset.FetchOptions
+		seed    uint64
+		key     string
+		attempt int
+		want    time.Duration
+	}{
+		{defaults, 0, "manifest.json", 1, 48907997},
+		{defaults, 0, "manifest.json", 2, 61000198},
+		{defaults, 0, "manifest.json", 3, 129990777},
+		{defaults, 7, "manifest.json", 1, 42969928},
+		{defaults, 7, "passive-2018-01.bin", 2, 60127075},
+		{defaults, 7, "w0/jobs", 3, 145350748},
+		{defaults, 42, "w2/jobs/job-000001", 1, 43736622},
+		{defaults, 42, "trace.bin", 4, 216495582},
+		{defaults, 1 << 63, "", 1, 44183215},
+		{defaults, 7, "w1/leases", 8, 1180074949}, // capped at 2s
+		{fast, 7, "w1/jobs/job-000003", 1, 10075303},
+		{fast, 7, "w1/jobs/job-000003", 4, 92976239},
+		{fast, 7, "w1/jobs/job-000003", 5, 127254135}, // capped at 200ms
+	}
+	for _, c := range cases {
+		o := c.opts
+		o.Seed = c.seed
+		if got := o.Backoff(c.key, c.attempt); got != c.want {
+			t.Errorf("Backoff(seed=%d, %q, attempt %d) = %d, want %d", c.seed, c.key, c.attempt, got, c.want)
+		}
+	}
+	if defaults.Attempts != 4 || defaults.RetryBase != 50*time.Millisecond || defaults.RetryCap != 2*time.Second {
+		t.Errorf("defaults = %d attempts, base %v, cap %v; want 4, 50ms, 2s", defaults.Attempts, defaults.RetryBase, defaults.RetryCap)
 	}
 }

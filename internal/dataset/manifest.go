@@ -38,9 +38,9 @@ const (
 )
 
 // Run is the provenance of one capture run. Its identity — everything
-// that determines what the simulator produced — is the fault
-// configuration, the passive window, and the device set; Stats and
-// NoNewValidationFailures are outcomes carried along for analysis.
+// that determines what the simulator produced — is the testbed, the
+// fault configuration, the passive window, and the device set; Stats
+// and NoNewValidationFailures are outcomes carried along for analysis.
 type Run struct {
 	// FaultSeed/FaultProfile describe the armed fault plan ("" and 0
 	// mean a clean run).
@@ -52,6 +52,12 @@ type Run struct {
 	// Devices is the sorted ID set the run drove (sharded fleets
 	// capture disjoint subsets).
 	Devices []string `json:"devices"`
+	// FleetN/FleetSeed name the synthetic fleet the run was captured on
+	// (see core.Config); both are zero, and omitted, for the 40-device
+	// catalog. Every run of one dataset shares them: they are what a
+	// restore rebuilds its device registry from.
+	FleetN    int    `json:"fleet_n,omitempty"`
+	FleetSeed uint64 `json:"fleet_seed,omitempty"`
 	// Stats is the run's passive traffic summary.
 	Stats traffic.Stats `json:"stats"`
 	// NoNewValidationFailures is the §4.2 passthrough verification
@@ -62,15 +68,35 @@ type Run struct {
 // Fingerprint returns the run's provenance identity: a short hash over
 // the simulation-determining fields. Two runs with equal fingerprints
 // captured the same simulated reality, so merging them would
-// double-count — Merge rejects that collision.
+// double-count — Merge rejects that collision. The fleet spec enters
+// the hash only for fleet runs, so catalog fingerprints are unchanged
+// from datasets written before it was recorded.
 func (r Run) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed=%d|profile=%s|window=%s..%s|devices=", r.FaultSeed, r.FaultProfile, r.WindowFrom, r.WindowTo)
 	devs := append([]string(nil), r.Devices...)
 	sort.Strings(devs)
 	b.WriteString(strings.Join(devs, ","))
+	if r.FleetN > 0 {
+		fmt.Fprintf(&b, "|fleet=%d/%d", r.FleetN, r.FleetSeed)
+	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:8])
+}
+
+// sameTestbed reports whether two runs were captured on the same
+// device set.
+func sameTestbed(a, b Run) bool {
+	return a.FleetN == b.FleetN && a.FleetSeed == b.FleetSeed
+}
+
+// testbed describes the device set the run was captured on, for
+// error messages.
+func (r Run) testbed() string {
+	if r.FleetN == 0 {
+		return "the 40-device catalog"
+	}
+	return fmt.Sprintf("synthetic fleet n=%d seed=%d", r.FleetN, r.FleetSeed)
 }
 
 // ShardInfo describes one shard file in the manifest.

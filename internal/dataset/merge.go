@@ -33,19 +33,19 @@ func normalizeInputs(inDirs []string) error {
 }
 
 // checkDuplicateRun rejects the exact same run appearing twice across
-// merge inputs. Equal fingerprints mean identical provenance (seed,
-// profile, window, and full device set), i.e. the same dataset was
-// supplied twice — distinct from a provenance *collision*, where two
-// different captures overlap; the error says so plainly.
-func checkDuplicateRun(prev, r Run, prevSrc, src string) error {
-	if prev.Fingerprint() != r.Fingerprint() {
+// merge inputs. Equal fingerprints mean identical provenance (testbed,
+// seed, profile, window, and full device set), i.e. the same dataset
+// was supplied twice — distinct from a provenance *collision*, where
+// two different captures overlap; the error says so plainly.
+func checkDuplicateRun(prev, r sourcedRun) error {
+	if prev.run.Fingerprint() != r.run.Fingerprint() {
 		return nil
 	}
-	if prevSrc != "" && src != "" && prevSrc != src {
-		return fmt.Errorf("dataset: inputs %s and %s contain the same run %s (identical seed, fault profile, window, and devices): they are copies of one dataset, which may be merged only once",
-			prevSrc, src, r.Fingerprint())
+	if prev.src != r.src {
+		return fmt.Errorf("dataset: inputs %s and %s contain the same run %s (identical testbed, seed, fault profile, window, and devices): they are copies of one dataset, which may be merged only once",
+			prev.src, r.src, r.run.Fingerprint())
 	}
-	return fmt.Errorf("dataset: run %s appears twice in the merge inputs: the same dataset may be merged only once", r.Fingerprint())
+	return fmt.Errorf("dataset: run %s appears twice in %s: the same dataset may be merged only once", r.run.Fingerprint(), r.src)
 }
 
 // runsCollide reports whether two provenance entries describe the same
@@ -71,68 +71,42 @@ func runsCollide(a, b Run) bool {
 	return false
 }
 
-// sourcedRun is one admitted merge input run and the label of the
-// input it came from ("" for in-memory unions).
+// checkTestbed rejects a run captured on a different device set than
+// prev: one dataset restores onto one registry, so a catalog run and a
+// fleet run — or two fleets that differ in size or seed — cannot share
+// a dataset.
+func checkTestbed(prev, r sourcedRun) error {
+	if sameTestbed(prev.run, r.run) {
+		return nil
+	}
+	return fmt.Errorf("dataset: testbed mismatch: run %s from %s was captured on %s, run %s from %s on %s: runs from different testbeds cannot share a dataset",
+		prev.run.Fingerprint(), prev.src, prev.run.testbed(), r.run.Fingerprint(), r.src, r.run.testbed())
+}
+
+// sourcedRun is one admitted merge input run and the input directory
+// it came from.
 type sourcedRun struct {
 	run Run
 	src string
 }
 
-// admitRun appends r, read from src, to runs unless it duplicates or
-// collides with a run already admitted. Union and Merge both admit
-// their inputs' runs through here; src only shapes the error messages.
-func admitRun(runs *[]sourcedRun, r Run, src string) error {
+// admitRun appends r to runs unless it was captured on another testbed
+// or duplicates or collides with a run already admitted.
+func admitRun(runs *[]sourcedRun, r sourcedRun) error {
 	for _, prev := range *runs {
-		if err := checkDuplicateRun(prev.run, r, prev.src, src); err != nil {
+		if err := checkTestbed(prev, r); err != nil {
 			return err
 		}
-		if runsCollide(prev.run, r) {
-			return fmt.Errorf("dataset: provenance collision: run %s%s and run %s%s capture the same configuration (seed=%d profile=%q window=%s..%s) with overlapping devices",
-				prev.run.Fingerprint(), fromSource(prev.src), r.Fingerprint(), fromSource(src), r.FaultSeed, r.FaultProfile, r.WindowFrom, r.WindowTo)
+		if err := checkDuplicateRun(prev, r); err != nil {
+			return err
+		}
+		if runsCollide(prev.run, r.run) {
+			return fmt.Errorf("dataset: provenance collision: run %s from %s and run %s from %s capture the same configuration (seed=%d profile=%q window=%s..%s) with overlapping devices",
+				prev.run.Fingerprint(), prev.src, r.run.Fingerprint(), r.src, r.run.FaultSeed, r.run.FaultProfile, r.run.WindowFrom, r.run.WindowTo)
 		}
 	}
-	*runs = append(*runs, sourcedRun{run: r, src: src})
+	*runs = append(*runs, r)
 	return nil
-}
-
-// fromSource renders a run's source label for an error message.
-func fromSource(src string) string {
-	if src == "" {
-		return ""
-	}
-	return " from " + src
-}
-
-// Union concatenates already-loaded datasets in memory, applying the
-// same provenance collision rules as Merge. Restore re-canonicalises
-// every section (the store sorts observations, suite reports sort by
-// registry device order), so analysing a union is input-order
-// independent for disjoint-device inputs.
-func Union(sets ...*Dataset) (*Dataset, error) {
-	out := &Dataset{}
-	var runs []sourcedRun
-	for _, ds := range sets {
-		for _, r := range ds.Runs {
-			if err := admitRun(&runs, r, ""); err != nil {
-				return nil, err
-			}
-			out.Runs = append(out.Runs, r)
-		}
-		if ds.HasActive {
-			out.HasActive = true
-		}
-		out.Observations = append(out.Observations, ds.Observations...)
-		out.Revocations = append(out.Revocations, ds.Revocations...)
-		out.ActiveObservations = append(out.ActiveObservations, ds.ActiveObservations...)
-		out.ProbeReports = append(out.ProbeReports, ds.ProbeReports...)
-		out.Downgrades = append(out.Downgrades, ds.Downgrades...)
-		out.OldVersions = append(out.OldVersions, ds.OldVersions...)
-		out.Interceptions = append(out.Interceptions, ds.Interceptions...)
-		out.Passthroughs = append(out.Passthroughs, ds.Passthroughs...)
-		out.Degradations = append(out.Degradations, ds.Degradations...)
-		out.TraceSpans = append(out.TraceSpans, ds.TraceSpans...)
-	}
-	return out, nil
 }
 
 // bucket identifies one merged output shard.
@@ -153,7 +127,8 @@ type bucketSource struct {
 // The merge is deterministic and order-independent: records within
 // each output shard are sorted by their encoded bytes, so merging
 // (A, B) and (B, A) produce byte-identical directories. Inputs must
-// share the schema version, and provenance collisions (the same seed,
+// share the schema version and the testbed (the catalog, or one
+// synthetic fleet spec), and provenance collisions (the same seed,
 // fault profile, and window with overlapping devices) are rejected.
 func Merge(outDir string, inDirs []string, opts Options) (err error) {
 	end := timeOp(opts.Telemetry, "merge")
@@ -175,7 +150,7 @@ func Merge(outDir string, inDirs []string, opts Options) (err error) {
 			return err
 		}
 		for _, r := range m.Runs {
-			if err := admitRun(&runs, r, dir); err != nil {
+			if err := admitRun(&runs, sourcedRun{run: r, src: dir}); err != nil {
 				return err
 			}
 		}

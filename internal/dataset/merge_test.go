@@ -2,6 +2,7 @@ package dataset_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -113,34 +114,20 @@ func TestMergeOrderIndependent(t *testing.T) {
 		}
 	}
 
-	// Analysing the union of the two directories must be input-order
-	// independent too, and must match analysing the merged directory.
-	render := func(dirs ...string) string {
-		s := core.NewStudy()
-		var sets []*dataset.Dataset
-		for _, d := range dirs {
-			ds, err := dataset.Read(d, nil)
-			if err != nil {
-				t.Fatalf("Read %s: %v", d, err)
-			}
-			sets = append(sets, ds)
-		}
-		u, err := dataset.Union(sets...)
-		if err != nil {
-			t.Fatalf("Union: %v", err)
-		}
-		rep, err := dataset.Restore(s, u)
-		if err != nil {
-			t.Fatalf("Restore: %v", err)
-		}
-		return rep.Render(s)
+	// Analysing several inputs is merging them first: the merged
+	// halves restore to exactly the report of one whole-catalog run.
+	live := core.NewStudy()
+	live.Parallelism = 8
+	rep, err := live.RunAll()
+	if err != nil {
+		t.Fatalf("RunAll: %v", err)
 	}
-	fromMerged := render(ab)
-	if got := render(dirA, dirB); got != fromMerged {
-		t.Error("analyze(A,B) differs from analyze(merged)")
+	s, rep2, err := dataset.Analyze(ds)
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
 	}
-	if got := render(dirB, dirA); got != fromMerged {
-		t.Error("analyze(B,A) differs from analyze(merged)")
+	if got, want := rep2.Render(s), rep.Render(live); got != want {
+		t.Errorf("analyze(merge(A,B)) differs from the whole-catalog live report (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
@@ -165,15 +152,6 @@ func TestMergeRejectsCollision(t *testing.T) {
 		t.Errorf("collision error %q does not name the provenance collision", err)
 	}
 
-	// The same rule applies to the in-memory union used by analyze.
-	dsA, err := dataset.Read(dirA, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dataset.Union(dsA, dsA); err == nil {
-		t.Fatal("Union of colliding runs succeeded, want error")
-	}
-
 	// Disjoint subsets of the same configuration remain mergeable.
 	dirB := filepath.Join(base, "b")
 	captureSubset(t, dirB, idsA[2:4])
@@ -182,17 +160,82 @@ func TestMergeRejectsCollision(t *testing.T) {
 	}
 }
 
-// tinyDataset writes a minimal valid dataset carrying one provenance
-// run — enough for the duplicate-input checks, without a capture.
-func tinyDataset(t *testing.T, dir string) {
+// runsDataset writes a minimal valid dataset at dir carrying only the
+// given provenance runs — enough for the admission checks, without a
+// capture.
+func runsDataset(t *testing.T, dir string, runs ...dataset.Run) string {
 	t.Helper()
 	w, err := dataset.NewWriter(dir, dataset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.AddRun(dataset.Run{WindowFrom: "2018-01", WindowTo: "2018-02", Devices: []string{"a", "b"}})
+	for _, r := range runs {
+		w.AddRun(r)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	return dir
+}
+
+// tinyDataset writes a minimal dataset carrying one provenance run.
+func tinyDataset(t *testing.T, dir string) {
+	runsDataset(t, dir, dataset.Run{WindowFrom: "2018-01", WindowTo: "2018-02", Devices: []string{"a", "b"}})
+}
+
+// TestMergeRejectsTestbedMismatch pins that one dataset describes one
+// testbed: merging a catalog run with a fleet run, or two fleet runs
+// that differ only in seed, fails naming the mismatch, and a manifest
+// that mixes testbeds anyway cannot be analyzed.
+func TestMergeRejectsTestbedMismatch(t *testing.T) {
+	t.Parallel()
+	base := t.TempDir()
+	write := func(name string, runs ...dataset.Run) string {
+		return runsDataset(t, filepath.Join(base, name), runs...)
+	}
+	catalogRun := dataset.Run{WindowFrom: "2018-01", WindowTo: "2018-01", Devices: []string{"a", "b"}}
+	fleetRun := func(seed uint64) dataset.Run {
+		return dataset.Run{WindowFrom: "2018-01", WindowTo: "2018-01", Devices: []string{"fleet-0000000"}, FleetN: 20, FleetSeed: seed}
+	}
+	catalog := write("catalog", catalogRun)
+	seed7, seed8 := write("seed7", fleetRun(7)), write("seed8", fleetRun(8))
+	for i, in := range [][]string{{catalog, seed7}, {seed7, seed8}} {
+		err := dataset.Merge(filepath.Join(base, fmt.Sprint("out", i)), in, dataset.Options{})
+		if err == nil || !strings.Contains(err.Error(), "testbed mismatch") {
+			t.Errorf("Merge(%s): err = %v, want testbed-mismatch error", strings.Join(in, ", "), err)
+		}
+	}
+
+	ds, err := dataset.Read(write("mixed", catalogRun, fleetRun(7)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dataset.Analyze(ds); err == nil || !strings.Contains(err.Error(), "testbed mismatch") {
+		t.Errorf("Analyze of a mixed-testbed dataset: err = %v, want testbed-mismatch error", err)
+	}
+}
+
+// TestAnalyzeRejectsForeignDevices pins that Analyze restores a run
+// only onto a testbed holding every device the run lists: a fleet
+// manifest without fleet_n/fleet_seed (as written before the fleet was
+// recorded) is refused rather than rendered against the catalog, and a
+// fleet size outside the fleet ID space is refused before any fleet is
+// generated. All three are corrupt provenance.
+func TestAnalyzeRejectsForeignDevices(t *testing.T) {
+	t.Parallel()
+	base := t.TempDir()
+	for name, r := range map[string]dataset.Run{
+		"unnamed-fleet": {WindowFrom: "2018-01", WindowTo: "2018-01", Devices: []string{"fleet-0000000", "fleet-0000001"}},
+		"fleet-too-big": {WindowFrom: "2018-01", WindowTo: "2018-01", Devices: []string{"fleet-0000000"}, FleetN: 2_000_000_000, FleetSeed: 7},
+		"outside-fleet": {WindowFrom: "2018-01", WindowTo: "2018-01", Devices: []string{"fleet-0000020"}, FleetN: 20, FleetSeed: 7},
+	} {
+		ds, err := dataset.Read(runsDataset(t, filepath.Join(base, name), r), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := dataset.Analyze(ds); !errors.Is(err, dataset.ErrCorrupt) {
+			t.Errorf("%s: Analyze err = %v, want a wrapped ErrCorrupt", name, err)
+		}
 	}
 }
 
@@ -248,15 +291,6 @@ func TestMergeRejectsCopiedDataset(t *testing.T) {
 	err = dataset.Merge(filepath.Join(base, "out"), []string{orig, copied}, dataset.Options{})
 	if err == nil || !strings.Contains(err.Error(), "copies of one dataset") {
 		t.Fatalf("Merge(orig, copy): err = %v, want copies-of-one-dataset error", err)
-	}
-
-	// The in-memory union applies the same fingerprint rule.
-	ds, err := dataset.Read(orig, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dataset.Union(ds, ds); err == nil || !strings.Contains(err.Error(), "appears twice") {
-		t.Fatalf("Union(ds, ds): err = %v, want appears-twice error", err)
 	}
 }
 
@@ -315,10 +349,14 @@ func TestMergeSchemaMismatch(t *testing.T) {
 }
 
 // TestRunFingerprint pins the provenance identity: device order must
-// not matter, any identity field must.
+// not matter, any identity field must, and a catalog run hashes as it
+// did before runs recorded their fleet spec.
 func TestRunFingerprint(t *testing.T) {
 	t.Parallel()
 	r := dataset.Run{FaultSeed: 7, FaultProfile: "aggressive", WindowFrom: "2018-01", WindowTo: "2020-03", Devices: []string{"b", "a"}}
+	if got, want := r.Fingerprint(), "0073e7044ddbf493"; got != want {
+		t.Errorf("catalog fingerprint = %s, want %s", got, want)
+	}
 	shuffled := r
 	shuffled.Devices = []string{"a", "b"}
 	if r.Fingerprint() != shuffled.Fingerprint() {
@@ -329,6 +367,7 @@ func TestRunFingerprint(t *testing.T) {
 		"profile": func(r *dataset.Run) { r.FaultProfile = "mild" },
 		"window":  func(r *dataset.Run) { r.WindowTo = "2020-04" },
 		"devices": func(r *dataset.Run) { r.Devices = []string{"a"} },
+		"fleet":   func(r *dataset.Run) { r.FleetN = 20 },
 	} {
 		mod := r
 		mod.Devices = append([]string(nil), r.Devices...)

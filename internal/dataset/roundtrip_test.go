@@ -328,3 +328,45 @@ func readDirFiles(t *testing.T, dir string) map[string][]byte {
 	}
 	return out
 }
+
+// TestStreamingSpillFleetAnalyzesWithoutFlags pins that a dataset names
+// its own testbed: a small synthetic fleet streamed to disk — with
+// tracing left at its default, which a fleet ignores, so no trace.bin
+// is written — restores through Analyze, told nothing about the fleet,
+// to exactly the fleet's live report.
+func TestStreamingSpillFleetAnalyzesWithoutFlags(t *testing.T) {
+	jan := clock.Month{Year: 2018, Mon: time.January}
+	cfg := core.Config{Parallelism: 4, FleetN: 30, FleetSeed: 7, WindowFrom: jan, WindowTo: jan}
+	live, err := core.NewStudyFromConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := live.RunAll()
+	if err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+
+	s, err := core.NewStudyFromConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "fleet")
+	streamCapture(t, s, dir, dataset.Options{})
+	if _, err := os.Stat(filepath.Join(dir, "trace.bin")); !os.IsNotExist(err) {
+		t.Errorf("fleet capture wrote trace.bin (stat err %v); fleets run trace-free", err)
+	}
+	ds, err := dataset.Read(dir, nil)
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if r := ds.Runs[0]; r.FleetN != 30 || r.FleetSeed != 7 {
+		t.Fatalf("run provenance records fleet n=%d seed=%d, want n=30 seed=7", r.FleetN, r.FleetSeed)
+	}
+	s2, rep2, err := dataset.Analyze(ds)
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	if got, want := rep2.Render(s2), rep.Render(live); got != want {
+		t.Errorf("restored fleet report differs from the live report (%d vs %d bytes)", len(got), len(want))
+	}
+}

@@ -281,6 +281,10 @@ var resiliences = func() []*device.Resilience {
 	return out
 }()
 
+// MaxN is the largest fleet size: the size of ID's fixed-width
+// identifier space.
+const MaxN = 10_000_000
+
 // ID renders fleet device i's stable identifier.
 func ID(i int) string { return fmt.Sprintf("fleet-%07d", i) }
 

@@ -22,7 +22,8 @@ const (
 	// the artifact files from it (the capture+analyze pipeline one CLI
 	// invocation of `iotls capture` + `iotls analyze` performs).
 	KindStudy = "study"
-	// KindAnalyze unions existing datasets and renders artifacts.
+	// KindAnalyze merges existing datasets into the job's own dataset
+	// and renders artifacts from it.
 	KindAnalyze = "analyze"
 	// KindMerge merges existing datasets into a new dataset.
 	KindMerge = "merge"
@@ -146,7 +147,8 @@ func (j *Job) Err() string {
 // Dir is the job's working directory under the manager's data root.
 func (j *Job) Dir() string { return filepath.Join(j.m.root, j.ID) }
 
-// DatasetDir is where the job's dataset lands (study and merge jobs).
+// DatasetDir is where the job's dataset lands (every kind: analyze
+// jobs merge their inputs here before rendering).
 func (j *Job) DatasetDir() string { return filepath.Join(j.Dir(), "dataset") }
 
 // ArtifactDir is where rendered artifacts land (study and analyze jobs).
@@ -532,22 +534,29 @@ func (j *Job) runStudy() (degraded bool, err error) {
 		sp.Abort()
 		return degraded, err
 	}
-	// Render from the persisted dataset through a fresh scaffold, like
-	// `iotls analyze` does: the live-run and restored-run paths cannot
-	// drift, and a drained (partial) dataset is proven analyzable.
-	restored, err := dataset.Read(j.DatasetDir(), s.Telemetry)
+	// Render from the persisted dataset, like `iotls analyze` does: the
+	// live-run and restored-run paths cannot drift, and a drained
+	// (partial) dataset is proven analyzable.
+	_, err = j.render(s.Telemetry)
+	return degraded, err
+}
+
+// render restores the job's persisted dataset onto the testbed its
+// provenance names and writes the artifact files, reporting whether
+// the restored report is degraded.
+func (j *Job) render(tel *telemetry.Registry) (degraded bool, err error) {
+	ds, err := dataset.Read(j.DatasetDir(), tel)
 	if err != nil {
-		return degraded, err
+		return false, err
 	}
-	scaffold := core.NewStudy()
-	rep2, err := dataset.Restore(scaffold, restored)
+	s, rep, err := dataset.Analyze(ds)
 	if err != nil {
-		return degraded, err
+		return false, err
 	}
-	if _, err := report.Write(j.ArtifactDir(), scaffold, rep2); err != nil {
-		return degraded, err
+	if _, err := report.Write(j.ArtifactDir(), s, rep); err != nil {
+		return false, err
 	}
-	return degraded, nil
+	return rep.Degraded(), nil
 }
 
 // resolveInput maps an input name to a dataset directory: a job ID
@@ -571,33 +580,13 @@ func (m *Manager) resolveInput(name string) (string, error) {
 	return dir, nil
 }
 
-// runAnalyze unions the input datasets and renders artifacts.
+// runAnalyze merges the input datasets into the job's dataset
+// directory and renders artifacts from it.
 func (j *Job) runAnalyze() (degraded bool, err error) {
-	sets := make([]*dataset.Dataset, 0, len(j.Spec.Inputs))
-	for _, in := range j.Spec.Inputs {
-		dir, err := j.m.resolveInput(in)
-		if err != nil {
-			return false, err
-		}
-		ds, err := dataset.Read(dir, j.Registry())
-		if err != nil {
-			return false, err
-		}
-		sets = append(sets, ds)
-	}
-	ds, err := dataset.Union(sets...)
-	if err != nil {
+	if err := j.runMerge(); err != nil {
 		return false, err
 	}
-	scaffold := core.NewStudy()
-	rep, err := dataset.Restore(scaffold, ds)
-	if err != nil {
-		return false, err
-	}
-	if _, err := report.Write(j.ArtifactDir(), scaffold, rep); err != nil {
-		return false, err
-	}
-	return rep.Degraded(), nil
+	return j.render(j.Registry())
 }
 
 // runMerge merges the input datasets into the job's dataset directory.

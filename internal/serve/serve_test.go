@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/report"
 	"repro/internal/telemetry"
 )
 
@@ -402,5 +403,47 @@ func TestAnalyzeAndMergeJobs(t *testing.T) {
 	waitDone(t, dup)
 	if dup.State() != StateFailed {
 		t.Errorf("duplicate-input merge job: state %s, want failed", dup.State())
+	}
+}
+
+// TestAnalyzeAndMergeJobsFleet pins that serve jobs render a synthetic
+// fleet onto its own devices: a fleet study job's artifacts, and an
+// analyze job's artifacts over that job's dataset, both equal the live
+// study's. The analyze job merges its input into its own dataset first.
+func TestAnalyzeAndMergeJobsFleet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("service e2e skipped in -short mode")
+	}
+	const window = "2018-01..2018-01"
+	from, to, err := core.ParseWindow(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := core.NewStudyFromConfig(core.Config{FleetN: 20, FleetSeed: 7, WindowFrom: from, WindowTo: to})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := live.RunAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := t.TempDir()
+	if _, err := report.Write(want, live, rep); err != nil {
+		t.Fatal(err)
+	}
+
+	m, _ := newTestManager(t, 2, 0)
+	study := mustSubmit(t, m, JobSpec{Kind: KindStudy, Window: window, Weight: 2, FleetN: 20, FleetSeed: 7})
+	waitDone(t, study)
+	an := mustSubmit(t, m, JobSpec{Kind: KindAnalyze, Inputs: []string{study.ID}})
+	waitDone(t, an)
+	for _, j := range []*Job{study, an} {
+		if j.State() != StateDone {
+			t.Fatalf("%s job: state %s (err %q)", j.Spec.Kind, j.State(), j.Err())
+		}
+		compareDirs(t, j.Spec.Kind+" artifacts", want, j.ArtifactDir())
+	}
+	if _, err := os.Stat(filepath.Join(an.DatasetDir(), dataset.ManifestName)); err != nil {
+		t.Errorf("analyze job merged no dataset of its own: %v", err)
 	}
 }

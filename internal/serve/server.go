@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
@@ -17,7 +18,8 @@ import (
 
 // CRCHeader carries a shard's manifest CRC32 (IEEE, over the
 // uncompressed stream) on dataset file responses, so a client can
-// verify what it streamed without re-reading the manifest.
+// verify what it streamed without re-reading the manifest; on the
+// manifest's own response it carries the CRC32 of the manifest bytes.
 const CRCHeader = "X-IoTLS-CRC32"
 
 // RetryAfterSeconds is the backpressure hint on 429 responses.
@@ -227,19 +229,20 @@ func (s *Server) getArtifact(w http.ResponseWriter, r *http.Request) {
 	http.ServeContent(&deadlineWriter{w, s}, r, "", fi.ModTime(), f)
 }
 
-// datasetManifest loads the job's dataset manifest or writes an error.
-func (s *Server) datasetManifest(w http.ResponseWriter, j *Job) (*dataset.Manifest, bool) {
+// datasetManifest loads the job's dataset manifest, returning it with
+// its raw bytes, or writes an error.
+func (s *Server) datasetManifest(w http.ResponseWriter, j *Job) (*dataset.Manifest, []byte, bool) {
 	raw, err := os.ReadFile(filepath.Join(j.DatasetDir(), dataset.ManifestName))
 	if err != nil {
 		writeError(w, http.StatusNotFound, "job %s has no dataset", j.ID)
-		return nil, false
+		return nil, nil, false
 	}
 	m := &dataset.Manifest{}
 	if err := json.Unmarshal(raw, m); err != nil {
 		writeError(w, http.StatusInternalServerError, "job %s: corrupt manifest: %v", j.ID, err)
-		return nil, false
+		return nil, nil, false
 	}
-	return m, true
+	return m, raw, true
 }
 
 // getDatasetIndex handles GET /jobs/{id}/dataset: the manifest, which
@@ -249,7 +252,7 @@ func (s *Server) getDatasetIndex(w http.ResponseWriter, r *http.Request) {
 	if !ok || !requireDone(w, j) {
 		return
 	}
-	m, ok := s.datasetManifest(w, j)
+	m, _, ok := s.datasetManifest(w, j)
 	if !ok {
 		return
 	}
@@ -268,11 +271,13 @@ func (s *Server) getDatasetFile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad dataset file name %q", name)
 		return
 	}
-	m, ok := s.datasetManifest(w, j)
+	m, raw, ok := s.datasetManifest(w, j)
 	if !ok {
 		return
 	}
-	if name != dataset.ManifestName {
+	if name == dataset.ManifestName {
+		w.Header().Set(CRCHeader, fmt.Sprintf("%08x", crc32.ChecksumIEEE(raw)))
+	} else {
 		found := false
 		for _, sh := range m.Shards {
 			if sh.File == name {

@@ -156,6 +156,16 @@ func TestHTTPAPIEndToEnd(t *testing.T) {
 	if got := crc32.ChecksumIEEE(body); got != sh.CRC32 {
 		t.Errorf("shard %s: body CRC %08x, manifest says %08x", sh.File, got, sh.CRC32)
 	}
+	// The manifest's own response carries the CRC of its bytes.
+	resp, err = http.Get(jobURL + "/dataset/" + dataset.ManifestName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if got, want := resp.Header.Get(CRCHeader), fmt.Sprintf("%08x", crc32.ChecksumIEEE(body)); resp.StatusCode != http.StatusOK || got != want {
+		t.Errorf("manifest: status %d, %s = %q, want %q", resp.StatusCode, CRCHeader, got, want)
+	}
 	if resp := httpJSON(t, "GET", jobURL+"/dataset/nope.bin", "", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown shard: status %d, want 404", resp.StatusCode)
 	}
