@@ -180,15 +180,11 @@ func TestClientRejectsForgedServerFinished(t *testing.T) {
 	})
 	_, err := Client(cc, failClient(root), "h.com", 1)
 	<-done
+	// The possession proof in ServerHelloDone fails first: the scripted
+	// server holds no key and sends an empty body.
 	var he *HandshakeError
-	if !errors.As(err, &he) {
-		t.Fatalf("err = %v, want handshake error", err)
-	}
-	// The proof signature in ServerHelloDone fails first (the scripted
-	// server has no key), surfacing as a certificate failure; a fully
-	// forged transcript can also surface at Finished as FailParameters.
-	if he.Class != FailCertificate && he.Class != FailParameters {
-		t.Fatalf("class = %v, want certificate or parameters failure", he.Class)
+	if !errors.As(err, &he) || he.Class != FailCertificate || !errors.Is(err, certs.ErrSignature) {
+		t.Fatalf("err = %v, want a certificate failure caused by ErrSignature", err)
 	}
 }
 
