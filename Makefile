@@ -21,10 +21,15 @@ endif
 build:
 	$(GO) build ./...
 
-# vet also fails on formatting drift: any file gofmt would rewrite.
+# vet also fails on formatting drift: any file gofmt would rewrite. It
+# also guards the crypto boundary: Ed25519 signing and verification
+# belong to internal/certs (certificate signatures), so no other
+# non-test code can bring back a per-handshake signature.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'ed25519\.(Sign|Verify)' . | grep -v '^\./internal/certs/'); \
+		if [ -n "$$out" ]; then echo "ed25519.Sign/Verify outside internal/certs:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

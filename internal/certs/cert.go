@@ -3,7 +3,9 @@
 // binary encoding, Ed25519 signatures, CA hierarchies, chain building,
 // and the full validation pipeline the paper's attacks exercise
 // (signature, expiry, RFC 2818 hostname matching, and the
-// BasicConstraints extension from RFC 5280).
+// BasicConstraints extension from RFC 5280). It also owns the
+// possession proof a server makes over each handshake transcript
+// (proof.go), so the handshake engines call no Ed25519 primitive.
 //
 // The format deliberately mirrors the X.509 fields the study depends on
 // while replacing ASN.1 DER with a simple length-prefixed encoding. The
@@ -18,6 +20,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
+	"crypto/sha512"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -281,6 +284,11 @@ func contains(s string, c byte) bool {
 type KeyPair struct {
 	Cert *Certificate
 	Key  ed25519.PrivateKey
+
+	// proofKey is the MAC key Prove uses, shared by every copy of the
+	// pair. Only NewRootCA, Issue and Spoof set it, from the same seed
+	// as Key; a hand-built pair has none and cannot prove possession.
+	proofKey *[sha512.Size]byte
 }
 
 // Template carries the variable fields when issuing a certificate.
@@ -301,19 +309,62 @@ type Template struct {
 	MustStaple           bool
 }
 
-// deterministicKey derives an Ed25519 key pair from a seed string. The
-// simulation uses named seeds so that every run produces identical PKI
-// material, keeping all experiments reproducible.
-func deterministicKey(seed string) (ed25519.PublicKey, ed25519.PrivateKey) {
+// namedKey is the key material derived from one seed string.
+type namedKey struct {
+	pub   ed25519.PublicKey
+	priv  ed25519.PrivateKey
+	proof *[sha512.Size]byte
+}
+
+// keyCap bounds the derived-key table; when it is full, the table
+// starts over. Seeds name roots, hosts and spoof targets, never
+// connections: the 40-device catalog study derives keys from 872
+// distinct seeds, and a second study in the same process reuses them.
+const keyCap = 1 << 13
+
+// derivedKeys maps a seed to the key material deterministicKey derived
+// from it. It is process-wide on purpose: derivation is a pure function
+// of the seed, and the study re-derives the same seeds many times (each
+// MITM proxy forges the same per-host leaves under every spoofed root),
+// so sharing the result across studies changes nothing but cost. The
+// slices it hands out are never modified.
+var derivedKeys = struct {
+	sync.Mutex
+	m map[string]namedKey
+}{m: make(map[string]namedKey)}
+
+// deterministicKey derives an Ed25519 key pair and its proof key from a
+// seed string. The simulation uses named seeds so that every run
+// produces identical PKI material, keeping all experiments
+// reproducible.
+func deterministicKey(seed string) namedKey {
+	derivedKeys.Lock()
+	k, ok := derivedKeys.m[seed]
+	derivedKeys.Unlock()
+	if ok {
+		return k
+	}
 	sum := sha256.Sum256([]byte("iotls-key:" + seed))
-	priv := ed25519.NewKeyFromSeed(sum[:])
-	return priv.Public().(ed25519.PublicKey), priv
+	k.priv = ed25519.NewKeyFromSeed(sum[:])
+	k.pub = k.priv.Public().(ed25519.PublicKey)
+	proof := proofKeyOf(k.pub)
+	k.proof = &proof
+	derivedKeys.Lock()
+	defer derivedKeys.Unlock()
+	if prev, ok := derivedKeys.m[seed]; ok {
+		return prev // a concurrent derivation of the same seed won
+	}
+	if len(derivedKeys.m) >= keyCap {
+		clear(derivedKeys.m)
+	}
+	derivedKeys.m[seed] = k
+	return k
 }
 
 // NewRootCA creates a self-signed root CA. keySeed determines the key
 // deterministically; distinct seeds yield distinct keys.
 func NewRootCA(subject Name, serial uint64, notBefore, notAfter time.Time, keySeed string) KeyPair {
-	pub, priv := deterministicKey(keySeed)
+	k := deterministicKey(keySeed)
 	cert := &Certificate{
 		SerialNumber:          serial,
 		Subject:               subject,
@@ -323,16 +374,16 @@ func NewRootCA(subject Name, serial uint64, notBefore, notAfter time.Time, keySe
 		IsCA:                  true,
 		MaxPathLen:            -1,
 		BasicConstraintsValid: true,
-		PublicKey:             pub,
+		PublicKey:             k.pub,
 	}
-	cert.signAndSeal(priv)
-	return KeyPair{Cert: cert, Key: priv}
+	cert.signAndSeal(k.priv)
+	return KeyPair{Cert: cert, Key: k.priv, proofKey: k.proof}
 }
 
 // Issue creates a certificate from tmpl signed by the issuer pair.
 // keySeed determines the new certificate's key.
 func (issuer KeyPair) Issue(tmpl Template, keySeed string) KeyPair {
-	pub, priv := deterministicKey(keySeed)
+	k := deterministicKey(keySeed)
 	cert := &Certificate{
 		SerialNumber:          tmpl.SerialNumber,
 		Subject:               tmpl.Subject,
@@ -346,10 +397,10 @@ func (issuer KeyPair) Issue(tmpl Template, keySeed string) KeyPair {
 		OCSPServer:            tmpl.OCSPServer,
 		CRLServer:             tmpl.CRLServer,
 		MustStaple:            tmpl.MustStaple,
-		PublicKey:             pub,
+		PublicKey:             k.pub,
 	}
 	cert.signAndSeal(issuer.Key)
-	return KeyPair{Cert: cert, Key: priv}
+	return KeyPair{Cert: cert, Key: k.priv, proofKey: k.proof}
 }
 
 // Spoof builds a self-signed certificate imitating target: identical
@@ -358,7 +409,7 @@ func (issuer KeyPair) Issue(tmpl Template, keySeed string) KeyPair {
 // chain building against a root store that trusts target will find a
 // matching issuer entry, but signature verification must fail.
 func Spoof(target *Certificate, keySeed string) KeyPair {
-	pub, priv := deterministicKey(keySeed)
+	k := deterministicKey(keySeed)
 	cert := &Certificate{
 		SerialNumber:          target.SerialNumber,
 		Subject:               target.Subject,
@@ -368,10 +419,10 @@ func Spoof(target *Certificate, keySeed string) KeyPair {
 		IsCA:                  true,
 		MaxPathLen:            -1,
 		BasicConstraintsValid: true,
-		PublicKey:             pub,
+		PublicKey:             k.pub,
 	}
-	cert.signAndSeal(priv)
-	return KeyPair{Cert: cert, Key: priv}
+	cert.signAndSeal(k.priv)
+	return KeyPair{Cert: cert, Key: k.priv, proofKey: k.proof}
 }
 
 // --- deterministic binary encoding -----------------------------------

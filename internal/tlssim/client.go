@@ -2,7 +2,6 @@ package tlssim
 
 import (
 	"bytes"
-	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"io"
@@ -246,7 +245,7 @@ func (e PinMismatchError) Error() string {
 }
 
 // validateServerCert applies the configured validation mode and verifies
-// the server's possession proof (the transcript signature carried in
+// the server's possession proof (the transcript MAC carried in
 // ServerHelloDone) over proofInput.
 func validateServerCert(cfg *ClientConfig, chain []*certs.Certificate, serverName string, proof, proofInput []byte, stapled bool) error {
 	if len(chain) == 0 {
@@ -274,9 +273,8 @@ func validateServerCert(cfg *ClientConfig, chain []*certs.Certificate, serverNam
 			return PinMismatchError{Kind: "root", Got: anchor.Fingerprint()}
 		}
 	}
-	// Possession proof: the presenter must hold the leaf private key.
-	if len(chain[0].PublicKey) != ed25519.PublicKeySize ||
-		!ed25519.Verify(chain[0].PublicKey, proofInput, proof) {
+	// Possession proof: the presenter must hold the leaf key pair.
+	if !certs.CheckProof(chain[0].PublicKey, proofInput, proof) {
 		return certs.ErrSignature
 	}
 	// RFC 7633 must-staple: hard-fail when we asked for a staple, the
@@ -333,8 +331,8 @@ func keyExchangeMaterial(cr, sr [32]byte) []byte {
 	return out
 }
 
-// proofPrefix opens the possession-proof input: the server signs, and
-// the client verifies, proofPrefix followed by the transcript so far.
+// proofPrefix opens the possession-proof input: the server proves, and
+// the client checks, proofPrefix followed by the transcript so far.
 const proofPrefix = "iotls server proof:"
 
 // transcriptTail is the room a transcript leaves after the ClientHello.
@@ -344,7 +342,7 @@ const proofPrefix = "iotls server proof:"
 const transcriptTail = 1024
 
 // transcript accumulates the framed handshake messages both sides hash
-// into Finished and sign or verify as the possession proof. Its buffer
+// into Finished and prove or check as the possession proof. Its buffer
 // starts with proofPrefix, so the proof input is the buffer itself
 // rather than a prefixed copy of the transcript.
 type transcript struct{ buf []byte }

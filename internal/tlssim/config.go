@@ -284,8 +284,8 @@ type ServerConfig struct {
 	// Chain is the certificate chain to present, leaf first. The leaf's
 	// key must be Key.
 	Chain []*certs.Certificate
-	// Key is the leaf private key (used to prove possession; the
-	// simulation signs the transcript with it).
+	// Key is the leaf key pair, which proves possession with a MAC over
+	// the transcript (certs.KeyPair.Prove).
 	Key certs.KeyPair
 
 	// MinVersion and MaxVersion bound what the server negotiates.

@@ -158,8 +158,8 @@ func TestClientRejectsEmptyCertificateChain(t *testing.T) {
 }
 
 func TestClientRejectsForgedServerFinished(t *testing.T) {
-	// A full flight with a valid chain but garbage Finished data: the
-	// transcript binding must catch it.
+	// A full flight with a valid chain, no key and garbage Finished
+	// data: the possession proof must catch it first.
 	root, server := testPKI(t, "h.com")
 	cc, done := scriptedServer(t, func(conn net.Conn) {
 		sh := &wire.ServerHello{Version: ciphers.TLS12, CipherSuite: ciphers.TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256}

@@ -133,3 +133,21 @@ func TestReplayedChainWithoutKeyFailsSignature(t *testing.T) {
 		}
 	}
 }
+
+// TestKeylessPresenterFailsSignature serves a genuine chain from a key
+// pair built by hand around the leaf certificate. The server must not
+// crash, and the client must reject the proof it cannot make.
+func TestKeylessPresenterFailsSignature(t *testing.T) {
+	const host = "h.com"
+	root, server := testPKI(t, host)
+	scfg := defaultServer(root, server)
+	scfg.Key = certs.KeyPair{Cert: server.Cert}
+	_, err, res := handshake(t, defaultClient(root), scfg, host)
+	var he *HandshakeError
+	if !errors.As(err, &he) || he.Class != FailCertificate || !errors.Is(err, certs.ErrSignature) {
+		t.Fatalf("client err = %v, want a certificate failure caused by ErrSignature", err)
+	}
+	if res.ClientAlert == nil || res.ClientAlert.Description != ProfileOpenSSL.BadSignatureAlert {
+		t.Fatalf("server observed alert %v, want %v", res.ClientAlert, ProfileOpenSSL.BadSignatureAlert)
+	}
+}

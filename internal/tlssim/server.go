@@ -2,7 +2,6 @@ package tlssim
 
 import (
 	"bytes"
-	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"net"
@@ -141,10 +140,9 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 		return res
 	}
 
-	// ServerHelloDone carries the possession proof: an Ed25519 signature
-	// over the transcript so far, by the leaf key.
-	proof := ed25519.Sign(cfg.Key.Key, transcript.proofInput())
-	doneMsg := wire.Handshake{Type: wire.TypeServerHelloDone, Body: proof}
+	// ServerHelloDone carries the possession proof: the leaf key pair's
+	// MAC over the transcript so far.
+	doneMsg := wire.Handshake{Type: wire.TypeServerHelloDone, Body: cfg.Key.Prove(transcript.proofInput())}
 	transcript.add(doneMsg)
 	if err := wire.WriteHandshake(conn, recordVersion, doneMsg); err != nil {
 		res.Err = failure(FailIO, nil, err)
