@@ -24,12 +24,18 @@ build:
 # vet also fails on formatting drift: any file gofmt would rewrite. It
 # also guards the crypto boundary: Ed25519 signing and verification
 # belong to internal/certs (certificate signatures), so no other
-# non-test code can bring back a per-handshake signature.
+# non-test code can bring back a per-handshake signature. And it
+# guards the one passive entry point: only internal/core builds a
+# traffic generator (Study.RunPassive), so no non-test code can bring
+# back a second passive path that skips the study's window, phase
+# record or drain check.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'ed25519\.(Sign|Verify)' . | grep -v '^\./internal/certs/'); \
 		if [ -n "$$out" ]; then echo "ed25519.Sign/Verify outside internal/certs:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'traffic\.New\(' . | grep -v '^\./internal/core/'); \
+		if [ -n "$$out" ]; then echo "traffic.New outside internal/core (use Study.RunPassive):"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

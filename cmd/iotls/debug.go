@@ -21,9 +21,9 @@ import (
 var debugTelemetry atomic.Pointer[telemetry.Registry]
 
 // studyConfig accumulates the global flags (-parallel, -fault-seed,
-// -fault-profile, -window, -io-deadline) into one job-scoped study
-// config; every subcommand builds its testbed from it, the same way a
-// serve job builds from a submitted spec.
+// -fault-profile, -window, -no-trace, -fleet, -fleet-seed) into one
+// job-scoped study config; every subcommand builds its testbed from it,
+// the same way a serve job builds from a submitted spec.
 var studyConfig core.Config
 
 // armStudyConfig validates the global study flags into studyConfig.

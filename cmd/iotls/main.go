@@ -39,6 +39,13 @@
 //
 //	iotls -fault-seed 7 -fault-profile aggressive report
 //
+// The global -window flag (before the subcommand) narrows the passive
+// collection window of every subcommand that simulates it — passive,
+// export, metrics, report, capture — and is recorded as the dataset's
+// provenance:
+//
+//	iotls -window 2018-01..2018-02 metrics passive
+//
 // The global -debug-addr flag (before the subcommand) serves a live
 // runtime inspector — expvar at /debug/vars (including the study's
 // telemetry snapshot) and pprof at /debug/pprof/ — while the study
@@ -62,7 +69,6 @@ import (
 	"repro/internal/driver"
 	"repro/internal/guard"
 	"repro/internal/report"
-	"repro/internal/traffic"
 )
 
 func main() {
@@ -73,13 +79,11 @@ func main() {
 	faultSeed := global.Uint64("fault-seed", 0, "seed for the deterministic fault-injection plan (0 with no -fault-profile = faults off)")
 	faultProfile := global.String("fault-profile", "", "fault-injection profile: off, mild, or aggressive")
 	window := global.String("window", "", "passive collection window FROM..TO, e.g. 2018-01..2018-06 (default: the full study)")
-	ioDeadline := global.Duration("io-deadline", 0, "wall-clock safety-net deadline for post-handshake I/O (0 = the 5s default)")
 	noTrace := global.Bool("no-trace", false, "disable the causal trace tree (on by default; capture persists it as trace.bin)")
 	fleetN := global.Int("fleet", 0, "replace the 40-device catalog with a synthetic fleet of N seeded devices (trace-free)")
 	fleetSeed := global.Uint64("fleet-seed", 1, "sample seed for the synthetic fleet (with -fleet)")
 	global.Parse(os.Args[1:])
 	studyConfig.Parallelism = *parallel
-	studyConfig.IODeadline = *ioDeadline
 	studyConfig.NoTrace = *noTrace
 	studyConfig.FleetN = *fleetN
 	studyConfig.FleetSeed = *fleetSeed
@@ -188,7 +192,7 @@ commands:
   audit        grade every device's TLS offer via the audit service (§6)
   guard        boot all devices behind the gateway guard and report blocks (§6)
   metrics      run a phase (passive|active|probe|report) and print the
-               JSON telemetry report (-o file, -months N)
+               JSON telemetry report (-o file)
   trace        analyze a captured run's trace shard:
                  export -in DIR [-o FILE]  Chrome trace-event JSON
                                            (load in Perfetto / chrome://tracing)
@@ -213,12 +217,10 @@ flags:
                        (defaults the profile to mild when set alone)
   -fault-profile NAME  fault profile: off, mild, or aggressive
                        (defaults the seed to 1 when set alone)
-  -window FROM..TO     narrow the passive collection window
-                       (e.g. 2018-01..2018-06; default: full study)
-  -io-deadline D       wall-clock safety-net deadline for
-                       post-handshake I/O (default 5s; deterministic
-                       stalls from the fault plan stay the primary
-                       failure signal)
+  -window FROM..TO     narrow the passive collection window of
+                       passive, export, metrics, report, capture and
+                       coordinate (e.g. 2018-01..2018-06; default:
+                       full study)
   -no-trace            disable the causal trace tree (normally on;
                        capture persists it as trace.bin)
   -fleet N             replace the 40-device catalog with a synthetic
@@ -327,17 +329,10 @@ func runExport(args []string) error {
 	fs := flag.NewFlagSet("export", flag.ExitOnError)
 	out := fs.String("o", "observations.jsonl", "output file")
 	format := fs.String("format", "jsonl", "output format: jsonl or csv")
-	months := fs.Int("months", 27, "number of study months to simulate")
 	fs.Parse(args)
 
 	s := newStudy()
-	last := device.StudyStart
-	for i := 1; i < *months; i++ {
-		last = last.Next()
-	}
-	gen := traffic.New(s.Network, s.Registry, s.Collector, s.Clock)
-	gen.Parallelism = s.Workers()
-	if _, err := gen.Run(device.StudyStart, last); err != nil {
+	if _, err := s.RunPassive(); err != nil {
 		return err
 	}
 	f, err := os.Create(*out)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/device"
 	"repro/internal/telemetry"
 )
 
@@ -16,7 +15,6 @@ import (
 func runMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
 	out := fs.String("o", "", "also write the JSON report to this file")
-	months := fs.Int("months", 27, "study months to simulate (passive phase only)")
 	fs.Parse(args)
 	phase := "report"
 	if fs.NArg() > 0 {
@@ -29,11 +27,7 @@ func runMetrics(args []string) error {
 	s := newStudy()
 	switch phase {
 	case "passive":
-		last := device.StudyStart
-		for i := 1; i < *months; i++ {
-			last = last.Next()
-		}
-		if _, err := s.RunPassiveWindow(device.StudyStart, last); err != nil {
+		if _, err := s.RunPassive(); err != nil {
 			return err
 		}
 	case "active":

@@ -38,7 +38,11 @@ func TestRunMetricsPassive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rep := runMetricsCapture(t, "-months", "2", "passive")
+	var rep *telemetry.Report
+	withStudyConfig(t, smallWindow(t, "2018-01..2018-02"), func() error {
+		rep = runMetricsCapture(t, "passive")
+		return nil
+	})
 	if rep.Schema != telemetry.ReportSchema {
 		t.Fatalf("schema = %q, want %q", rep.Schema, telemetry.ReportSchema)
 	}

@@ -24,9 +24,9 @@ func main() {
 
 	// Three simulated months of passive collection. Every layer of the
 	// testbed reports into study.Telemetry as the traffic flows.
-	from := clock.Month{Year: 2018, Mon: 1}
-	to := clock.Month{Year: 2018, Mon: 3}
-	stats, err := study.RunPassiveWindow(from, to)
+	study.PassiveFrom = clock.Month{Year: 2018, Mon: 1}
+	study.PassiveTo = clock.Month{Year: 2018, Mon: 3}
+	stats, err := study.RunPassive()
 	if err != nil {
 		log.Fatal(err)
 	}

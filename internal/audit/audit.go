@@ -199,11 +199,10 @@ func NewService(nw *netem.Network, host string, ca certs.KeyPair) *Service {
 		DNSNames:     []string{host},
 	}, "audit-leaf-"+host)
 	cfg := &tlssim.ServerConfig{
-		Chain:            []*certs.Certificate{leaf.Cert, ca.Cert},
-		Key:              leaf,
-		HandshakeTimeout: 5 * time.Second,
-		MinVersion:       ciphers.SSL30, // accept anything: the point is to observe
-		MaxVersion:       ciphers.TLS13,
+		Chain:      []*certs.Certificate{leaf.Cert, ca.Cert},
+		Key:        leaf,
+		MinVersion: ciphers.SSL30, // accept anything: the point is to observe
+		MaxVersion: ciphers.TLS13,
 		CipherSuites: []ciphers.Suite{
 			ciphers.TLS_AES_128_GCM_SHA256,
 			ciphers.TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256,
@@ -228,7 +227,7 @@ func NewService(nw *netem.Network, host string, ca certs.KeyPair) *Service {
 		if res.Session != nil {
 			// Read the device's request (the transport is unbuffered;
 			// the client writes first), then answer with its grade.
-			res.Session.Conn.Conn.SetDeadline(time.Now().Add(nw.IODeadline()))
+			res.Session.Conn.Conn.SetDeadline(time.Now().Add(netem.DefaultIODeadline))
 			buf := make([]byte, 1024)
 			res.Session.Conn.Read(buf)
 			fmt.Fprintf(res.Session.Conn, "AUDIT %s\n", adv.Grade)

@@ -89,13 +89,10 @@ func (c *Cloud) addServer(host string, profile device.ServerProfile) {
 	}, "cloud-leaf-"+host)
 
 	cfg := &tlssim.ServerConfig{
-		Chain: []*certs.Certificate{leaf.Cert, c.CA.Cert},
-		Key:   leaf,
-		// Generous: honest clients always answer, and contention under
-		// the parallel engine must not flip a handshake's outcome.
-		HandshakeTimeout: 5 * time.Second,
-		OCSPStaple:       true,
-		Telemetry:        c.Network.Telemetry(),
+		Chain:      []*certs.Certificate{leaf.Cert, c.CA.Cert},
+		Key:        leaf,
+		OCSPStaple: true,
+		Telemetry:  c.Network.Telemetry(),
 	}
 	switch profile {
 	case device.SrvModernPFS:
@@ -170,7 +167,7 @@ func (c *Cloud) serveTLS(host string) netem.Handler {
 		defer sess.Close()
 		// Read the device's request and answer it.
 		buf := make([]byte, 1024)
-		sess.Conn.Conn.SetDeadline(time.Now().Add(c.Network.IODeadline()))
+		sess.Conn.Conn.SetDeadline(time.Now().Add(netem.DefaultIODeadline))
 		if _, err := sess.Conn.Read(buf); err != nil {
 			return
 		}
@@ -209,7 +206,7 @@ func (c *Cloud) SetForceVersion(host string, v ciphers.Version) bool {
 func (c *Cloud) registerResponders() {
 	c.Network.Listen(OCSPHost, 80, func(conn net.Conn, meta netem.ConnMeta) {
 		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(c.Network.IODeadline()))
+		conn.SetDeadline(time.Now().Add(netem.DefaultIODeadline))
 		buf := make([]byte, 256)
 		n, err := conn.Read(buf)
 		if err != nil || !strings.HasPrefix(string(buf[:n]), "OCSP-CHECK") {
@@ -223,7 +220,7 @@ func (c *Cloud) registerResponders() {
 	})
 	c.Network.Listen(CRLHost, 80, func(conn net.Conn, meta netem.ConnMeta) {
 		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(c.Network.IODeadline()))
+		conn.SetDeadline(time.Now().Add(netem.DefaultIODeadline))
 		buf := make([]byte, 256)
 		n, err := conn.Read(buf)
 		if err != nil || !strings.HasPrefix(string(buf[:n]), "CRL-FETCH") {

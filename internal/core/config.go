@@ -19,7 +19,7 @@ import (
 
 // Config describes one study job: everything that influences the
 // simulated reality (seed, faults, window, device subset) plus the
-// runtime knobs that must not (parallelism, I/O deadline).
+// runtime knob that must not (parallelism).
 type Config struct {
 	// Parallelism is the worker count for every parallelisable phase;
 	// zero or negative means GOMAXPROCS (resolved once per study).
@@ -33,7 +33,8 @@ type Config struct {
 	FaultProfile string
 
 	// WindowFrom/WindowTo narrow the passive collection window; the
-	// zero Month means the full study bound.
+	// zero Month means the full study bound. They become the study's
+	// PassiveFrom/PassiveTo, the only window any passive run uses.
 	WindowFrom, WindowTo clock.Month
 
 	// Devices restricts the testbed to the named device IDs (sharded
@@ -52,12 +53,6 @@ type Config struct {
 	// avoid, so NoTrace is implied.
 	FleetN    int
 	FleetSeed uint64
-
-	// IODeadline overrides the wall-clock I/O safety-net deadline the
-	// network applies to post-handshake reads and writes; zero keeps
-	// netem.DefaultIODeadline. It is a hang backstop, not the failure
-	// signal — deterministic stalls come from the fault plan.
-	IODeadline time.Duration
 
 	// NoTrace disables the causal trace tree. Tracing is on by default
 	// for the catalog (its spans are seeded off FaultSeed, so traces are
@@ -96,9 +91,6 @@ func (c Config) Validate() error {
 	if (c.WindowFrom != clock.Month{}) && (c.WindowTo != clock.Month{}) && c.WindowTo.Before(c.WindowFrom) {
 		return fmt.Errorf("core: passive window %s..%s is inverted", c.WindowFrom, c.WindowTo)
 	}
-	if c.IODeadline < 0 {
-		return fmt.Errorf("core: negative I/O deadline %s", c.IODeadline)
-	}
 	if c.FleetN < 0 || c.FleetN > fleet.MaxN {
 		return fmt.Errorf("core: fleet size %d outside 0..%d", c.FleetN, fleet.MaxN)
 	}
@@ -132,9 +124,6 @@ func NewStudyFromConfig(c Config) (*Study, error) {
 		// IDs are then a pure function of the config, like every other
 		// artifact.
 		s.SetTracer(trace.New(s.Clock, c.FaultSeed))
-	}
-	if c.IODeadline > 0 {
-		s.Network.SetIODeadline(c.IODeadline)
 	}
 	if len(c.Devices) > 0 {
 		if err := s.RestrictDevices(c.Devices); err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/capture"
 	"repro/internal/clock"
-	"repro/internal/netem"
 	"repro/internal/traffic"
 )
 
@@ -65,23 +64,23 @@ func TestConfigValidate(t *testing.T) {
 	if err := inverted.Validate(); err == nil || !strings.Contains(err.Error(), "inverted") {
 		t.Errorf("inverted window: err = %v", err)
 	}
-	if err := (Config{IODeadline: -time.Second}).Validate(); err == nil {
-		t.Error("negative I/O deadline validated")
-	}
 }
 
 // TestConfigFaultArming pins the CLI defaulting rules: a bare seed uses
 // the mild profile, a bare profile uses seed 1, both zero means off.
+// The plan is read back from the network, the copy that injects.
 func TestConfigFaultArming(t *testing.T) {
 	t.Parallel()
-	if s, err := NewStudyFromConfig(Config{}); err != nil || s.Faults != nil {
-		t.Errorf("clean config: faults = %v, err = %v", s.Faults, err)
+	if s, err := NewStudyFromConfig(Config{}); err != nil || s.Network.FaultPlan() != nil {
+		t.Errorf("clean config: faults = %v, err = %v", s.Network.FaultPlan(), err)
 	}
-	if s, err := NewStudyFromConfig(Config{FaultSeed: 7}); err != nil || s.Faults == nil {
-		t.Errorf("bare seed: faults = %v, err = %v", s.Faults, err)
+	if s, err := NewStudyFromConfig(Config{FaultSeed: 7}); err != nil || s.Network.FaultPlan() == nil ||
+		s.Network.FaultPlan().Seed() != 7 || s.Network.FaultPlan().Profile().Name != "mild" {
+		t.Errorf("bare seed: faults = %v, err = %v; want seed 7, mild", s.Network.FaultPlan(), err)
 	}
-	if s, err := NewStudyFromConfig(Config{FaultProfile: "mild"}); err != nil || s.Faults == nil {
-		t.Errorf("bare profile: faults = %v, err = %v", s.Faults, err)
+	if s, err := NewStudyFromConfig(Config{FaultProfile: "aggressive"}); err != nil || s.Network.FaultPlan() == nil ||
+		s.Network.FaultPlan().Seed() != 1 || s.Network.FaultPlan().Profile().Name != "aggressive" {
+		t.Errorf("bare profile: faults = %v, err = %v; want seed 1, aggressive", s.Network.FaultPlan(), err)
 	}
 	if _, err := NewStudyFromConfig(Config{Devices: []string{"no-such-device"}}); err == nil {
 		t.Error("unknown device subset built a study")
@@ -108,26 +107,6 @@ func TestConfigFleetRunsTraceFree(t *testing.T) {
 	}
 	if got := s.Fleet(); got.N != 0 {
 		t.Errorf("catalog Fleet().N = %d, want 0", got.N)
-	}
-}
-
-// TestConfigIODeadlineThreads pins that the config knob reaches the
-// network, and that zero keeps the default.
-func TestConfigIODeadlineThreads(t *testing.T) {
-	t.Parallel()
-	s, err := NewStudyFromConfig(Config{IODeadline: 250 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Network.IODeadline(); got != 250*time.Millisecond {
-		t.Errorf("IODeadline = %v, want 250ms", got)
-	}
-	s, err = NewStudyFromConfig(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Network.IODeadline(); got != netem.DefaultIODeadline {
-		t.Errorf("default IODeadline = %v, want %v", got, netem.DefaultIODeadline)
 	}
 }
 

@@ -73,8 +73,8 @@ func TestParallelStudyRace(t *testing.T) {
 	}
 	s := NewStudy()
 	s.Parallelism = 8
-	end := device.StudyStart.Next().Next()
-	if _, err := s.RunPassiveWindow(device.StudyStart, end); err != nil {
+	s.PassiveTo = device.StudyStart.Next().Next()
+	if _, err := s.RunPassive(); err != nil {
 		t.Fatalf("passive window: %v", err)
 	}
 	if _, err := s.CaptureActiveSnapshot(); err != nil {

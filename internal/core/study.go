@@ -57,13 +57,11 @@ type Study struct {
 	// runs sequentially because it retunes shared cloud endpoints.
 	Parallelism int
 
-	// Faults is the armed fault-injection plan (nil on a clean
-	// testbed). Arm it through SetFaultPlan so the network sees it too.
-	Faults *fault.Plan
-
-	// PassiveFrom/PassiveTo narrow RunAll's passive window; the zero
-	// Month means the full study bound (StudyStart/StudyEnd). Chaos
-	// runs use a short window to keep the fault matrix fast.
+	// PassiveFrom/PassiveTo bound the passive window RunPassive (and so
+	// RunAll) simulates; the zero Month means the full study bound
+	// (StudyStart/StudyEnd). NewStudyFromConfig fills them from the
+	// config's window. Window resolves them for both the simulation and
+	// the run provenance, so the window simulated is the window recorded.
 	PassiveFrom, PassiveTo clock.Month
 
 	// PhaseDone, when non-nil, is invoked after each study phase
@@ -156,9 +154,9 @@ func (s *Study) traceStudyRoot() *trace.Span {
 
 // SetFaultPlan arms deterministic fault injection across the testbed:
 // the network consults the plan on every dial, and the driver's
-// device-resilience policies activate.
+// device-resilience policies activate. The network holds the one copy
+// of the plan; read it back through Network.FaultPlan.
 func (s *Study) SetFaultPlan(p *fault.Plan) {
-	s.Faults = p
 	s.Network.SetFaultPlan(p)
 }
 
@@ -167,20 +165,10 @@ func (s *Study) SetFaultPlan(p *fault.Plan) {
 // rebuilds the same devices); N is zero for the 40-device catalog.
 func (s *Study) Fleet() fleet.Spec { return s.fleet }
 
-// Window returns the resolved passive-collection bounds of this study
-// (the dataset subsystem records them as run provenance).
-func (s *Study) Window() (from, to clock.Month) { return s.passiveWindow() }
-
-// RestrictDevices narrows the testbed to the named devices before any
-// phase runs — the sharded-fleet capture mode, where several processes
-// each capture a disjoint device subset and the datasets are merged
-// offline. Unknown IDs are an error.
-func (s *Study) RestrictDevices(ids []string) error {
-	return s.Registry.Subset(ids)
-}
-
-// passiveWindow resolves the RunAll passive bounds.
-func (s *Study) passiveWindow() (from, to clock.Month) {
+// Window resolves the passive-collection bounds of this study: the
+// window RunPassive simulates and the dataset subsystem records as run
+// provenance.
+func (s *Study) Window() (from, to clock.Month) {
 	from, to = s.PassiveFrom, s.PassiveTo
 	if (from == clock.Month{}) {
 		from = device.StudyStart
@@ -189,6 +177,14 @@ func (s *Study) passiveWindow() (from, to clock.Month) {
 		to = device.StudyEnd
 	}
 	return from, to
+}
+
+// RestrictDevices narrows the testbed to the named devices before any
+// phase runs — the sharded-fleet capture mode, where several processes
+// each capture a disjoint device subset and the datasets are merged
+// offline. Unknown IDs are an error.
+func (s *Study) RestrictDevices(ids []string) error {
+	return s.Registry.Subset(ids)
 }
 
 // NewStudy builds a fresh testbed with the gateway mirror armed.
@@ -237,15 +233,10 @@ func (s *Study) NameOf(id string) string {
 	return id
 }
 
-// RunPassive simulates the full two-year passive collection.
-func (s *Study) RunPassive() (*traffic.Stats, error) {
-	return s.RunPassiveWindow(device.StudyStart, device.StudyEnd)
-}
-
-// RunPassiveWindow simulates the passive collection over a custom
-// month window (a cheap subset of RunPassive for smoke runs and the
-// metrics subcommand).
-func (s *Study) RunPassiveWindow(from, to clock.Month) (stats *traffic.Stats, err error) {
+// RunPassive simulates the passive collection over the study's window
+// (PassiveFrom..PassiveTo; by default the full two-year study).
+func (s *Study) RunPassive() (stats *traffic.Stats, err error) {
+	from, to := s.Window()
 	err = s.phase("passive", func() error {
 		gen := traffic.New(s.Network, s.Registry, s.Collector, s.Clock)
 		gen.Parallelism = s.Workers()
@@ -465,7 +456,7 @@ func (s *Study) RunAll() (*Report, error) {
 
 	// Each phase records its own failure as a degradation, so RunAll
 	// keeps only the results.
-	rep.PassiveStats, _ = s.RunPassiveWindow(s.passiveWindow())
+	rep.PassiveStats, _ = s.RunPassive()
 
 	s.phase("passive_analysis", func() error {
 		if s.SpillMonth != nil {

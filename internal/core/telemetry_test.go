@@ -16,9 +16,9 @@ func TestTelemetryDeterminism(t *testing.T) {
 	}
 	run := func() (map[string]int64, map[string]int64) {
 		s := NewStudy()
-		to := clock.Month{Year: 2018, Mon: 3}
-		if _, err := s.RunPassiveWindow(clock.Month{Year: 2018, Mon: 1}, to); err != nil {
-			t.Fatalf("RunPassiveWindow: %v", err)
+		s.PassiveFrom, s.PassiveTo = clock.Month{Year: 2018, Mon: 1}, clock.Month{Year: 2018, Mon: 3}
+		if _, err := s.RunPassive(); err != nil {
+			t.Fatalf("RunPassive: %v", err)
 		}
 		snap := s.MetricsSnapshot()
 		counts := snap.DeterministicCounters()
@@ -58,7 +58,8 @@ func TestStudyPhaseSpans(t *testing.T) {
 		t.Skip("short mode")
 	}
 	s := NewStudy()
-	if _, err := s.RunPassiveWindow(clock.Month{Year: 2018, Mon: 1}, clock.Month{Year: 2018, Mon: 1}); err != nil {
+	s.PassiveFrom, s.PassiveTo = clock.Month{Year: 2018, Mon: 1}, clock.Month{Year: 2018, Mon: 1}
+	if _, err := s.RunPassive(); err != nil {
 		t.Fatal(err)
 	}
 	snap := s.MetricsSnapshot()

@@ -149,9 +149,9 @@ func runProvenance(s *core.Study, rep *core.Report) Run {
 		FleetN:     fl.N,
 		FleetSeed:  fl.Seed,
 	}
-	if s.Faults != nil {
-		run.FaultSeed = s.Faults.Seed()
-		run.FaultProfile = s.Faults.Profile().Name
+	if plan := s.Network.FaultPlan(); plan != nil {
+		run.FaultSeed = plan.Seed()
+		run.FaultProfile = plan.Profile().Name
 	}
 	for _, d := range s.Registry.Devices {
 		run.Devices = append(run.Devices, d.ID)

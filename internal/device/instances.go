@@ -1,8 +1,6 @@
 package device
 
 import (
-	"time"
-
 	"repro/internal/certs"
 	"repro/internal/ciphers"
 	"repro/internal/clock"
@@ -185,12 +183,6 @@ func mk(o tmplOpts) Template {
 			pf = []uint8{0}
 		}
 		return &tlssim.ClientConfig{
-			// Generous handshake timeout: deliberately silent servers
-			// fail the device's reads immediately via netem's stall
-			// signal, so the deadline only guards against bugs. It must
-			// be long enough that CPU contention under the parallel
-			// engine can never flip a live handshake's failure class.
-			HandshakeTimeout:       5 * time.Second,
 			Library:                o.lib,
 			MinVersion:             o.min,
 			MaxVersion:             o.max,

@@ -229,7 +229,7 @@ func finish(nw *netem.Network, out *Outcome, sess *tlssim.Session, dev *device.D
 	if _, err := io.WriteString(sess.Conn, dev.Payload(dst.Host)); err != nil {
 		return
 	}
-	sess.Conn.Conn.SetDeadline(time.Now().Add(nw.IODeadline()))
+	sess.Conn.Conn.SetDeadline(time.Now().Add(netem.DefaultIODeadline))
 	buf := make([]byte, 256)
 	n, err := sess.Conn.Read(buf)
 	if err == nil {

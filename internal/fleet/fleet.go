@@ -186,7 +186,6 @@ var validations = []tlssim.ValidationMode{
 func template(st stack, val tlssim.ValidationMode) device.Template {
 	return func(roots *certs.Pool, clk clock.Clock) *tlssim.ClientConfig {
 		return &tlssim.ClientConfig{
-			HandshakeTimeout:      5_000_000_000, // 5s, matching the catalog templates
 			Library:               st.lib,
 			MinVersion:            st.min,
 			MaxVersion:            st.max,

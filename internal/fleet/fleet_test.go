@@ -112,9 +112,9 @@ func fleetWindowRun(t testing.TB, n int) (int, int) {
 		spilled += len(obs) + len(revs)
 		return nil
 	}
-	stats, err := s.RunPassiveWindow(from, to)
+	stats, err := s.RunPassive()
 	if err != nil {
-		t.Fatalf("RunPassiveWindow: %v", err)
+		t.Fatalf("RunPassive: %v", err)
 	}
 	return stats.Handshakes, spilled
 }

@@ -311,15 +311,11 @@ func (p *Proxy) serveAttack(attack Attack, host string, chain []*certs.Certifica
 	tel.Counter("mitm.attacks").Inc()
 	tel.Counter("mitm.attacks." + attack.String()).Inc()
 	cfg := &tlssim.ServerConfig{
-		Chain: chain,
-		Key:   key,
-		// Generous: defended clients alert or close immediately, so the
-		// deadline only guards against bugs; it must be long enough
-		// that scheduling delays cannot flip a record's failure class.
-		HandshakeTimeout: 5 * time.Second,
-		Telemetry:        tel,
-		MinVersion:       ciphers.SSL30,
-		MaxVersion:       ciphers.TLS13,
+		Chain:      chain,
+		Key:        key,
+		Telemetry:  tel,
+		MinVersion: ciphers.SSL30,
+		MaxVersion: ciphers.TLS13,
 		CipherSuites: []ciphers.Suite{
 			ciphers.TLS_AES_128_GCM_SHA256,
 			ciphers.TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256,
@@ -345,7 +341,7 @@ func (p *Proxy) serveAttack(attack Attack, host string, chain []*certs.Certifica
 	tel.Counter("mitm.intercepted").Inc()
 	sess := res.Session
 	defer sess.Close()
-	sess.Conn.Conn.SetDeadline(time.Now().Add(p.nw.IODeadline()))
+	sess.Conn.Conn.SetDeadline(time.Now().Add(netem.DefaultIODeadline))
 	buf := make([]byte, 1024)
 	n, err := sess.Conn.Read(buf)
 	if err == nil {

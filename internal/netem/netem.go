@@ -107,10 +107,6 @@ type Network struct {
 	clk clock.Clock
 	tel *telemetry.Registry
 
-	// ioDeadline holds the configured application-I/O deadline in
-	// nanoseconds; zero means DefaultIODeadline.
-	ioDeadline atomic.Int64
-
 	mu              sync.RWMutex
 	listeners       map[string]Handler
 	tap             Tap
@@ -189,26 +185,6 @@ func (n *Network) endpointCounter(addr string) *telemetry.Counter {
 // Telemetry returns the network's metrics registry, the shared
 // observability surface of one testbed.
 func (n *Network) Telemetry() *telemetry.Registry { return n.tel }
-
-// SetIODeadline configures the testbed-wide application-I/O deadline
-// (values <= 0 restore DefaultIODeadline). One knob covers every
-// post-handshake read so a loaded CI box — or a serve process packing
-// many concurrent jobs onto one machine — can raise it in one place
-// instead of hitting spurious expiries the virtual clock never sees.
-func (n *Network) SetIODeadline(d time.Duration) {
-	if d <= 0 {
-		d = 0
-	}
-	n.ioDeadline.Store(int64(d))
-}
-
-// IODeadline returns the configured application-I/O deadline.
-func (n *Network) IODeadline() time.Duration {
-	if d := n.ioDeadline.Load(); d > 0 {
-		return time.Duration(d)
-	}
-	return DefaultIODeadline
-}
 
 // ErrNoRoute is returned by Dial when no listener serves the destination.
 var ErrNoRoute = errors.New("netem: no route to host")

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/capture"
-	"repro/internal/ciphers"
 	"repro/internal/core"
 )
 
@@ -120,33 +119,6 @@ func heatmapCSV(h *analysis.Heatmap) string {
 			}
 			fmt.Fprintf(&b, "%q,%s,%.4f\n", label, m, f)
 		}
-	}
-	return b.String()
-}
-
-// versionBands is kept for future per-band CSV exports of Figure 1.
-var versionBands = []ciphers.VersionBand{ciphers.Band13, ciphers.Band12, ciphers.BandOld}
-
-// Figure1CSV flattens Figure 1 (all bands, advertised and established).
-func Figure1CSV(fig *analysis.Figure1) string {
-	var b strings.Builder
-	b.WriteString("device,month,band,direction,fraction\n")
-	emit := func(hm *analysis.Heatmap, band ciphers.VersionBand, dir string) {
-		labels := append([]string(nil), hm.RowOrder...)
-		sort.Strings(labels)
-		for _, label := range labels {
-			for _, m := range hm.Months {
-				f := hm.Get(label, m)
-				if f < 0 {
-					continue
-				}
-				fmt.Fprintf(&b, "%q,%s,%s,%s,%.4f\n", label, m, band, dir, f)
-			}
-		}
-	}
-	for _, band := range versionBands {
-		emit(fig.Advertised[band], band, "advertised")
-		emit(fig.Established[band], band, "established")
 	}
 	return b.String()
 }

@@ -5,14 +5,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/capture"
-	"repro/internal/ciphers"
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/device"
 )
 
 func TestHeatmapCSV(t *testing.T) {
@@ -27,26 +23,6 @@ func TestHeatmapCSV(t *testing.T) {
 	}
 	if lines[1] != `"dev a",2018-01,0.5000` {
 		t.Fatalf("row = %q", lines[1])
-	}
-}
-
-func TestFigure1CSV(t *testing.T) {
-	store := capture.NewStore()
-	store.Add(&capture.Observation{
-		Device: "d", Host: "h", Port: 443,
-		Time:           device.StudyStart.Start().Add(time.Hour),
-		Weight:         10,
-		SawClientHello: true, SawServerHello: true, Established: true,
-		AdvertisedMax:     ciphers.TLS12,
-		NegotiatedVersion: ciphers.TLS12,
-	})
-	fig := analysis.BuildFigure1(store, func(s string) string { return s })
-	out := Figure1CSV(fig)
-	if !strings.Contains(out, `"d",2018-01,1.2,advertised,1.0000`) {
-		t.Fatalf("csv missing advertised row:\n%s", out)
-	}
-	if !strings.Contains(out, `"d",2018-01,1.2,established,1.0000`) {
-		t.Fatalf("csv missing established row:\n%s", out)
 	}
 }
 

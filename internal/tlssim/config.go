@@ -58,6 +58,14 @@ type RevocationMode struct {
 // Any reports whether any revocation mechanism is enabled.
 func (r RevocationMode) Any() bool { return r.CheckCRL || r.CheckOCSP || r.RequestStaple }
 
+// DefaultHandshakeTimeout bounds each flight wait of a client or server
+// config that leaves HandshakeTimeout zero. It is a safety net against
+// bugs, not a failure signal: deliberately silent peers fail reads at
+// once via netem's stall signal, and defended clients alert or close
+// immediately. It must be long enough that CPU contention under the
+// parallel engine can never flip a live handshake's failure class.
+const DefaultHandshakeTimeout = 5 * time.Second
+
 // Dialer opens auxiliary connections (OCSP/CRL fetches) on behalf of a
 // client. It matches netem.Network.Dial's shape.
 type Dialer func(srcHost, dstHost string, dstPort int) (net.Conn, error)
@@ -143,7 +151,7 @@ type ClientConfig struct {
 
 	// HandshakeTimeout bounds the wait for each server flight; an
 	// expired timeout is classified as an incomplete handshake.
-	// Defaults to 250ms.
+	// Defaults to DefaultHandshakeTimeout.
 	HandshakeTimeout time.Duration
 
 	// instance state shared across handshakes (failure counter).
@@ -192,7 +200,7 @@ func (c *ClientConfig) timeout() time.Duration {
 	if c.HandshakeTimeout > 0 {
 		return c.HandshakeTimeout
 	}
-	return 250 * time.Millisecond
+	return DefaultHandshakeTimeout
 }
 
 // offersTLS13 reports whether the configuration can negotiate TLS 1.3.
@@ -307,7 +315,7 @@ type ServerConfig struct {
 	OCSPStaple bool
 
 	// HandshakeTimeout bounds the wait for each client flight.
-	// Defaults to 250ms.
+	// Defaults to DefaultHandshakeTimeout.
 	HandshakeTimeout time.Duration
 
 	// Telemetry, when set, receives server-side handshake outcome
@@ -319,5 +327,5 @@ func (c *ServerConfig) timeout() time.Duration {
 	if c.HandshakeTimeout > 0 {
 		return c.HandshakeTimeout
 	}
-	return 250 * time.Millisecond
+	return DefaultHandshakeTimeout
 }
