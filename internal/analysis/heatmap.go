@@ -9,7 +9,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/clock"
@@ -115,9 +114,6 @@ func (h *Heatmap) Render() string {
 	b.WriteString("legend: ' '=no traffic  '.'=0  '1'-'9'=deciles  '#'=all\n")
 	return b.String()
 }
-
-// SortRows orders rows lexicographically (stable presentation).
-func (h *Heatmap) SortRows() { sort.Strings(h.RowOrder) }
 
 // MaxFraction returns the largest fraction in the row, ignoring gaps.
 func (h *Heatmap) MaxFraction(label string) float64 {

@@ -78,12 +78,6 @@ func (o *Observation) AdvertisesInsecure() bool {
 	return ciphers.AnyInsecure(o.AdvertisedSuites)
 }
 
-// AdvertisesStrong reports whether the ClientHello offered any strong
-// suite.
-func (o *Observation) AdvertisesStrong() bool {
-	return ciphers.AnyStrong(o.AdvertisedSuites)
-}
-
 // EstablishedInsecure reports whether the connection was established
 // with an insecure suite.
 func (o *Observation) EstablishedInsecure() bool {

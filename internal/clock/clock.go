@@ -29,14 +29,8 @@ func (Real) Now() time.Time { return time.Now() }
 // usable; construct with NewSimulated. Simulated is safe for concurrent
 // use.
 type Simulated struct {
-	mu     sync.RWMutex
-	now    time.Time
-	timers []*simTimer
-}
-
-type simTimer struct {
-	at time.Time
-	fn func(time.Time)
+	mu  sync.RWMutex
+	now time.Time
 }
 
 // NewSimulated returns a Simulated clock starting at the given instant.
@@ -51,8 +45,7 @@ func (s *Simulated) Now() time.Time {
 	return s.now
 }
 
-// Advance moves the clock forward by d, firing any callbacks scheduled
-// within the window in chronological order. Advancing by a negative
+// Advance moves the clock forward by d. Advancing by a negative
 // duration panics: virtual time never rewinds.
 func (s *Simulated) Advance(d time.Duration) {
 	if d < 0 {
@@ -61,58 +54,14 @@ func (s *Simulated) Advance(d time.Duration) {
 	s.AdvanceTo(s.Now().Add(d))
 }
 
-// AdvanceTo moves the clock forward to t, firing any callbacks scheduled
-// at or before t in chronological order. Moving backwards panics.
+// AdvanceTo moves the clock forward to t. Moving backwards panics.
 func (s *Simulated) AdvanceTo(t time.Time) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if t.Before(s.now) {
-		s.mu.Unlock()
 		panic(fmt.Sprintf("clock: AdvanceTo(%v) before current time %v", t, s.now))
 	}
-	for {
-		// Pop the earliest timer that is due.
-		idx := -1
-		for i, tm := range s.timers {
-			if !tm.at.After(t) && (idx == -1 || tm.at.Before(s.timers[idx].at)) {
-				idx = i
-			}
-		}
-		if idx == -1 {
-			break
-		}
-		tm := s.timers[idx]
-		s.timers = append(s.timers[:idx], s.timers[idx+1:]...)
-		if tm.at.After(s.now) {
-			s.now = tm.at
-		}
-		// Fire without the lock so callbacks may schedule more timers.
-		s.mu.Unlock()
-		tm.fn(tm.at)
-		s.mu.Lock()
-	}
 	s.now = t
-	s.mu.Unlock()
-}
-
-// Schedule registers fn to run when the clock reaches at. If at is not
-// after the current time, fn runs immediately (synchronously).
-func (s *Simulated) Schedule(at time.Time, fn func(time.Time)) {
-	s.mu.Lock()
-	if !at.After(s.now) {
-		now := s.now
-		s.mu.Unlock()
-		fn(now)
-		return
-	}
-	s.timers = append(s.timers, &simTimer{at: at, fn: fn})
-	s.mu.Unlock()
-}
-
-// PendingTimers reports how many scheduled callbacks have not yet fired.
-func (s *Simulated) PendingTimers() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.timers)
 }
 
 // Month identifies a calendar month, the unit of aggregation used by all

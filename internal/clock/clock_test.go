@@ -44,52 +44,6 @@ func TestSimulatedAdvanceToBackwardsPanics(t *testing.T) {
 	c.AdvanceTo(epoch.Add(-time.Hour))
 }
 
-func TestScheduleFiresInOrder(t *testing.T) {
-	c := NewSimulated(epoch)
-	var order []int
-	c.Schedule(epoch.Add(3*time.Hour), func(time.Time) { order = append(order, 3) })
-	c.Schedule(epoch.Add(1*time.Hour), func(time.Time) { order = append(order, 1) })
-	c.Schedule(epoch.Add(2*time.Hour), func(time.Time) { order = append(order, 2) })
-	c.Advance(4 * time.Hour)
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("callbacks fired out of order: %v", order)
-	}
-	if c.PendingTimers() != 0 {
-		t.Fatalf("PendingTimers = %d, want 0", c.PendingTimers())
-	}
-}
-
-func TestSchedulePastFiresImmediately(t *testing.T) {
-	c := NewSimulated(epoch)
-	fired := false
-	c.Schedule(epoch, func(time.Time) { fired = true })
-	if !fired {
-		t.Fatal("callback at current time did not fire immediately")
-	}
-}
-
-func TestScheduleDuringCallback(t *testing.T) {
-	c := NewSimulated(epoch)
-	var fired []string
-	c.Schedule(epoch.Add(time.Hour), func(at time.Time) {
-		fired = append(fired, "first")
-		c.Schedule(at.Add(time.Hour), func(time.Time) { fired = append(fired, "second") })
-	})
-	c.Advance(3 * time.Hour)
-	if len(fired) != 2 || fired[0] != "first" || fired[1] != "second" {
-		t.Fatalf("nested scheduling failed: %v", fired)
-	}
-}
-
-func TestScheduleNotYetDueStaysPending(t *testing.T) {
-	c := NewSimulated(epoch)
-	c.Schedule(epoch.Add(time.Hour), func(time.Time) { t.Fatal("should not fire") })
-	c.Advance(30 * time.Minute)
-	if c.PendingTimers() != 1 {
-		t.Fatalf("PendingTimers = %d, want 1", c.PendingTimers())
-	}
-}
-
 func TestConcurrentAdvanceAndNow(t *testing.T) {
 	c := NewSimulated(epoch)
 	var wg sync.WaitGroup

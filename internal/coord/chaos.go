@@ -40,9 +40,6 @@ func NewChaosProxy(name string, plan *fault.FabricPlan, inner http.Handler) *Cha
 // Dead reports whether the plan has killed this worker.
 func (p *ChaosProxy) Dead() bool { return p.dead.Load() }
 
-// Revive brings a killed worker back (tests the rejoin path).
-func (p *ChaosProxy) Revive() { p.dead.Store(false) }
-
 // Kill drops the worker immediately, independent of the plan — the
 // operator's kill -9 next to the plan's scheduled deaths.
 func (p *ChaosProxy) Kill() { p.dead.Store(true) }

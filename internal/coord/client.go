@@ -177,11 +177,13 @@ func (w *workerClient) ready(ctx context.Context) readiness {
 	}
 }
 
-// grantLease registers the coordinator with the worker.
-func (w *workerClient) grantLease(ctx context.Context, owner string, ttl time.Duration) (string, error) {
+// grantLease registers the coordinator with the worker for
+// serve.DefaultLeaseTTL: the worker reaps our jobs if we stop renewing
+// for that long.
+func (w *workerClient) grantLease(ctx context.Context, owner string) (string, error) {
 	var l serve.Lease
 	_, err := w.doJSON(ctx, http.MethodPost, "/leases",
-		map[string]any{"owner": owner, "ttl_ms": ttl.Milliseconds()}, &l, http.StatusCreated)
+		map[string]any{"owner": owner, "ttl_ms": serve.DefaultLeaseTTL.Milliseconds()}, &l, http.StatusCreated)
 	return l.ID, err
 }
 

@@ -22,10 +22,10 @@
 // failed or orphaned jobs requeue with the failing worker excluded;
 // transient HTTP and stream errors retry under capped exponential
 // backoff with deterministic jitter; stragglers are speculatively
-// re-executed (first completed attempt wins, losers are cancelled);
-// workers may join and leave mid-study; and when a device subset has
-// exhausted every worker the run degrades gracefully to a PARTIAL
-// merged dataset instead of failing outright.
+// re-executed (first completed attempt wins, losers are cancelled); a
+// lost worker that answers heartbeats again rejoins; and when a device
+// subset has exhausted every worker the run degrades gracefully to a
+// PARTIAL merged dataset instead of failing outright.
 package coord
 
 import (
@@ -47,12 +47,11 @@ import (
 
 // Options configure one coordinated study.
 type Options struct {
-	// Workers are the initial fleet's base URLs ("http://host:port").
-	// More can join mid-study via AddWorker.
+	// Workers are the fleet's base URLs ("http://host:port").
 	Workers []string
 
 	// Jobs is how many device-subset jobs the study splits into; 0
-	// means 2× the initial worker count (more jobs than workers smooths
+	// means 2× the worker count (more jobs than workers smooths
 	// imbalance and bounds how much one worker death costs).
 	Jobs int
 
@@ -69,37 +68,21 @@ type Options struct {
 	// Gzip compresses the merged output dataset's shards.
 	Gzip bool
 
-	// OutDir receives dataset/ and artifacts/. WorkDir holds fetched
-	// per-job datasets ("" means OutDir/work; removed after a clean run
-	// unless KeepWork).
+	// OutDir receives dataset/ and artifacts/, and holds fetched
+	// per-job datasets under work/ (removed after a clean run unless
+	// KeepWork).
 	OutDir   string
-	WorkDir  string
 	KeepWork bool
 
-	// HeartbeatInterval is the /readyz probe period; HeartbeatMisses is
-	// how many consecutive failed probes declare a worker lost.
-	// Defaults: 500ms, 3.
+	// HeartbeatInterval is the /readyz probe period. Default 500ms.
 	HeartbeatInterval time.Duration
-	HeartbeatMisses   int
-
-	// ProbeTimeout bounds one /readyz probe. It is deliberately much
-	// longer than the interval: a loaded single-core worker answers
-	// slowly but is not dead, while a killed worker's severed connection
-	// fails instantly — so a generous timeout costs detection latency
-	// only for hung-but-accepting workers. Default: max(4×interval, 2s).
-	ProbeTimeout time.Duration
-
-	// LeaseTTL is the worker-side lease duration (workers reap our jobs
-	// if we stop renewing for this long). Default 10s.
-	LeaseTTL time.Duration
 
 	// PollInterval is the remote job status poll period. Default 150ms.
 	PollInterval time.Duration
 
-	// Attempts/RetryBase/RetryCap bound the per-call HTTP retry loop
-	// and the per-shard fetch retry loop. Defaults 4, 50ms, 2s (see
+	// RetryBase/RetryCap shape the backoff of the per-call HTTP retry
+	// loop and the per-shard fetch retry loop. Defaults 50ms, 2s (see
 	// dataset.FetchOptions, the one retry policy both loops share).
-	Attempts  int
 	RetryBase time.Duration
 	RetryCap  time.Duration
 
@@ -107,9 +90,6 @@ type Options struct {
 	// an idle eligible worker. 0 means adaptive: 3× the median
 	// completed-job duration, once at least one job has completed.
 	SpeculateAfter time.Duration
-
-	// Client issues all worker HTTP calls; nil means a dedicated client.
-	Client *http.Client
 
 	// Telemetry receives coord.* counters; nil means a private registry.
 	Telemetry *telemetry.Registry
@@ -132,23 +112,8 @@ func (o Options) withDefaults() Options {
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = 500 * time.Millisecond
 	}
-	if o.HeartbeatMisses <= 0 {
-		o.HeartbeatMisses = 3
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 4 * o.HeartbeatInterval
-		if o.ProbeTimeout < 2*time.Second {
-			o.ProbeTimeout = 2 * time.Second
-		}
-	}
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = 10 * time.Second
-	}
 	if o.PollInterval <= 0 {
 		o.PollInterval = 150 * time.Millisecond
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{}
 	}
 	if o.Telemetry == nil {
 		o.Telemetry = telemetry.New(nil)
@@ -157,6 +122,19 @@ func (o Options) withDefaults() Options {
 		o.Logf = func(string, ...any) {}
 	}
 	return o
+}
+
+// heartbeatMisses is how many consecutive failed /readyz probes
+// declare a worker lost.
+const heartbeatMisses = 3
+
+// probeTimeout bounds one /readyz probe: max(4×interval, 2s). It is
+// deliberately much longer than the interval: a loaded single-core
+// worker answers slowly but is not dead, while a killed worker's
+// severed connection fails instantly — so a generous timeout costs
+// detection latency only for hung-but-accepting workers.
+func (o Options) probeTimeout() time.Duration {
+	return max(4*o.HeartbeatInterval, 2*time.Second)
 }
 
 // Result summarises one coordinated study.
@@ -191,7 +169,6 @@ const (
 	workerReady    = "ready"
 	workerDraining = "draining"
 	workerLost     = "lost"
-	workerLeaving  = "leaving"
 )
 
 type subJob struct {
@@ -215,7 +192,6 @@ type attempt struct {
 
 type workerState struct {
 	name    string
-	url     string
 	client  *workerClient
 	state   string
 	lease   string
@@ -232,8 +208,6 @@ const (
 	evSubmitted
 	evAttemptDone
 	evAttemptFailed
-	evWorkerJoin
-	evWorkerLeave
 )
 
 type event struct {
@@ -241,7 +215,6 @@ type event struct {
 	worker  *workerState
 	attempt *attempt
 	ready   readiness
-	url     string // evWorkerJoin / evWorkerLeave
 	jobID   string // evSubmitted
 	dir     string // evAttemptDone: fetched dataset dir
 	err     error
@@ -271,8 +244,7 @@ func New(opts Options) *Coordinator {
 		opts: o,
 		tel:  o.Telemetry,
 		retry: dataset.FetchOptions{
-			Client:    o.Client,
-			Attempts:  o.Attempts,
+			Client:    &http.Client{},
 			RetryBase: o.RetryBase,
 			RetryCap:  o.RetryCap,
 			Seed:      o.Config.FaultSeed,
@@ -285,19 +257,6 @@ func New(opts Options) *Coordinator {
 
 // Telemetry exposes the coordinator's registry (coord.* counters).
 func (c *Coordinator) Telemetry() *telemetry.Registry { return c.tel }
-
-// AddWorker registers a worker joining mid-study. Safe from any
-// goroutine while Run is active.
-func (c *Coordinator) AddWorker(url string) {
-	c.events <- event{kind: evWorkerJoin, url: url}
-}
-
-// RemoveWorker gracefully drains a worker out of the fleet: no new
-// dispatches; in-flight attempts finish. Safe from any goroutine while
-// Run is active.
-func (c *Coordinator) RemoveWorker(url string) {
-	c.events <- event{kind: evWorkerLeave, url: url}
-}
 
 // splitDevices resolves the study's device list (canonical registry
 // order, restricted by cfg.Devices when set) and cuts it into n
@@ -365,10 +324,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 			excluded: make(map[string]bool),
 		})
 	}
-	workDir := c.opts.WorkDir
-	if workDir == "" {
-		workDir = filepath.Join(c.opts.OutDir, "work")
-	}
+	workDir := filepath.Join(c.opts.OutDir, "work")
 	if err := os.MkdirAll(workDir, 0o755); err != nil {
 		return nil, fmt.Errorf("coord: work dir: %w", err)
 	}
@@ -391,7 +347,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 		}
 		select {
 		case ev := <-c.events:
-			c.handle(loopCtx, ev)
+			c.handle(ev)
 		case <-tick.C:
 			c.checkStragglers(loopCtx, workDir)
 		case <-ctx.Done():
@@ -429,7 +385,7 @@ func totalDevices(subsets [][]string) int {
 }
 
 // admitWorker creates the worker state and starts its monitor.
-func (c *Coordinator) admitWorker(ctx context.Context, url string) *workerState {
+func (c *Coordinator) admitWorker(ctx context.Context, url string) {
 	name := fmt.Sprintf("w%d", c.nextW)
 	c.nextW++
 	wc := &workerClient{
@@ -439,20 +395,19 @@ func (c *Coordinator) admitWorker(ctx context.Context, url string) *workerState 
 		tel:   c.tel,
 	}
 	mctx, stop := context.WithCancel(ctx)
-	w := &workerState{name: name, url: wc.base, client: wc, state: workerReady, stop: stop}
+	w := &workerState{name: name, client: wc, state: workerReady, stop: stop}
 	c.workers[w.name] = w
 	c.tel.Counter("coord.workers.joined").Inc()
 
 	// The lease is best-effort at admission: a worker that cannot grant
 	// one yet is still probed, and the first successful heartbeat
 	// registers it.
-	leaseCtx, cancel := context.WithTimeout(ctx, c.opts.ProbeTimeout)
-	if id, err := wc.grantLease(leaseCtx, "coordinator", c.opts.LeaseTTL); err == nil {
+	leaseCtx, cancel := context.WithTimeout(ctx, c.opts.probeTimeout())
+	if id, err := wc.grantLease(leaseCtx, "coordinator"); err == nil {
 		w.lease = id
 	}
 	cancel()
 	go c.monitor(mctx, w)
-	return w
 }
 
 // monitor probes one worker's readiness on the heartbeat interval and
@@ -466,13 +421,13 @@ func (c *Coordinator) monitor(ctx context.Context, w *workerState) {
 			return
 		case <-t.C:
 		}
-		probeCtx, cancel := context.WithTimeout(ctx, c.opts.ProbeTimeout)
+		probeCtx, cancel := context.WithTimeout(ctx, c.opts.probeTimeout())
 		rd := w.client.ready(probeCtx)
 		if rd.OK && w.lease != "" {
 			if !w.client.renewLease(probeCtx, w.lease) {
 				// The worker expired our lease (and reaped our jobs):
 				// re-register so future submissions are protected again.
-				if id, err := w.client.grantLease(probeCtx, "coordinator", c.opts.LeaseTTL); err == nil {
+				if id, err := w.client.grantLease(probeCtx, "coordinator"); err == nil {
 					w.lease = id
 				}
 			}
@@ -537,8 +492,8 @@ func (c *Coordinator) pickWorker(j *subJob) *workerState {
 }
 
 // anyHope reports whether some current worker could still run the job:
-// a non-excluded worker that is ready, draining (its in-flight work
-// may free it), or merely leaving-with-work. Lost workers offer none.
+// a non-excluded worker that is ready or draining (its in-flight work
+// may free it). Lost workers offer none.
 func (c *Coordinator) anyHope(j *subJob) bool {
 	for _, w := range c.workers {
 		if j.excluded[w.name] {
@@ -632,7 +587,7 @@ func dropAttempt(at *attempt) {
 }
 
 // handle applies one event to the loop state.
-func (c *Coordinator) handle(ctx context.Context, ev event) {
+func (c *Coordinator) handle(ev event) {
 	switch ev.kind {
 	case evHeartbeat:
 		c.handleHeartbeat(ev)
@@ -675,30 +630,16 @@ func (c *Coordinator) handle(ctx context.Context, ev event) {
 			c.tel.Counter("coord.jobs.requeued").Inc()
 		}
 		c.opts.Logf("job %d attempt on %s failed: %v", j.index, at.worker.name, ev.err)
-	case evWorkerJoin:
-		c.admitWorker(ctx, ev.url)
-		c.opts.Logf("worker joined: %s", ev.url)
-	case evWorkerLeave:
-		for _, w := range c.workers {
-			if w.url == strings.TrimRight(ev.url, "/") && w.state != workerLost {
-				w.state = workerLeaving
-				c.tel.Counter("coord.workers.left").Inc()
-				c.opts.Logf("worker leaving: %s", w.name)
-			}
-		}
 	}
 }
 
 // handleHeartbeat folds one probe result into the worker's health.
 func (c *Coordinator) handleHeartbeat(ev event) {
 	w := ev.worker
-	if w.state == workerLeaving {
-		return
-	}
 	if !ev.ready.OK {
 		w.misses++
 		c.tel.Counter("coord.heartbeat.misses").Inc()
-		if w.misses >= c.opts.HeartbeatMisses && w.state != workerLost {
+		if w.misses >= heartbeatMisses && w.state != workerLost {
 			w.state = workerLost
 			c.tel.Counter("coord.workers.lost").Inc()
 			c.opts.Logf("worker %s lost (%d consecutive missed heartbeats)", w.name, w.misses)

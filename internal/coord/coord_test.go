@@ -141,7 +141,6 @@ func fastOptions(cfg core.Config, workers []string, outDir string) Options {
 		Config:            cfg,
 		OutDir:            outDir,
 		HeartbeatInterval: 100 * time.Millisecond,
-		HeartbeatMisses:   3,
 		PollInterval:      50 * time.Millisecond,
 		RetryBase:         20 * time.Millisecond,
 		RetryCap:          200 * time.Millisecond,
@@ -327,44 +326,6 @@ func TestNoSpeculationStormOnInstantJobs(t *testing.T) {
 	c.checkStragglers(context.Background(), t.TempDir())
 	if got := counter(c.Telemetry(), "coord.speculative.launched"); got != 0 {
 		t.Fatalf("coord.speculative.launched = %d, want 0: instant jobs must not trigger speculation", got)
-	}
-}
-
-// TestCoordElasticJoinLeave pins mid-study fleet elasticity: a worker
-// joining after the study starts takes over the queue from a worker
-// asked to leave, and the run completes clean.
-func TestCoordElasticJoinLeave(t *testing.T) {
-	cfg := testConfig(t, "2018-01..2018-01")
-
-	fleet, err := SpawnLocalWorkers(2, LocalOptions{WorkDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer CloseLocalWorkers(fleet)
-
-	outDir := t.TempDir()
-	opts := fastOptions(cfg, URLs(fleet)[:1], outDir)
-	opts.Jobs = 3
-	c := New(opts)
-	// Queued before Run starts: the loop admits the join and drains the
-	// original worker after its first dispatch.
-	c.AddWorker(fleet[1].URL)
-	c.RemoveWorker(fleet[0].URL)
-	res, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Partial || res.Completed != 3 {
-		t.Fatalf("partial=%v completed=%d, want clean 3", res.Partial, res.Completed)
-	}
-	if got := res.JobsByWorker["w1"]; got < 2 {
-		t.Fatalf("joined worker w1 won %d jobs, want >= 2 (w0 left after at most one)", got)
-	}
-	if got := counter(c.Telemetry(), "coord.workers.joined"); got != 2 {
-		t.Fatalf("coord.workers.joined = %d, want 2", got)
-	}
-	if got := counter(c.Telemetry(), "coord.workers.left"); got != 1 {
-		t.Fatalf("coord.workers.left = %d, want 1", got)
 	}
 }
 

@@ -28,12 +28,13 @@ type LocalWorker struct {
 	tel *telemetry.Registry
 }
 
+// localQueueCap is each spawned worker's admission queue capacity.
+const localQueueCap = 16
+
 // LocalOptions shape a spawned fleet.
 type LocalOptions struct {
-	// Budget and QueueCap configure each worker's scheduler (defaults
-	// 4 and 16).
-	Budget   int
-	QueueCap int
+	// Budget is each worker's scheduler budget (default 4).
+	Budget int
 	// WorkDir is the parent for per-worker job directories.
 	WorkDir string
 	// Handler optionally wraps each worker's HTTP handler (index-aware),
@@ -51,9 +52,6 @@ func SpawnLocalWorkers(n int, opts LocalOptions) ([]*LocalWorker, error) {
 	if opts.Budget <= 0 {
 		opts.Budget = 4
 	}
-	if opts.QueueCap <= 0 {
-		opts.QueueCap = 16
-	}
 	var fleet []*LocalWorker
 	for i := 0; i < n; i++ {
 		w, err := spawnLocalWorker(i, opts)
@@ -68,7 +66,7 @@ func SpawnLocalWorkers(n int, opts LocalOptions) ([]*LocalWorker, error) {
 
 func spawnLocalWorker(i int, opts LocalOptions) (*LocalWorker, error) {
 	tel := telemetry.New(nil)
-	m, err := serve.NewManager(fmt.Sprintf("%s/worker-%d", opts.WorkDir, i), opts.Budget, opts.QueueCap, tel)
+	m, err := serve.NewManager(fmt.Sprintf("%s/worker-%d", opts.WorkDir, i), opts.Budget, localQueueCap, tel)
 	if err != nil {
 		return nil, fmt.Errorf("coord: spawn worker %d: %w", i, err)
 	}

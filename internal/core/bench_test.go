@@ -31,7 +31,12 @@ func benchStudy(b *testing.B, parallelism int, delay time.Duration) {
 		s := NewStudy()
 		s.Parallelism = parallelism
 		if delay > 0 {
-			s.Network.SetImpairment(netem.Impairment{DialDelay: delay})
+			// Registered before any experiment tap, so every dial
+			// pays the delay and then routes as usual.
+			s.Network.AddTap(func(netem.ConnMeta) netem.Handler {
+				time.Sleep(delay)
+				return nil
+			})
 		}
 		rep, err := s.RunAll()
 		if err != nil {

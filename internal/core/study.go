@@ -22,7 +22,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/driver"
 	"repro/internal/fault"
-	"repro/internal/fingerprint"
 	"repro/internal/fleet"
 	"repro/internal/mitm"
 	"repro/internal/netem"
@@ -608,7 +607,3 @@ func (r *Report) Render(s *Study) string {
 	}
 	return out
 }
-
-// FingerprintDB exposes the reference database (re-exported for
-// examples).
-func FingerprintDB() *fingerprint.DB { return device.ReferenceDB() }

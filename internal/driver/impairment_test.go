@@ -2,6 +2,9 @@ package driver
 
 import (
 	"errors"
+	"io"
+	"net"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ciphers"
@@ -9,6 +12,27 @@ import (
 	"repro/internal/netem"
 	"repro/internal/tlssim"
 )
+
+// dropEveryN models packet loss: a tap that black-holes every nth dial
+// counted from its registration. The peer accepts bytes but never
+// answers, so the client sees an incomplete handshake. Register it
+// before any experiment tap so it sees every dial. It returns the tap's
+// remove function and a count of the dials it dropped.
+func dropEveryN(nw *netem.Network, n int64) (remove func(), dropped func() int64) {
+	var dials, drops atomic.Int64
+	remove = nw.AddTap(func(netem.ConnMeta) netem.Handler {
+		if dials.Add(1)%n != 0 {
+			return nil
+		}
+		drops.Add(1)
+		return func(conn net.Conn, _ netem.ConnMeta) {
+			defer conn.Close()
+			conn.(netem.Staller).StallPeer()
+			io.Copy(io.Discard, conn)
+		}
+	})
+	return remove, drops.Load
+}
 
 func TestFlakyNetworkTriggersFallbackOrganically(t *testing.T) {
 	// The Table 5 behaviour exists to survive flaky networks — verify
@@ -18,9 +42,9 @@ func TestFlakyNetworkTriggersFallbackOrganically(t *testing.T) {
 	dev, _ := reg.Get("amazon-echo-plus")
 	dst := dev.BootDestinations()[0] // fallback-capable slot
 
-	nw.SetImpairment(netem.Impairment{DropEveryN: 1}) // every connection dies
+	remove, dropped := dropEveryN(nw, 1) // every connection dies
 	out := Connect(nw, dev, dst, device.ActiveSnapshot, 1)
-	nw.SetImpairment(netem.Impairment{})
+	remove()
 	if !out.UsedFallback {
 		t.Fatal("incomplete handshake did not trigger the fallback")
 	}
@@ -32,8 +56,8 @@ func TestFlakyNetworkTriggersFallbackOrganically(t *testing.T) {
 	if !errors.As(out.Err, &he) || he.Class != tlssim.FailIncomplete {
 		t.Fatalf("err = %v, want incomplete", out.Err)
 	}
-	if nw.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2 (primary + fallback)", nw.Dropped())
+	if got := dropped(); got != 2 {
+		t.Fatalf("dropped = %d, want 2 (primary + fallback)", got)
 	}
 }
 
@@ -44,8 +68,8 @@ func TestIntermittentLossRecovers(t *testing.T) {
 	// and fails; a device without fallback simply fails once.
 	nw, reg, _, _, _ := testbed(t)
 	nest, _ := reg.Get("nest-thermostat")
-	nw.SetImpairment(netem.Impairment{DropEveryN: 2})
-	defer nw.SetImpairment(netem.Impairment{})
+	remove, _ := dropEveryN(nw, 2)
+	defer remove()
 
 	// First connection passes (drop counter hits on the 2nd).
 	out := Connect(nw, nest, nest.Destinations[0], device.ActiveSnapshot, 1)

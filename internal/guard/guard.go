@@ -85,16 +85,15 @@ func New(nw *netem.Network, policy Policy) *Guard {
 	return &Guard{nw: nw, policy: policy}
 }
 
-// Install arms the guard as the network tap. Returns an uninstall
+// Install arms the guard as a network tap. Returns an uninstall
 // function.
 func (g *Guard) Install() func() {
-	g.nw.SetTap(func(meta netem.ConnMeta) netem.Handler {
+	return g.nw.AddTap(func(meta netem.ConnMeta) netem.Handler {
 		if meta.SrcHost == guardSource || meta.DstPort != 443 {
 			return nil
 		}
 		return g.relay
 	})
-	return func() { g.nw.SetTap(nil) }
 }
 
 // Incidents returns the blocked-connection log.

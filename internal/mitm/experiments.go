@@ -336,14 +336,9 @@ func (p *Proxy) ProbeOnceTraced(dev *device.Device, dst device.Destination, targ
 	return recs[0]
 }
 
-// ProbeArbitraryCA intercepts with an arbitrary self-signed CA (the
-// unknown-issuer control of §4.2).
-func (p *Proxy) ProbeArbitraryCA(dev *device.Device, dst device.Destination) ConnRecord {
-	return p.ProbeArbitraryCATraced(dev, dst, nil)
-}
-
-// ProbeArbitraryCATraced is ProbeArbitraryCA with the connection traced
-// under the device's span sp.
+// ProbeArbitraryCATraced intercepts with an arbitrary self-signed CA
+// (the unknown-issuer control of §4.2), tracing the connection under
+// the device's span sp.
 func (p *Proxy) ProbeArbitraryCATraced(dev *device.Device, dst device.Destination, sp *trace.Span) ConnRecord {
 	h := p.intercept(AttackNoValidation, dev.ID, dst.Host, nil)
 	defer h.stop()

@@ -204,23 +204,25 @@ func TestFaultCountersMatchPlan(t *testing.T) {
 	}
 }
 
-// TestFaultsBypassTaps checks reset/stall faults hijack before any
-// interception tap, like drops do.
+// TestFaultsBypassTaps checks reset and stall faults hijack before any
+// interception tap.
 func TestFaultsBypassTaps(t *testing.T) {
-	n, _ := newTestNetwork()
-	n.Listen("s.com", 443, echoHandler)
-	tapped := 0
-	n.SetTap(func(ConnMeta) Handler {
-		tapped++
-		return echoHandler
-	})
-	n.SetFaultPlan(fault.NewPlan(1, onlyKind(fault.KindReset)))
-	conn, err := n.Dial("d", "s.com", 443)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	if tapped != 0 {
-		t.Fatalf("tap consulted %d times on a reset connection", tapped)
+	for _, kind := range []fault.Kind{fault.KindReset, fault.KindStall} {
+		n, _ := newTestNetwork()
+		n.Listen("s.com", 443, echoHandler)
+		tapped := 0
+		n.AddTap(func(ConnMeta) Handler {
+			tapped++
+			return echoHandler
+		})
+		n.SetFaultPlan(fault.NewPlan(1, onlyKind(kind)))
+		conn, err := n.Dial("d", "s.com", 443)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		if tapped != 0 {
+			t.Fatalf("%v: tap consulted %d times on a faulted connection", kind, tapped)
+		}
 	}
 }

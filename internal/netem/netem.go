@@ -80,18 +80,6 @@ type Mirror interface {
 // to skip mirroring that connection.
 type MirrorFactory func(meta ConnMeta) Mirror
 
-// Impairment degrades the network deterministically — the testbed's
-// stand-in for flaky home WiFi. Zero values disable each effect.
-type Impairment struct {
-	// DialDelay adds connection-setup latency to every Dial.
-	DialDelay time.Duration
-	// DropEveryN black-holes every Nth connection (counting from the
-	// Nth): the peer accepts bytes but never answers, so clients
-	// experience an incomplete handshake — the trigger for the Table 5
-	// fallback behaviours in the wild.
-	DropEveryN int
-}
-
 // DefaultIODeadline is the wall-clock deadline applied to
 // post-handshake application reads across the testbed (driver replies,
 // cloud request handling, the mitm payload read, the audit exchange,
@@ -107,16 +95,11 @@ type Network struct {
 	clk clock.Clock
 	tel *telemetry.Registry
 
-	mu              sync.RWMutex
-	listeners       map[string]Handler
-	tap             Tap
-	taps            []*tapEntry
-	mirror          MirrorFactory
-	connCount       int
-	impairment      Impairment
-	dropped         int
-	droppedOrdinals []int
-	faults          *fault.Plan
+	mu        sync.RWMutex
+	listeners map[string]Handler
+	taps      []*tapEntry
+	mirror    MirrorFactory
+	faults    *fault.Plan
 
 	// handlers counts in-flight server handler goroutines, so barriers
 	// can join them before the virtual clock moves.
@@ -134,11 +117,11 @@ type Network struct {
 
 // hotCounters holds pre-resolved telemetry counters for the dial path.
 type hotCounters struct {
-	dials, dialsDropped, dialsTapped, dialsNoRoute *telemetry.Counter
-	faultsLatency, faultsDialFail, faultsReset     *telemetry.Counter
-	faultsStall, faultsTruncate, faultsCorrupt     *telemetry.Counter
-	mirrorConns, mirrorFrames                      *telemetry.Counter
-	mirrorClientBytes, mirrorServerBytes           *telemetry.Counter
+	dials, dialsTapped, dialsNoRoute           *telemetry.Counter
+	faultsLatency, faultsDialFail, faultsReset *telemetry.Counter
+	faultsStall, faultsTruncate, faultsCorrupt *telemetry.Counter
+	mirrorConns, mirrorFrames                  *telemetry.Counter
+	mirrorClientBytes, mirrorServerBytes       *telemetry.Counter
 }
 
 // tapEntry is one AddTap registration, boxed so the remove closure can
@@ -155,7 +138,6 @@ func New(clk clock.Clock) *Network {
 	n := &Network{clk: clk, tel: telemetry.New(clk), listeners: make(map[string]Handler)}
 	n.hot = hotCounters{
 		dials:             n.tel.Counter("netem.dials"),
-		dialsDropped:      n.tel.Counter("netem.dials.dropped"),
 		dialsTapped:       n.tel.Counter("netem.dials.tapped"),
 		dialsNoRoute:      n.tel.Counter("netem.dials.no_route"),
 		faultsLatency:     n.tel.Counter("netem.faults.latency"),
@@ -204,19 +186,9 @@ func (n *Network) Unlisten(host string, port int) {
 	delete(n.listeners, fmt.Sprintf("%s:%d", host, port))
 }
 
-// SetTap installs the gateway interception hook (nil disables). It is
-// the single designated tap slot; independent taps that must coexist —
-// concurrent per-device experiments — use AddTap instead.
-func (n *Network) SetTap(t Tap) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.tap = t
-}
-
-// AddTap registers an additional interception hook and returns its
-// remove function. Taps are consulted in registration order (after the
-// SetTap slot); the first one returning a non-nil handler hijacks the
-// connection. Taps filtering on disjoint sources compose, which is what
+// AddTap registers a gateway interception hook and returns its remove
+// function. Taps are consulted in registration order; the first one
+// returning a non-nil handler hijacks the connection. Taps filtering on disjoint sources compose, which is what
 // lets active experiments against different devices run concurrently.
 func (n *Network) AddTap(t Tap) (remove func()) {
 	e := &tapEntry{tap: t}
@@ -240,38 +212,6 @@ func (n *Network) SetMirror(f MirrorFactory) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.mirror = f
-}
-
-// ConnCount reports how many connections have been opened since creation.
-func (n *Network) ConnCount() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.connCount
-}
-
-// SetImpairment configures network degradation (zero value disables).
-func (n *Network) SetImpairment(imp Impairment) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.impairment = imp
-}
-
-// Dropped reports how many connections the impairment has black-holed.
-func (n *Network) Dropped() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.dropped
-}
-
-// DroppedOrdinals returns the global connection ordinals (1-based
-// ConnCount positions) the impairment black-holed, in drop order. The
-// ordinal set is a function of DropEveryN alone, so it is identical at
-// any worker count even though which logical dial lands on an ordinal
-// is scheduling-dependent.
-func (n *Network) DroppedOrdinals() []int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return append([]int(nil), n.droppedOrdinals...)
 }
 
 // SetFaultPlan arms (or, with nil, disarms) deterministic fault
@@ -316,62 +256,38 @@ func (n *Network) Dial(srcHost, dstHost string, dstPort int) (net.Conn, error) {
 }
 
 // DialTraced is Dial with a parent trace span: the gateway records any
-// impairment drop or injected fault as a "fault" child span of the
-// connection attempt, and threads the span to the mirror through
-// ConnMeta so capture writes join the same subtree.
+// injected fault as a "fault" child span of the connection attempt, and
+// threads the span to the mirror through ConnMeta so capture writes
+// join the same subtree.
 func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Span) (net.Conn, error) {
 	meta := ConnMeta{SrcHost: srcHost, DstHost: dstHost, DstPort: dstPort, At: n.clk.Now(), Trace: sp}
 	meta.addr = meta.DstHost + ":" + strconv.Itoa(meta.DstPort)
 
-	n.mu.Lock()
-	n.connCount++
-	tap := n.tap
+	n.mu.RLock()
 	taps := append([]*tapEntry(nil), n.taps...)
 	mirror := n.mirror
 	handler := n.listeners[meta.Addr()]
-	imp := n.impairment
 	plan := n.faults
-	drop := imp.DropEveryN > 0 && n.connCount%imp.DropEveryN == 0
-	if drop {
-		n.dropped++
-		n.droppedOrdinals = append(n.droppedOrdinals, n.connCount)
-	}
-	n.mu.Unlock()
+	n.mu.RUnlock()
 
 	n.hot.dials.Inc()
 	n.endpointCounter(meta.addr).Inc()
 
-	// Fault decisions are keyed by (src, dst, per-key ordinal), so
-	// dropped dials must not consume an ordinal — DropEveryN assignment
-	// is global-scheduling-dependent at >1 workers, and letting it
-	// shift the per-key sequence would desynchronize the plan.
 	var dec fault.Decision
-	if plan != nil && !drop {
+	if plan != nil {
 		dec = plan.Decide(srcHost, meta.Addr(), meta.At)
 	}
 
 	// Record what the gateway is about to do to this attempt as fault
 	// spans, before the effects land, so even a refused dial carries its
 	// cause in the trace tree.
-	if drop {
-		sp.Child("fault", "drop").End("injected")
-	}
 	for _, detail := range dec.TraceDetails() {
 		sp.Child("fault", detail).End("injected")
 	}
 
-	if imp.DialDelay > 0 {
-		time.Sleep(imp.DialDelay)
-	}
 	if dec.Delay > 0 {
 		n.hot.faultsLatency.Inc()
 		time.Sleep(dec.Delay)
-	}
-	if drop {
-		n.hot.dialsDropped.Inc()
-		handler = blackHole
-		tap = nil
-		taps = nil
 	}
 	switch dec.Kind {
 	case fault.KindDialFail:
@@ -379,38 +295,24 @@ func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Spa
 		return nil, fmt.Errorf("%w: connection to %s refused", fault.ErrInjected, meta.Addr())
 	case fault.KindReset:
 		// The reset and stall faults hijack the connection before
-		// routing, like a drop: neither the destination nor any
-		// interception tap sees it (the mirror still does — partial
-		// handshakes are signal for the sniffer).
+		// routing: neither the destination nor any interception tap
+		// sees it (the mirror still does — partial handshakes are
+		// signal for the sniffer).
 		n.hot.faultsReset.Inc()
 		handler = resetAfterHello
-		tap = nil
 		taps = nil
 	case fault.KindStall:
 		n.hot.faultsStall.Inc()
 		handler = blackHole
-		tap = nil
 		taps = nil
 	}
 
-	hijacked := false
-	if tap != nil {
-		if h := tap(meta); h != nil {
-			handler = h
-			hijacked = true
-		}
-	}
 	for _, e := range taps {
-		if hijacked {
-			break
-		}
 		if h := e.tap(meta); h != nil {
 			handler = h
-			hijacked = true
+			n.hot.dialsTapped.Inc()
+			break
 		}
-	}
-	if hijacked {
-		n.hot.dialsTapped.Inc()
 	}
 	if handler == nil {
 		n.hot.dialsNoRoute.Inc()
@@ -420,11 +322,11 @@ func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Spa
 	clientSide, serverSide := net.Pipe()
 	st := &stallState{peer: clientSide}
 	var client net.Conn = &stallConn{
-		Conn: &addrConn{Conn: clientSide, local: hostAddr(srcHost), remote: hostAddr(meta.Addr())},
+		Conn: &addrConn{Conn: clientSide, local: hostAddr(srcHost), remote: hostAddr(meta.Addr()), peer: serverSide},
 		st:   st,
 	}
 	server := &serverConn{
-		Conn: &addrConn{Conn: serverSide, local: hostAddr(meta.Addr()), remote: hostAddr(srcHost)},
+		Conn: &addrConn{Conn: serverSide, local: hostAddr(meta.Addr()), remote: hostAddr(srcHost), peer: clientSide},
 		st:   st,
 	}
 
@@ -476,10 +378,23 @@ func (h hostAddr) String() string  { return string(h) }
 type addrConn struct {
 	net.Conn
 	local, remote net.Addr
+	peer          net.Conn // the other raw pipe end
 }
 
 func (c *addrConn) LocalAddr() net.Addr  { return c.local }
 func (c *addrConn) RemoteAddr() net.Addr { return c.remote }
+
+// Close clears both ends' deadlines before closing. A pipe deadline is a
+// runtime timer whose callback holds the pipe, and a pipe refuses
+// SetDeadline once either end has closed — so without this, every end
+// closed with a deadline armed stays live until its timer fires. Once
+// this end closes, the peer's reads and writes fail on the close
+// whatever their deadline, so clearing it changes no outcome.
+func (c *addrConn) Close() error {
+	c.Conn.SetDeadline(time.Time{})
+	c.peer.SetDeadline(time.Time{})
+	return c.Conn.Close()
+}
 
 // Staller is implemented by the server side of every dialed connection.
 // A handler that intends never to answer again calls StallPeer, which

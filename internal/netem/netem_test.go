@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -119,7 +120,7 @@ func TestTapHijacksConnection(t *testing.T) {
 		defer conn.Close()
 		conn.Write([]byte("real"))
 	})
-	n.SetTap(func(meta ConnMeta) Handler {
+	n.AddTap(func(meta ConnMeta) Handler {
 		if meta.DstHost == "real.com" {
 			return func(conn net.Conn, _ ConnMeta) {
 				defer conn.Close()
@@ -146,7 +147,7 @@ func TestTapPassthrough(t *testing.T) {
 		defer conn.Close()
 		conn.Write([]byte("real"))
 	})
-	n.SetTap(func(ConnMeta) Handler { return nil })
+	n.AddTap(func(ConnMeta) Handler { return nil })
 	conn, err := n.Dial("dev", "real.com", 443)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +164,7 @@ func TestTapCanServeUnroutedDestination(t *testing.T) {
 	// An interceptor can answer for destinations with no real listener
 	// (as mitmproxy does for any SNI).
 	n, _ := newTestNetwork()
-	n.SetTap(func(ConnMeta) Handler {
+	n.AddTap(func(ConnMeta) Handler {
 		return func(conn net.Conn, _ ConnMeta) { conn.Close() }
 	})
 	conn, err := n.Dial("dev", "no-listener.com", 443)
@@ -262,8 +263,8 @@ func TestConnCount(t *testing.T) {
 	}
 	// Failed dials also count (the device attempted a connection).
 	n.Dial("d", "missing.com", 443)
-	if got := n.ConnCount(); got != 4 {
-		t.Fatalf("ConnCount = %d, want 4", got)
+	if got := n.Telemetry().Counter("netem.dials").Value(); got != 4 {
+		t.Fatalf("netem.dials = %d, want 4", got)
 	}
 }
 
@@ -287,8 +288,8 @@ func TestConcurrentDials(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n.ConnCount() != 16 {
-		t.Fatalf("ConnCount = %d", n.ConnCount())
+	if got := n.Telemetry().Counter("netem.dials").Value(); got != 16 {
+		t.Fatalf("netem.dials = %d", got)
 	}
 }
 
@@ -311,5 +312,52 @@ func TestDeadlinesPropagate(t *testing.T) {
 	var ne net.Error
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Fatalf("err = %v, want timeout", err)
+	}
+}
+
+// TestClosedConnsReleaseDeadlines checks that closing a dialed
+// connection frees both pipe ends even when each still has a deadline
+// armed. A pipe deadline is a runtime timer holding its pipe, so
+// without the clear on Close every pair would stay live until its
+// timers fired, minutes from now.
+func TestClosedConnsReleaseDeadlines(t *testing.T) {
+	const pairs = 10000
+	n, _ := newTestNetwork()
+	armed := make(chan struct{})
+	n.Listen("s.com", 443, func(conn net.Conn, _ ConnMeta) {
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Minute))
+		armed <- struct{}{}
+		buf := make([]byte, 1)
+		for {
+			if _, err := conn.Read(buf); err != nil {
+				return
+			}
+		}
+	})
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < pairs; i++ {
+		conn, err := n.Dial("d", "s.com", 443)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Minute))
+		<-armed
+		conn.Close()
+	}
+	n.WaitHandlers()
+	after := heap()
+	var retained uint64
+	if after > before {
+		retained = after - before
+	}
+	if retained > 2<<20 {
+		t.Fatalf("%d closed pairs retain %.1f MiB of heap, want < 2 MiB", pairs, float64(retained)/(1<<20))
 	}
 }

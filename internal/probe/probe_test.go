@@ -1,6 +1,9 @@
 package probe
 
 import (
+	"io"
+	"net"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/clock"
@@ -134,6 +137,24 @@ func TestVerdictString(t *testing.T) {
 	}
 }
 
+// dropEveryN models packet loss: a tap that black-holes every nth dial
+// counted from its registration, so the probe sees no alert and the
+// trial stays inconclusive. Register it before the interceptor's taps
+// so it sees every dial. It returns the tap's remove function.
+func dropEveryN(nw *netem.Network, n int64) (remove func()) {
+	var dials atomic.Int64
+	return nw.AddTap(func(netem.ConnMeta) netem.Handler {
+		if dials.Add(1)%n != 0 {
+			return nil
+		}
+		return func(conn net.Conn, _ netem.ConnMeta) {
+			defer conn.Close()
+			conn.(netem.Staller).StallPeer()
+			io.Copy(io.Discard, conn)
+		}
+	})
+}
+
 func TestMajorityVotingSurvivesPacketLoss(t *testing.T) {
 	// Under packet loss some probe attempts are black-holed (no alert,
 	// inconclusive); with three repeats per CA the majority vote still
@@ -149,8 +170,7 @@ func TestMajorityVotingSurvivesPacketLoss(t *testing.T) {
 	dev, _ := reg.Get("amazon-echo-dot-3")
 
 	// Drop roughly every 5th connection.
-	nw.SetImpairment(netem.Impairment{DropEveryN: 5})
-	defer nw.SetImpairment(netem.Impairment{})
+	defer dropEveryN(nw, 5)()
 
 	rep, err := p.Explore(dev)
 	if err != nil {
@@ -178,8 +198,7 @@ func TestSingleTrialUnderLossDegrades(t *testing.T) {
 	cloud.New(nw, reg)
 	p := New(mitm.NewProxy(nw, reg.Universe), reg)
 	dev, _ := reg.Get("amazon-echo-dot-3")
-	nw.SetImpairment(netem.Impairment{DropEveryN: 5})
-	defer nw.SetImpairment(netem.Impairment{})
+	defer dropEveryN(nw, 5)()
 	rep, err := p.Explore(dev)
 	if err != nil {
 		t.Fatal(err)
@@ -204,8 +223,7 @@ func TestFallbackRetryRescuesDroppedProbes(t *testing.T) {
 	cloud.New(nw, reg)
 	p := New(mitm.NewProxy(nw, reg.Universe), reg)
 	dev, _ := reg.Get("google-home-mini")
-	nw.SetImpairment(netem.Impairment{DropEveryN: 5})
-	defer nw.SetImpairment(netem.Impairment{})
+	defer dropEveryN(nw, 5)()
 	rep, err := p.Explore(dev)
 	if err != nil {
 		t.Fatal(err)

@@ -193,7 +193,7 @@ func (s *Server) jobEvents(w http.ResponseWriter, r *http.Request) {
 			// Re-arm the write deadline per event: a coordinator that
 			// stalled mid-stream gets its connection cut instead of
 			// pinning this goroutine for the job's lifetime.
-			s.extendWriteDeadline(w)
+			extendWriteDeadline(w)
 			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Type, data)
 			after = ev.ID
 			s.m.proc.Counter("serve.events.sent").Inc()

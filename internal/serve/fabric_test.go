@@ -149,8 +149,7 @@ func TestLeaseExpiryReapsOrphans(t *testing.T) {
 }
 
 // TestReadyzSplitsFromLivez pins the readiness/liveness split: a
-// draining worker stays live (200 on /livez, 200 on legacy /healthz)
-// but stops being ready (503 + queue depth on /readyz), which is what
+// draining worker stays live (200 on /livez) but stops being ready (503 + queue depth on /readyz), which is what
 // steers a coordinator away from it.
 func TestReadyzSplitsFromLivez(t *testing.T) {
 	m, _ := newTestManager(t, 2, 4)
@@ -177,10 +176,6 @@ func TestReadyzSplitsFromLivez(t *testing.T) {
 	resp = httpJSON(t, http.MethodGet, srv.URL+"/livez", "", &h)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("draining livez: %d, want 200", resp.StatusCode)
-	}
-	resp = httpJSON(t, http.MethodGet, srv.URL+"/healthz", "", &h)
-	if resp.StatusCode != http.StatusOK || h.Status != "draining" {
-		t.Fatalf("draining healthz: %d %q, want 200 draining", resp.StatusCode, h.Status)
 	}
 }
 

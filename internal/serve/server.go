@@ -33,14 +33,13 @@ const DefaultWriteTimeout = 30 * time.Second
 
 // Server is the HTTP face of a Manager.
 type Server struct {
-	m            *Manager
-	mux          *http.ServeMux
-	writeTimeout time.Duration
+	m   *Manager
+	mux *http.ServeMux
 }
 
 // NewServer wires the API routes around m.
 func NewServer(m *Manager) *Server {
-	s := &Server{m: m, mux: http.NewServeMux(), writeTimeout: DefaultWriteTimeout}
+	s := &Server{m: m, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /jobs", s.submitJob)
 	s.mux.HandleFunc("GET /jobs", s.listJobs)
 	s.mux.HandleFunc("GET /jobs/{id}", s.getJob)
@@ -55,44 +54,35 @@ func NewServer(m *Manager) *Server {
 	s.mux.HandleFunc("DELETE /leases/{id}", s.releaseLease)
 	s.mux.HandleFunc("GET /metrics", s.processMetrics)
 	s.mux.HandleFunc("GET /metrics/jobs/{id}", s.jobMetrics)
-	s.mux.HandleFunc("GET /healthz", s.healthz)
 	s.mux.HandleFunc("GET /livez", s.livez)
 	s.mux.HandleFunc("GET /readyz", s.readyz)
 	return s
 }
 
-// SetWriteTimeout overrides the per-write stall bound (0 disables it;
-// tests that pause mid-stream use that).
-func (s *Server) SetWriteTimeout(d time.Duration) { s.writeTimeout = d }
-
 // extendWriteDeadline pushes the response connection's write deadline
-// writeTimeout into the future; unsupported writers (test recorders)
-// are left alone.
-func (s *Server) extendWriteDeadline(w http.ResponseWriter) {
-	if s.writeTimeout <= 0 {
-		return
-	}
-	http.NewResponseController(w).SetWriteDeadline(time.Now().Add(s.writeTimeout))
+// DefaultWriteTimeout into the future; unsupported writers (test
+// recorders) are left alone.
+func extendWriteDeadline(w http.ResponseWriter) {
+	http.NewResponseController(w).SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 }
 
 // deadlineWriter re-arms the write deadline ahead of every chunk of a
 // long transfer: steady progress never expires, a stalled client's
-// connection dies within writeTimeout instead of pinning the handler
-// goroutine forever.
+// connection dies within DefaultWriteTimeout instead of pinning the
+// handler goroutine forever.
 type deadlineWriter struct {
 	http.ResponseWriter
-	s *Server
 }
 
 func (dw *deadlineWriter) Write(p []byte) (int, error) {
-	dw.s.extendWriteDeadline(dw.ResponseWriter)
+	extendWriteDeadline(dw.ResponseWriter)
 	return dw.ResponseWriter.Write(p)
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.m.proc.Counter("serve.http.requests").Inc()
-	s.extendWriteDeadline(w)
+	extendWriteDeadline(w)
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -226,7 +216,7 @@ func (s *Server) getArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	http.ServeContent(&deadlineWriter{w, s}, r, "", fi.ModTime(), f)
+	http.ServeContent(&deadlineWriter{w}, r, "", fi.ModTime(), f)
 }
 
 // datasetManifest loads the job's dataset manifest, returning it with
@@ -306,7 +296,7 @@ func (s *Server) getDatasetFile(w http.ResponseWriter, r *http.Request) {
 	// ServeContent handles byte ranges, so a coordinator whose stream
 	// was cut mid-shard resumes from the received prefix instead of
 	// refetching the whole file.
-	http.ServeContent(&deadlineWriter{w, s}, r, "", fi.ModTime(), f)
+	http.ServeContent(&deadlineWriter{w}, r, "", fi.ModTime(), f)
 	s.m.proc.Counter("serve.dataset.streams").Inc()
 }
 
@@ -354,16 +344,6 @@ type health struct {
 	Budget int    `json:"budget"`
 	InUse  int    `json:"in_use"`
 	Queued int    `json:"queued"`
-}
-
-// healthz handles GET /healthz — the legacy combined probe, kept for
-// compatibility: always 200, status reports draining.
-func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
-	state := "ok"
-	if s.m.isDraining() {
-		state = "draining"
-	}
-	writeJSON(w, http.StatusOK, health{state, s.m.sched.Budget(), s.m.sched.InUse(), s.m.sched.QueueLen()})
 }
 
 // livez handles GET /livez — pure liveness: 200 as long as the process

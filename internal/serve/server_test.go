@@ -190,9 +190,8 @@ func TestHTTPAPIEndToEnd(t *testing.T) {
 	var hz struct {
 		Status string `json:"status"`
 	}
-	httpJSON(t, "GET", srv.URL+"/healthz", "", &hz)
-	if hz.Status != "ok" {
-		t.Errorf("healthz status = %q, want ok", hz.Status)
+	if resp := httpJSON(t, "GET", srv.URL+"/readyz", "", &hz); resp.StatusCode != http.StatusOK || hz.Status != "ok" {
+		t.Errorf("readyz = %d %q, want 200 ok", resp.StatusCode, hz.Status)
 	}
 	if resp := httpJSON(t, "GET", srv.URL+"/jobs/job-999999", "", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)

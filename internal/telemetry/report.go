@@ -80,7 +80,7 @@ func BuildReport(snap *Snapshot, phase string) *Report {
 			rep.Handshakes[strings.TrimPrefix(name, "tlssim.")] = v
 		case strings.HasPrefix(name, "netem.mirror.") || strings.HasPrefix(name, "capture.observations"):
 			rep.Mirror[name] = v
-		case name == "netem.dials.dropped" || strings.HasPrefix(name, "netem.faults.") ||
+		case strings.HasPrefix(name, "netem.faults.") ||
 			strings.HasPrefix(name, "driver.retr") || name == "driver.giveups" ||
 			strings.HasPrefix(name, "core.degraded."):
 			if rep.Faults == nil {
