@@ -1,22 +1,17 @@
 GO ?= go
 
-.PHONY: check build test race race-parallel chaos dataset serve trace cluster fleet perfbench vet bench bench-telemetry bench-gate profile clean
+.PHONY: check build test race race-parallel chaos dataset serve trace cluster fleet perfbench vet profile clean
 
 # check is the full verification gate: vet, build, the test suite under
 # the race detector, the parallel-study workload under the race
 # detector at eight workers, the fault-injection chaos matrix, the
 # dataset round-trip and merge determinism suite, the study-service
-# scheduler/drain suite, and the trace determinism/attribution/leak
-# suite, the fleet-scale smoke (10k synthetic devices through the
-# month-spill path under a peak-RSS ceiling), and the perfbench module's
-# own vet and tests. Set BENCH_GATE=1 to
-# additionally run the performance
-# regression gate (off by default: it re-measures codec throughput, so
-# it is meaningful only on quiet, comparable hardware).
+# scheduler/drain suite, the trace determinism/attribution/leak suite,
+# the coordinator cluster suite, the fleet-scale smoke (10k synthetic
+# devices through the month-spill path under a peak-RSS ceiling), and
+# the perfbench module's own vet and tests. Performance numbers come
+# from perfbench alone (perfbench/run.sh), never from this gate.
 check: vet build race race-parallel chaos dataset serve trace cluster fleet perfbench
-ifneq ($(BENCH_GATE),)
-check: bench-gate
-endif
 
 build:
 	$(GO) build ./...
@@ -80,10 +75,12 @@ serve:
 # the headline kill-one-worker-mid-fetch run staying byte-identical to
 # single-node, the coordinator chaos matrix (seeded heartbeat drops,
 # corrupted and truncated shard streams, a hostile kill across 2 seeds
-# x {3,6} workers), straggler speculation, partial degradation, the serve-side lease/cancel/readiness fabric, and the
-# CRC-verified fetch retry/resume loop.
+# x {3,6} workers), straggler speculation, partial degradation, a lost
+# worker rejoining and taking work again, the serve-side
+# lease/cancel/readiness fabric, and the CRC-verified fetch
+# retry/resume loop.
 cluster:
-	$(GO) test -race -run 'TestCoordinateMatchesLocal|TestCoordChaosMatrix|TestCoordSpeculationWins|TestCoordPartialOnExhaustion' \
+	$(GO) test -race -run 'TestCoordinateMatchesLocal|TestCoordChaosMatrix|TestCoordSpeculationWins|TestCoordPartialOnExhaustion|TestCoordWorkerRejoins' \
 		-count=1 -timeout 20m ./internal/coord/
 	$(GO) test -race -run 'TestCancel|TestLease|TestReadyz|TestFetch' \
 		-count=1 -timeout 10m ./internal/serve/ ./internal/dataset/ ./internal/fault/
@@ -110,48 +107,6 @@ perfbench:
 trace:
 	$(GO) test -race -run 'TestTraceDeterminism|TestTraceErrorsAttributesDegradations|TestStudyLeaksNoSpans|TestPhaseMetricsMatchTree' \
 		-count=1 -timeout 10m ./internal/core/
-
-# bench measures the full study sequential vs parallel (in-memory and
-# with simulated 5ms connection-setup latency) and writes
-# BENCH_study.json; it then measures fault-subsystem overhead
-# (baseline vs armed-but-empty plan vs mild plan) into
-# BENCH_faults.json, dataset I/O throughput plus the
-# analyze-from-disk vs resimulate speedup into BENCH_dataset.json,
-# service throughput into BENCH_serve.json, the always-on tracing
-# overhead (traced vs -no-trace, budget 5%) into BENCH_trace.json,
-# single-node vs coordinated-fleet wall time (the distribution
-# overhead ratio on one machine) into BENCH_coord.json, and the
-# fleet-scale memory profile (peak RSS at 10k and 100k synthetic
-# devices, each measured in its own process) into BENCH_fleet.json.
-bench:
-	$(GO) test ./internal/core/ -run TestEmitStudyBench -count=1 -timeout 30m \
-		-study.benchout=$(CURDIR)/BENCH_study.json
-	$(GO) test ./internal/core/ -run TestEmitFaultsBench -count=1 -timeout 30m \
-		-faults.benchout=$(CURDIR)/BENCH_faults.json
-	$(GO) test ./internal/dataset/ -run TestEmitDatasetBench -count=1 -timeout 30m \
-		-dataset.benchout=$(CURDIR)/BENCH_dataset.json
-	$(GO) test ./internal/serve/ -run TestEmitServeBench -count=1 -timeout 30m \
-		-serve.benchout=$(CURDIR)/BENCH_serve.json
-	$(GO) test ./internal/core/ -run TestEmitTraceBench -count=1 -timeout 30m \
-		-trace.benchout=$(CURDIR)/BENCH_trace.json
-	$(GO) test ./internal/coord/ -run TestEmitCoordBench -count=1 -timeout 30m \
-		-coord.benchout=$(CURDIR)/BENCH_coord.json
-	$(GO) test ./internal/fleet/ -run TestEmitFleetBench -count=1 -timeout 60m \
-		-fleet.benchout=$(CURDIR)/BENCH_fleet.json
-
-# bench-telemetry runs the full study through `iotls metrics report`
-# and captures the deterministic telemetry report.
-bench-telemetry:
-	$(GO) run ./cmd/iotls metrics report -o BENCH_telemetry.json > /dev/null
-
-# bench-gate is the performance regression gate: it fails if the
-# committed BENCH_study.json reports speedup_no_latency < 1.0, or if
-# freshly measured dataset codec throughput regresses more than 10%
-# below the committed BENCH_dataset.json. Opt into it from the full
-# gate with `make check BENCH_GATE=1`.
-bench-gate:
-	$(GO) test ./internal/dataset/ -run TestBenchGate -count=1 -timeout 30m -v \
-		-dataset.benchgate=$(CURDIR)
 
 # profile captures CPU and heap profiles of the full-study benchmark
 # (in-memory sequential + parallel pair) into ./profiles/ and prints

@@ -25,7 +25,7 @@ func BenchmarkAblation_InterceptionUnpinned(b *testing.B) {
 	dev, _ := s.Registry.Get("nest-thermostat")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := s.Proxy.RunInterception(dev)
+		rep := s.Proxy.RunInterception(dev, nil)
 		if rep.Vulnerable() {
 			b.Fatal("nest should resist")
 		}
@@ -42,7 +42,7 @@ func BenchmarkAblation_InterceptionPinned(b *testing.B) {
 	defer func() { cfg.PinnedLeaf = old }()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := s.Proxy.RunInterception(dev)
+		rep := s.Proxy.RunInterception(dev, nil)
 		if rep.Vulnerable() {
 			b.Fatal("pinned nest should resist")
 		}
@@ -83,7 +83,7 @@ func BenchmarkAblation_ProbeWithCalibration(b *testing.B) {
 	dev, _ := s.Registry.Get("amazon-echo-dot-3")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Prober.Explore(dev); err != nil {
+		if _, err := s.Prober.Explore(dev, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

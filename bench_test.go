@@ -66,7 +66,7 @@ func BenchmarkTable2_AttackSuite(b *testing.B) {
 	dev, _ := s.Registry.Get("zmodo-doorbell")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := s.Proxy.RunInterception(dev)
+		rep := s.Proxy.RunInterception(dev, nil)
 		if !rep.Vulnerable() {
 			b.Fatal("zmodo should be vulnerable")
 		}
@@ -101,7 +101,7 @@ func BenchmarkTable5_Downgrades(b *testing.B) {
 	dev, _ := s.Registry.Get("amazon-echo-plus")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := s.Proxy.RunDowngrade(dev)
+		rep := s.Proxy.RunDowngrade(dev, nil)
 		if rep.DowngradedHosts != 6 {
 			b.Fatalf("downgraded = %d", rep.DowngradedHosts)
 		}
@@ -113,7 +113,7 @@ func BenchmarkTable6_OldVersions(b *testing.B) {
 	dev, _ := s.Registry.Get("zmodo-doorbell")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := mitm.RunOldVersionCheck(s.Network, s.Cloud, dev)
+		rep := mitm.RunOldVersionCheck(s.Network, s.Cloud, dev, nil)
 		if !rep.TLS10OK || !rep.TLS11OK {
 			b.Fatal("zmodo should establish old versions")
 		}
@@ -150,7 +150,7 @@ func BenchmarkTable9_RootStores(b *testing.B) {
 	dev, _ := s.Registry.Get("google-home-mini")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := s.Prober.Explore(dev)
+		rep, err := s.Prober.Explore(dev, nil)
 		if err != nil || !rep.Amenable {
 			b.Fatalf("explore: %v amenable=%v", err, rep != nil && rep.Amenable)
 		}
@@ -222,7 +222,7 @@ func BenchmarkStat_Passthrough(b *testing.B) {
 	dev, _ := s.Registry.Get("philips-hub")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := s.Proxy.RunPassthrough(dev)
+		rep := s.Proxy.RunPassthrough(dev, nil)
 		if len(rep.NewHosts) == 0 {
 			b.Fatal("no new hosts")
 		}
@@ -320,7 +320,7 @@ func BenchmarkSpoofedCAProbe(b *testing.B) {
 	target := device.OperationalCAs(s.Registry.Universe)[0].Pair.Cert
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := s.Proxy.ProbeOnce(dev, dst, target)
+		rec := s.Proxy.ProbeOnce(dev, dst, target, nil)
 		if rec.ClientAlert == nil {
 			b.Fatal("no alert")
 		}

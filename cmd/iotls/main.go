@@ -375,7 +375,7 @@ func runGuard() error {
 	uninstall := g.Install()
 	defer uninstall()
 	for i, dev := range s.Registry.ActiveDevices() {
-		driver.Boot(s.Network, dev, device.ActiveSnapshot, uint64(i)*1000)
+		driver.Boot(s.Network, dev, device.ActiveSnapshot, uint64(i)*1000, nil)
 	}
 	fmt.Print(g.Report())
 	return nil

@@ -1,14 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -60,6 +63,59 @@ func TestRunMetricsPassive(t *testing.T) {
 			t.Fatalf("negative counter %s", name)
 		}
 	}
+}
+
+// metricsGolden is the deterministic telemetry report of the full
+// catalog study, as `iotls metrics report -o` writes it.
+const metricsGolden = "testdata/metrics_report.json"
+
+// TestMetricsReportGolden pins the telemetry report byte for byte: at
+// parallelism 1 and 8 the full study's `metrics report -o` file equals
+// the committed golden, so a renamed, added or recounted metric shows
+// up as a diff of that file in review.
+func TestMetricsReportGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	want, err := os.ReadFile(metricsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parallelism := range []int{1, 8} {
+		t.Run(fmt.Sprintf("parallel_%d", parallelism), func(t *testing.T) {
+			muteStdout(t)
+			out := filepath.Join(t.TempDir(), "metrics.json")
+			if err := withStudyConfig(t, core.Config{Parallelism: parallelism}, func() error {
+				return runMetrics([]string{"report", "-o", out})
+			}); err != nil {
+				t.Fatalf("runMetrics: %v", err)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(got, want) {
+				return
+			}
+			gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+			line := 0
+			for line < len(gl) && line < len(wl) && gl[line] == wl[line] {
+				line++
+			}
+			t.Errorf("metrics report differs from %s at line %d:\n got: %s\nwant: %s\n"+
+				"if the change is intended, regenerate it with\n"+
+				"  go run ./cmd/iotls metrics report -o cmd/iotls/testdata/metrics_report.json",
+				metricsGolden, line+1, lineAt(gl, line), lineAt(wl, line))
+		})
+	}
+}
+
+// lineAt returns line i of lines, or a marker past the end.
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<end of file>"
 }
 
 func TestRunMetricsUnknownPhase(t *testing.T) {

@@ -23,7 +23,7 @@ func main() {
 	// --- 1. Certificate pinning vs the interception proxy -------------
 	fmt.Println("--- certificate pinning vs interception ---")
 	lgtv, _ := study.Registry.Get("lg-tv")
-	before := study.Proxy.RunInterception(lgtv)
+	before := study.Proxy.RunInterception(lgtv, nil)
 	fmt.Printf("LG TV without pinning: vulnerable on %d/%d destinations\n",
 		len(before.VulnerableHosts()), before.TotalHosts)
 
@@ -33,7 +33,7 @@ func main() {
 	cfg := lgtv.ConfigAt(1, device.ActiveSnapshot)
 	realCfg, _ := study.Cloud.ServerConfigFor("smartshare.lgappstv.com")
 	cfg.PinnedLeaf = realCfg.Chain[0].Fingerprint()
-	after := study.Proxy.RunInterception(lgtv)
+	after := study.Proxy.RunInterception(lgtv, nil)
 	fmt.Printf("LG TV with the apps instance pinned: vulnerable on %d/%d destinations\n",
 		len(after.VulnerableHosts()), after.TotalHosts)
 
@@ -43,7 +43,7 @@ func main() {
 	uninstall := g.Install()
 	for _, id := range []string{"wemo-plug", "wink-hub-2", "nest-thermostat"} {
 		dev, _ := study.Registry.Get(id)
-		driver.Boot(study.Network, dev, device.ActiveSnapshot, 1)
+		driver.Boot(study.Network, dev, device.ActiveSnapshot, 1, nil)
 	}
 	uninstall()
 	fmt.Print(g.Report())

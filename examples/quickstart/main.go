@@ -28,7 +28,7 @@ func main() {
 	// Power-cycle the device: it reconnects to its boot destinations,
 	// exactly how the paper triggered TLS traffic with smart plugs.
 	fmt.Printf("booting %s...\n", dev.Name)
-	for _, out := range driver.Boot(study.Network, dev, device.StudyStart, 1) {
+	for _, out := range driver.Boot(study.Network, dev, device.StudyStart, 1, nil) {
 		status := "ok"
 		if !out.Established {
 			status = "FAILED: " + out.Err.Error()
@@ -48,7 +48,7 @@ func main() {
 	study.Clock.AdvanceTo(device.ActiveSnapshot.Start())
 	turktrust := study.Registry.Universe.DistrustedCAs()[0]
 	dst, _ := dev.ProbeDestination()
-	rec := study.Proxy.ProbeOnce(dev, dst, turktrust.Cert())
+	rec := study.Proxy.ProbeOnce(dev, dst, turktrust.Cert(), nil)
 	fmt.Printf("\nprobing %q against %s:\n", turktrust.Cert().Subject.CommonName, dev.Name)
 	if rec.ClientAlert != nil {
 		fmt.Printf("  device sent alert: %s\n", rec.ClientAlert.Description)

@@ -296,6 +296,88 @@ func TestCoordSpeculationWins(t *testing.T) {
 	}
 }
 
+// TestCoordWorkerRejoins pins the heartbeat rejoin path: a worker
+// whose /readyz fails until the coordinator declares it lost, and
+// which answers normally from then on, returns to ready, gets its
+// exclusions cleared, and completes the job it was excluded from,
+// while the other worker holds its own job until the rejoin. Every
+// wait polls a coordinator counter; nothing depends on a sleep's
+// length.
+func TestCoordWorkerRejoins(t *testing.T) {
+	cfg := testConfig(t, "2018-01..2018-01")
+	tel := telemetry.New(nil)
+	// waitFor blocks until the named coordinator counter reaches 1, or
+	// the test is over.
+	over := make(chan struct{})
+	waitFor := func(name string) {
+		for counter(tel, name) < 1 {
+			select {
+			case <-over:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+	}
+	fleet, err := SpawnLocalWorkers(2, LocalOptions{
+		WorkDir: t.TempDir(),
+		// Worker 0 fails its readiness probes until it is lost.
+		Handler: func(i int, h http.Handler) http.Handler {
+			if i != 0 {
+				return h
+			}
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/readyz" && counter(tel, "coord.workers.lost") < 1 {
+					http.Error(w, "held down", http.StatusInternalServerError)
+					return
+				}
+				h.ServeHTTP(w, r)
+			})
+		},
+		// Worker 0's first job cannot finish before the worker is lost,
+		// and worker 1 stays busy until worker 0 has rejoined, so the
+		// excluded job can only complete on the rejoined worker.
+		PhaseHook: func(i int, id, phase string) {
+			if i == 0 {
+				waitFor("coord.workers.lost")
+			} else {
+				waitFor("coord.workers.rejoined")
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { CloseLocalWorkers(fleet) })
+	t.Cleanup(func() {
+		close(over)
+		for _, w := range fleet {
+			for _, j := range w.Manager.Jobs() {
+				<-j.Done()
+			}
+		}
+	})
+
+	opts := fastOptions(cfg, URLs(fleet), t.TempDir())
+	opts.Jobs = 2
+	opts.Telemetry = tel
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	res, err := New(opts).Run(ctx)
+	if err != nil {
+		t.Fatalf("Run: %v (coord.workers.lost=%d, coord.workers.rejoined=%d)", err,
+			counter(tel, "coord.workers.lost"), counter(tel, "coord.workers.rejoined"))
+	}
+	if got := counter(tel, "coord.workers.rejoined"); got != 1 {
+		t.Fatalf("coord.workers.rejoined = %d, want 1", got)
+	}
+	if got := res.JobsByWorker["w0"]; got < 1 {
+		t.Fatalf("rejoined w0 completed %d jobs, want >= 1 (by worker: %v)", got, res.JobsByWorker)
+	}
+	if res.Partial || res.Completed != 2 {
+		t.Fatalf("partial=%v completed=%d, want clean 2", res.Partial, res.Completed)
+	}
+}
+
 // TestNoSpeculationStormOnInstantJobs pins the adaptive straggler
 // threshold's floor: with a fleet of near-instant jobs, 3× the median
 // completed duration is (sub-)milliseconds, and without the floor

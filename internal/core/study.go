@@ -292,7 +292,7 @@ func (s *Study) CaptureActiveSnapshot() (store *capture.Store, err error) {
 		pool.RunSpans(s.Workers(), len(devs), s.tracePhase, "device",
 			func(i int) string { return devs[i].ID },
 			func(_, i int, dsp *trace.Span) {
-				driver.BootTraced(s.Network, devs[i], device.ActiveSnapshot, uint64(i)*100000, dsp)
+				driver.Boot(s.Network, devs[i], device.ActiveSnapshot, uint64(i)*100000, dsp)
 			})
 		if err := col.WaitIdlePatient(10*time.Second, 2); err != nil {
 			return fmt.Errorf("core: active capture lagging (%d observations stored): %w", store.Len(), err)
@@ -314,7 +314,7 @@ func (s *Study) RunInterceptionSuite() (out []*mitm.InterceptionReport) {
 				defer s.recoverDevice("interception", devs[i].ID, dsp, func() {
 					out[i] = &mitm.InterceptionReport{Device: devs[i].ID}
 				})
-				out[i] = s.Proxy.RunInterceptionTraced(devs[i], dsp)
+				out[i] = s.Proxy.RunInterception(devs[i], dsp)
 			})
 		return nil
 	})
@@ -334,7 +334,7 @@ func (s *Study) RunDowngradeSuite() (out []*mitm.DowngradeReport) {
 				defer s.recoverDevice("downgrade", devs[i].ID, dsp, func() {
 					out[i] = &mitm.DowngradeReport{Device: devs[i].ID}
 				})
-				out[i] = s.Proxy.RunDowngradeTraced(devs[i], dsp)
+				out[i] = s.Proxy.RunDowngrade(devs[i], dsp)
 			})
 		return nil
 	})
@@ -355,7 +355,7 @@ func (s *Study) RunOldVersionSuite() (out []*mitm.OldVersionReport) {
 				defer s.recoverDevice("old_version", dev.ID, dsp, func() {
 					out = append(out, &mitm.OldVersionReport{Device: dev.ID})
 				})
-				out = append(out, mitm.RunOldVersionCheckTraced(s.Network, s.Cloud, dev, dsp))
+				out = append(out, mitm.RunOldVersionCheck(s.Network, s.Cloud, dev, dsp))
 			}()
 		}
 		return nil
@@ -383,7 +383,7 @@ func (s *Study) runPassthrough(check func([]*mitm.PassthroughReport)) (out []*mi
 				defer s.recoverDevice("passthrough", devs[i].ID, dsp, func() {
 					out[i] = &mitm.PassthroughReport{Device: devs[i].ID}
 				})
-				out[i] = s.Proxy.RunPassthroughTraced(devs[i], dsp)
+				out[i] = s.Proxy.RunPassthrough(devs[i], dsp)
 			})
 		if check != nil {
 			check(out)

@@ -2,8 +2,6 @@ package core_test
 
 import (
 	"bytes"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -251,101 +249,5 @@ func TestPhaseMetricsMatchTree(t *testing.T) {
 	}
 	if phases == 0 || degraded == 0 {
 		t.Fatalf("traced %d phases, %d not ok; the aggressive run should degrade some", phases, degraded)
-	}
-}
-
-var traceBenchOut = flag.String("trace.benchout", "", "write the tracing overhead comparison to this JSON file")
-
-// benchConfigStudy runs the full study from a config (tracing on or
-// off) and renders the report, mirroring benchStudy.
-func benchConfigStudy(b *testing.B, noTrace bool) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s, err := core.NewStudyFromConfig(core.Config{Parallelism: 8, NoTrace: noTrace})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := s.RunAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Render(s) == "" {
-			b.Fatal("empty report")
-		}
-	}
-}
-
-// TestEmitTraceBench measures what always-on tracing costs: a full
-// traced study against the -no-trace baseline, at parallelism 8. The
-// budget is 5% wall-time overhead. It only runs when -trace.benchout
-// is set (`make bench`).
-func TestEmitTraceBench(t *testing.T) {
-	if *traceBenchOut == "" {
-		t.Skip("set -trace.benchout to emit BENCH_trace.json")
-	}
-	// A full study takes seconds, so testing.Benchmark settles on a
-	// single iteration — and run-to-run drift on a busy machine is
-	// larger than the 5% effect being measured. Two defences: the sides
-	// alternate first position across pairs (ABBA), cancelling
-	// process-level drift, and each side keeps its best run, which
-	// converges on that configuration's true floor since noise only ever
-	// slows a run down.
-	var baseline, traced testing.BenchmarkResult
-	run := func(noTrace bool) {
-		r := testing.Benchmark(func(b *testing.B) { benchConfigStudy(b, noTrace) })
-		tgt := &traced
-		if noTrace {
-			tgt = &baseline
-		}
-		if tgt.N == 0 || r.NsPerOp() < tgt.NsPerOp() {
-			*tgt = r
-		}
-	}
-	for i := 0; i < 3; i++ {
-		if i%2 == 0 {
-			run(true)
-			run(false)
-		} else {
-			run(false)
-			run(true)
-		}
-	}
-
-	type benchEntry struct {
-		NsPerOp     int64 `json:"ns_per_op"`
-		AllocsPerOp int64 `json:"allocs_per_op"`
-		BytesPerOp  int64 `json:"bytes_per_op"`
-	}
-	entry := func(r testing.BenchmarkResult) benchEntry {
-		return benchEntry{NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp()}
-	}
-	ratio := float64(traced.NsPerOp()) / float64(baseline.NsPerOp())
-	doc := struct {
-		Schema      string     `json:"schema"`
-		Cores       int        `json:"cores"`
-		Parallelism int        `json:"parallelism"`
-		Baseline    benchEntry `json:"baseline_no_trace"`
-		Traced      benchEntry `json:"traced"`
-		// OverheadRatio is traced ns/op over untraced ns/op; the tracing
-		// budget is 1.05.
-		OverheadRatio float64 `json:"overhead_ratio"`
-	}{
-		Schema:        "iotls/bench-trace/v1",
-		Cores:         runtime.NumCPU(),
-		Parallelism:   8,
-		Baseline:      entry(baseline),
-		Traced:        entry(traced),
-		OverheadRatio: ratio,
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*traceBenchOut, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("tracing overhead %.3fx (budget 1.05, %d cores)", ratio, doc.Cores)
-	if ratio > 1.05 {
-		t.Logf("WARNING: tracing overhead %.3fx exceeds the 1.05 budget on this machine", ratio)
 	}
 }

@@ -1,25 +1,13 @@
 package dataset_test
 
 import (
-	"encoding/json"
-	"flag"
-	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
-
-var datasetBenchOut = flag.String("dataset.benchout", "", "write the dataset I/O benchmark to this JSON file")
-
-// seedCodecAllocsPerOp is the seed engine's combined BenchmarkWrite +
-// BenchmarkRead allocs/op (47753 + 98680, measured at the growth-seed
-// commit on this harness). Schema v2 reports the relative change
-// against it; -0.30 means 30% fewer codec allocations than the seed.
-const seedCodecAllocsPerOp = 47753 + 98680
 
 // studyDataset captures one full study into an in-memory dataset.
 func studyDataset(b testing.TB) *dataset.Dataset {
@@ -30,19 +18,6 @@ func studyDataset(b testing.TB) *dataset.Dataset {
 		b.Fatal(err)
 	}
 	return dataset.FromStudy(s, rep)
-}
-
-// datasetStreamBytes sums the manifest's uncompressed stream sizes.
-func datasetStreamBytes(b testing.TB, dir string) int64 {
-	rep := dataset.Inspect(dir, nil)
-	if !rep.OK() {
-		b.Fatalf("benchmark dataset fails inspection:\n%s", rep.Render())
-	}
-	var total int64
-	for _, sh := range rep.Shards {
-		total += sh.Bytes
-	}
-	return total
 }
 
 // BenchmarkWrite measures streaming a captured study to disk.
@@ -73,121 +48,4 @@ func BenchmarkRead(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestEmitDatasetBench measures dataset write and read throughput and
-// the analyze-from-disk vs full-resimulation speedup, writing
-// BENCH_dataset.json. It only runs when -dataset.benchout is set
-// (`make bench`).
-func TestEmitDatasetBench(t *testing.T) {
-	if *datasetBenchOut == "" {
-		t.Skip("set -dataset.benchout to emit BENCH_dataset.json")
-	}
-	ds := studyDataset(t)
-	base := t.TempDir()
-	ref := filepath.Join(base, "ref")
-	if err := dataset.Write(ref, ds, dataset.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	streamBytes := datasetStreamBytes(t, ref)
-
-	n := 0
-	writeRes := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n++
-			if err := dataset.Write(filepath.Join(base, "w", strconv.Itoa(n)), ds, dataset.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	readRes := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dataset.Read(ref, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// The headline comparison: rendering the report by re-running the
-	// simulator vs restoring it from the persisted dataset.
-	resim := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := core.NewStudy()
-			s.Parallelism = 8
-			rep, err := s.RunAll()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.Render(s) == "" {
-				b.Fatal("empty report")
-			}
-		}
-	})
-	analyze := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			loaded, err := dataset.Read(ref, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := core.NewStudy()
-			rep, err := dataset.Restore(s, loaded)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.Render(s) == "" {
-				b.Fatal("empty report")
-			}
-		}
-	})
-
-	mbps := func(r testing.BenchmarkResult) float64 {
-		if r.NsPerOp() == 0 {
-			return 0
-		}
-		return float64(streamBytes) / float64(r.NsPerOp()) * 1e9 / (1 << 20)
-	}
-	doc := struct {
-		Schema           string  `json:"schema"`
-		Cores            int     `json:"cores"`
-		StreamBytes      int64   `json:"stream_bytes"`
-		WriteNsPerOp     int64   `json:"write_ns_per_op"`
-		ReadNsPerOp      int64   `json:"read_ns_per_op"`
-		WriteMBPerS      float64 `json:"write_mb_per_s"`
-		ReadMBPerS       float64 `json:"read_mb_per_s"`
-		WriteAllocsPerOp int64   `json:"write_allocs_per_op"`
-		ReadAllocsPerOp  int64   `json:"read_allocs_per_op"`
-		// AllocsDeltaVsSeed is (write+read allocs/op − seed) / seed:
-		// the relative codec allocation change against the seed engine.
-		// Negative means fewer allocations.
-		AllocsDeltaVsSeed float64 `json:"allocs_delta_vs_seed"`
-		// ResimulateNsPerOp is simulate+render; AnalyzeNsPerOp is
-		// read+restore+render from disk. Speedup is their ratio — what
-		// the capture/analyze split saves on every re-analysis.
-		ResimulateNsPerOp int64   `json:"resimulate_ns_per_op"`
-		AnalyzeNsPerOp    int64   `json:"analyze_ns_per_op"`
-		Speedup           float64 `json:"speedup"`
-	}{
-		Schema:            "iotls/bench-dataset/v2",
-		Cores:             runtime.NumCPU(),
-		StreamBytes:       streamBytes,
-		WriteNsPerOp:      writeRes.NsPerOp(),
-		ReadNsPerOp:       readRes.NsPerOp(),
-		WriteMBPerS:       mbps(writeRes),
-		ReadMBPerS:        mbps(readRes),
-		WriteAllocsPerOp:  writeRes.AllocsPerOp(),
-		ReadAllocsPerOp:   readRes.AllocsPerOp(),
-		AllocsDeltaVsSeed: float64(writeRes.AllocsPerOp()+readRes.AllocsPerOp()-seedCodecAllocsPerOp) / float64(seedCodecAllocsPerOp),
-		ResimulateNsPerOp: resim.NsPerOp(),
-		AnalyzeNsPerOp:    analyze.NsPerOp(),
-		Speedup:           float64(resim.NsPerOp()) / float64(analyze.NsPerOp()),
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*datasetBenchOut, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("write %.1f MB/s, read %.1f MB/s, analyze-from-disk %.2fx faster than resimulating",
-		doc.WriteMBPerS, doc.ReadMBPerS, doc.Speedup)
 }

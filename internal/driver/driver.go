@@ -182,14 +182,10 @@ func connectStatus(out *Outcome, err error) string {
 // When the first boot connection succeeds, the device proceeds to its
 // post-login destinations — the behaviour behind the paper's
 // TrafficPassthrough finding (§4.2: ≈20.4% additional hostnames once
-// previously-intercepted connections are allowed through).
-func Boot(nw *netem.Network, dev *device.Device, m clock.Month, seq uint64) []Outcome {
-	return BootTraced(nw, dev, m, seq, nil)
-}
-
-// BootTraced is Boot with every boot connection traced as a child of
-// parent (usually the device's span for the active phase).
-func BootTraced(nw *netem.Network, dev *device.Device, m clock.Month, seq uint64, parent *trace.Span) []Outcome {
+// previously-intercepted connections are allowed through). Every boot
+// connection is traced as a child of parent (usually the device's span
+// for the active phase), which may be nil.
+func Boot(nw *netem.Network, dev *device.Device, m clock.Month, seq uint64, parent *trace.Span) []Outcome {
 	nw.Telemetry().Counter("driver.boots").Inc()
 	for i := range dev.Slots {
 		dev.ConfigAt(i, m).ResetState()

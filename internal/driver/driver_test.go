@@ -29,7 +29,7 @@ func testbed(t *testing.T) (*netem.Network, *device.Registry, *cloud.Cloud, *cap
 func TestBootEstablishesAllDestinations(t *testing.T) {
 	nw, reg, _, store, _ := testbed(t)
 	dev, _ := reg.Get("google-home-mini")
-	outs := Boot(nw, dev, device.StudyStart, 1)
+	outs := Boot(nw, dev, device.StudyStart, 1, nil)
 	if len(outs) != 5 {
 		t.Fatalf("boot outcomes = %d, want 5", len(outs))
 	}
@@ -70,7 +70,7 @@ func TestServerLimitedEstablishment(t *testing.T) {
 	// (Figure 1's advertise-vs-establish gap).
 	nw, reg, _, store, _ := testbed(t)
 	dev, _ := reg.Get("samsung-fridge")
-	outs := Boot(nw, dev, device.StudyStart, 1)
+	outs := Boot(nw, dev, device.StudyStart, 1, nil)
 	for _, o := range outs {
 		if !o.Established {
 			t.Fatalf("fridge -> %s failed: %v", o.Host, o.Err)
@@ -91,7 +91,7 @@ func TestLegacyRC4ServerEstablishesInsecure(t *testing.T) {
 	// devices that ever established insecure suites, Figure 2).
 	nw, reg, _, store, _ := testbed(t)
 	dev, _ := reg.Get("wink-hub-2")
-	outs := Boot(nw, dev, device.StudyStart, 1)
+	outs := Boot(nw, dev, device.StudyStart, 1, nil)
 	for _, o := range outs {
 		if !o.Established {
 			t.Fatalf("wink -> %s failed: %v", o.Host, o.Err)
@@ -117,7 +117,7 @@ func TestTLS13DeviceAgainstTLS13Server(t *testing.T) {
 	nw, reg, _, store, _ := testbed(t)
 	dev, _ := reg.Get("google-home-mini")
 	m := clock.Month{Year: 2019, Mon: 6} // after the 5/2019 transition
-	outs := Boot(nw, dev, m, 50)
+	outs := Boot(nw, dev, m, 50, nil)
 	for _, o := range outs {
 		if !o.Established {
 			t.Fatalf("%s failed: %v", o.Host, o.Err)
@@ -138,7 +138,7 @@ func TestAppleTVEstablishesBelowAdvertised(t *testing.T) {
 	nw, reg, _, store, _ := testbed(t)
 	dev, _ := reg.Get("apple-tv")
 	m := clock.Month{Year: 2019, Mon: 7}
-	for _, o := range Boot(nw, dev, m, 9) {
+	for _, o := range Boot(nw, dev, m, 9, nil) {
 		if !o.Established {
 			t.Fatalf("%s failed: %v", o.Host, o.Err)
 		}
@@ -157,7 +157,7 @@ func TestRevocationTrafficReachesResponders(t *testing.T) {
 	nw, reg, cl, _, _ := testbed(t)
 	// Samsung TV checks CRL + OCSP.
 	tv, _ := reg.Get("samsung-tv")
-	for _, o := range Boot(nw, tv, device.StudyStart, 3) {
+	for _, o := range Boot(nw, tv, device.StudyStart, 3, nil) {
 		if !o.Established {
 			t.Fatalf("%s failed: %v", o.Host, o.Err)
 		}
@@ -170,7 +170,7 @@ func TestRevocationTrafficReachesResponders(t *testing.T) {
 	}
 	// A stapling-only device contacts no responder.
 	mini, _ := reg.Get("google-home-mini")
-	Boot(nw, mini, device.StudyStart, 4)
+	Boot(nw, mini, device.StudyStart, 4, nil)
 	if cl.OCSPHits()["google-home-mini"] != 0 || cl.CRLHits()["google-home-mini"] != 0 {
 		t.Error("stapling-only device contacted responders")
 	}
@@ -179,7 +179,7 @@ func TestRevocationTrafficReachesResponders(t *testing.T) {
 func TestNoValidationDeviceWorksAgainstRealCloud(t *testing.T) {
 	nw, reg, _, _, _ := testbed(t)
 	dev, _ := reg.Get("zmodo-doorbell")
-	for _, o := range Boot(nw, dev, device.StudyStart, 5) {
+	for _, o := range Boot(nw, dev, device.StudyStart, 5, nil) {
 		if !o.Established {
 			t.Fatalf("%s failed: %v", o.Host, o.Err)
 		}

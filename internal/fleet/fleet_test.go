@@ -1,14 +1,7 @@
 package fleet_test
 
 import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"os"
-	"os/exec"
-	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/capture"
 	"repro/internal/clock"
@@ -93,7 +86,7 @@ func TestFleetDeterminism(t *testing.T) {
 // fleetWindowRun drives an n-device fleet through a two-month passive
 // window at parallelism 8 with the streaming spill path armed as a
 // counting discard, and returns (handshakes, records spilled).
-func fleetWindowRun(t testing.TB, n int) (int, int) {
+func fleetWindowRun(t *testing.T, n int) (int, int) {
 	from, to, err := core.ParseWindow("2018-01..2018-02")
 	if err != nil {
 		t.Fatal(err)
@@ -143,116 +136,5 @@ func TestFleetSmoke(t *testing.T) {
 		if kib > ceilingKiB {
 			t.Errorf("peak RSS %d KiB exceeds the %d KiB fleet ceiling", kib, ceilingKiB)
 		}
-	}
-}
-
-var fleetBenchOut = flag.String("fleet.benchout", "", "write the fleet-scale benchmark to this JSON file")
-
-// fleetBenchResult is what one child process measures for one fleet size.
-type fleetBenchResult struct {
-	Devices    int   `json:"devices"`
-	WallNs     int64 `json:"wall_ns"`
-	PeakRSSKiB int64 `json:"peak_rss_kib"`
-	Handshakes int   `json:"handshakes"`
-	Spilled    int   `json:"spilled"`
-}
-
-// TestFleetBenchChild is the re-exec target for TestEmitFleetBench: it
-// runs one fleet study in a fresh process (so VmHWM reflects only that
-// fleet size) and writes its measurement to $IOTLS_FLEET_BENCH_OUT.
-// It is skipped in normal test runs.
-func TestFleetBenchChild(t *testing.T) {
-	nStr := os.Getenv("IOTLS_FLEET_BENCH_N")
-	out := os.Getenv("IOTLS_FLEET_BENCH_OUT")
-	if nStr == "" || out == "" {
-		t.Skip("bench child: driven by TestEmitFleetBench only")
-	}
-	n, err := strconv.Atoi(nStr)
-	if err != nil || n <= 0 {
-		t.Fatalf("bad IOTLS_FLEET_BENCH_N %q", nStr)
-	}
-	start := time.Now()
-	handshakes, spilled := fleetWindowRun(t, n)
-	wall := time.Since(start)
-	kib, ok := fleet.PeakRSSKiB()
-	if !ok {
-		t.Fatal("bench child: no VmHWM available (non-Linux procfs?)")
-	}
-	raw, err := json.Marshal(fleetBenchResult{
-		Devices: n, WallNs: wall.Nanoseconds(), PeakRSSKiB: kib,
-		Handshakes: handshakes, Spilled: spilled,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// runBenchChild re-execs the test binary to measure one fleet size in
-// an isolated process, so each VmHWM reading is attributable.
-func runBenchChild(t *testing.T, n int) fleetBenchResult {
-	t.Helper()
-	out := fmt.Sprintf("%s/bench-%d.json", t.TempDir(), n)
-	cmd := exec.Command(os.Args[0], "-test.run=^TestFleetBenchChild$", "-test.count=1", "-test.timeout=25m")
-	cmd.Env = append(os.Environ(),
-		"IOTLS_FLEET_BENCH_N="+strconv.Itoa(n),
-		"IOTLS_FLEET_BENCH_OUT="+out,
-	)
-	if b, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("bench child n=%d: %v\n%s", n, err, b)
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("bench child n=%d wrote no result: %v", n, err)
-	}
-	var r fleetBenchResult
-	if err := json.Unmarshal(raw, &r); err != nil {
-		t.Fatalf("bench child n=%d result: %v", n, err)
-	}
-	return r
-}
-
-// TestEmitFleetBench measures the streaming engine at 10k and 100k
-// synthetic devices (each in its own process, two-month window,
-// parallelism 8) and writes BENCH_fleet.json. The headline number is
-// the peak-RSS growth ratio across the 10x device-count step: the
-// memory-bounded engine's contract is that it stays well under 10x.
-// Runs only when -fleet.benchout is set (see `make bench`).
-func TestEmitFleetBench(t *testing.T) {
-	if *fleetBenchOut == "" {
-		t.Skip("pass -fleet.benchout=FILE to emit the fleet benchmark")
-	}
-	small := runBenchChild(t, 10_000)
-	large := runBenchChild(t, 100_000)
-
-	growth := float64(large.PeakRSSKiB) / float64(small.PeakRSSKiB)
-	doc := struct {
-		Schema        string           `json:"schema"`
-		Window        string           `json:"window"`
-		Parallelism   int              `json:"parallelism"`
-		Fleet10k      fleetBenchResult `json:"fleet_10k"`
-		Fleet100k     fleetBenchResult `json:"fleet_100k"`
-		RSSGrowth10x  float64          `json:"rss_growth_10x"`
-		GrowthCeiling float64          `json:"growth_ceiling"`
-	}{
-		Schema:      "iotls.bench.fleet/v1",
-		Window:      "2018-01..2018-02",
-		Parallelism: 8,
-		Fleet10k:    small, Fleet100k: large,
-		RSSGrowth10x:  growth,
-		GrowthCeiling: 10,
-	}
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*fleetBenchOut, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("fleet bench: 10k peak %d KiB, 100k peak %d KiB, growth %.2fx", small.PeakRSSKiB, large.PeakRSSKiB, growth)
-	if growth >= 10 {
-		t.Errorf("peak RSS grew %.2fx across a 10x fleet step; the streaming engine must stay sublinear", growth)
 	}
 }

@@ -100,14 +100,9 @@ func interceptionTargets(dev *device.Device) []device.Destination {
 }
 
 // RunInterception executes the three Table 2 attacks against every
-// destination of the device and reports the Table 7 evidence.
-func (p *Proxy) RunInterception(dev *device.Device) *InterceptionReport {
-	return p.RunInterceptionTraced(dev, nil)
-}
-
-// RunInterceptionTraced is RunInterception with every connection traced
-// under the device's span sp.
-func (p *Proxy) RunInterceptionTraced(dev *device.Device, sp *trace.Span) *InterceptionReport {
+// destination of the device and reports the Table 7 evidence. Every
+// connection is traced under the device's span sp, which may be nil.
+func (p *Proxy) RunInterception(dev *device.Device, sp *trace.Span) *InterceptionReport {
 	report := &InterceptionReport{
 		Device:    dev.ID,
 		PerAttack: make(map[Attack][]HostResult),
@@ -180,14 +175,9 @@ type DowngradeReport struct {
 func (r *DowngradeReport) Downgraded() bool { return r.DowngradedHosts > 0 }
 
 // RunDowngrade probes each boot destination with both failure triggers
-// and inspects whether the retry ClientHello is weaker (Table 5).
-func (p *Proxy) RunDowngrade(dev *device.Device) *DowngradeReport {
-	return p.RunDowngradeTraced(dev, nil)
-}
-
-// RunDowngradeTraced is RunDowngrade with every connection traced under
-// the device's span sp.
-func (p *Proxy) RunDowngradeTraced(dev *device.Device, sp *trace.Span) *DowngradeReport {
+// and inspects whether the retry ClientHello is weaker (Table 5). Every
+// connection is traced under the device's span sp, which may be nil.
+func (p *Proxy) RunDowngrade(dev *device.Device, sp *trace.Span) *DowngradeReport {
 	report := &DowngradeReport{Device: dev.ID}
 	boot := dev.BootDestinations()
 	report.TotalHosts = len(boot)
@@ -281,14 +271,9 @@ type VersionForcer interface {
 
 // RunOldVersionCheck forces each boot destination's real server to
 // TLS 1.0 and 1.1 in turn and records whether any connection
-// establishes (Table 6).
-func RunOldVersionCheck(nw *netem.Network, forcer VersionForcer, dev *device.Device) *OldVersionReport {
-	return RunOldVersionCheckTraced(nw, forcer, dev, nil)
-}
-
-// RunOldVersionCheckTraced is RunOldVersionCheck with every connection
-// traced under the device's span sp.
-func RunOldVersionCheckTraced(nw *netem.Network, forcer VersionForcer, dev *device.Device, sp *trace.Span) *OldVersionReport {
+// establishes (Table 6). Every connection is traced under the device's
+// span sp, which may be nil.
+func RunOldVersionCheck(nw *netem.Network, forcer VersionForcer, dev *device.Device, sp *trace.Span) *OldVersionReport {
 	report := &OldVersionReport{Device: dev.ID}
 	check := func(v ciphers.Version) bool {
 		for _, dst := range dev.BootDestinations() {
@@ -315,14 +300,9 @@ func RunOldVersionCheckTraced(nw *netem.Network, forcer VersionForcer, dev *devi
 // at a spoofed copy of target, returning what the interceptor observed.
 // This is the unit step of the root-store exploration technique (§4.2):
 // the client's alert distinguishes "unknown CA" from "known CA, bad
-// signature".
-func (p *Proxy) ProbeOnce(dev *device.Device, dst device.Destination, target *certs.Certificate) ConnRecord {
-	return p.ProbeOnceTraced(dev, dst, target, nil)
-}
-
-// ProbeOnceTraced is ProbeOnce with the connection traced under the
-// device's span sp.
-func (p *Proxy) ProbeOnceTraced(dev *device.Device, dst device.Destination, target *certs.Certificate, sp *trace.Span) ConnRecord {
+// signature". The connection is traced under the device's span sp,
+// which may be nil.
+func (p *Proxy) ProbeOnce(dev *device.Device, dst device.Destination, target *certs.Certificate, sp *trace.Span) ConnRecord {
 	h := p.intercept(AttackSpoofedCA, dev.ID, dst.Host, target)
 	defer h.stop()
 	for i := range dev.Slots {
@@ -336,10 +316,10 @@ func (p *Proxy) ProbeOnceTraced(dev *device.Device, dst device.Destination, targ
 	return recs[0]
 }
 
-// ProbeArbitraryCATraced intercepts with an arbitrary self-signed CA
-// (the unknown-issuer control of §4.2), tracing the connection under
-// the device's span sp.
-func (p *Proxy) ProbeArbitraryCATraced(dev *device.Device, dst device.Destination, sp *trace.Span) ConnRecord {
+// ProbeArbitraryCA intercepts with an arbitrary self-signed CA (the
+// unknown-issuer control of §4.2), tracing the connection under the
+// device's span sp, which may be nil.
+func (p *Proxy) ProbeArbitraryCA(dev *device.Device, dst device.Destination, sp *trace.Span) ConnRecord {
 	h := p.intercept(AttackNoValidation, dev.ID, dst.Host, nil)
 	defer h.stop()
 	for i := range dev.Slots {
@@ -372,14 +352,9 @@ func (r *PassthroughReport) NewHostFraction() float64 {
 
 // RunPassthrough runs a full-interception boot, then a passthrough boot
 // where previously-failed connections are not intercepted, and reports
-// the hostname delta.
-func (p *Proxy) RunPassthrough(dev *device.Device) *PassthroughReport {
-	return p.RunPassthroughTraced(dev, nil)
-}
-
-// RunPassthroughTraced is RunPassthrough with both boots traced under
-// the device's span sp.
-func (p *Proxy) RunPassthroughTraced(dev *device.Device, sp *trace.Span) *PassthroughReport {
+// the hostname delta. Both boots are traced under the device's span sp,
+// which may be nil.
+func (p *Proxy) RunPassthrough(dev *device.Device, sp *trace.Span) *PassthroughReport {
 	report := &PassthroughReport{Device: dev.ID}
 
 	// Phase 1: intercept everything from the device with self-signed
@@ -413,7 +388,7 @@ func (p *Proxy) RunPassthroughTraced(dev *device.Device, sp *trace.Span) *Passth
 			}
 		}
 	})
-	driver.BootTraced(p.nw, dev, device.ActiveSnapshot, 1, sp)
+	driver.Boot(p.nw, dev, device.ActiveSnapshot, 1, sp)
 	handlers.Wait()
 	removeTap()
 	for h := range seen {
@@ -444,7 +419,7 @@ func (p *Proxy) RunPassthroughTraced(dev *device.Device, sp *trace.Span) *Passth
 			p.serveAttack(AttackNoValidation, host, chain, key, conn)
 		}
 	})
-	driver.BootTraced(p.nw, dev, device.ActiveSnapshot, 2, sp)
+	driver.Boot(p.nw, dev, device.ActiveSnapshot, 2, sp)
 	handlers.Wait()
 	removeTap()
 

@@ -51,7 +51,7 @@ func TestAttackStrings(t *testing.T) {
 
 func TestInterceptionNoValidationDevice(t *testing.T) {
 	_, reg, _, p := testbed(t)
-	rep := p.RunInterception(get(t, reg, "zmodo-doorbell"))
+	rep := p.RunInterception(get(t, reg, "zmodo-doorbell"), nil)
 	for _, a := range []Attack{AttackNoValidation, AttackInvalidBasicConstraints, AttackWrongHostname} {
 		if !rep.VulnerableTo(a) {
 			t.Errorf("zmodo not vulnerable to %s", a)
@@ -67,7 +67,7 @@ func TestInterceptionNoValidationDevice(t *testing.T) {
 
 func TestInterceptionAmazonWrongHostnameOnly(t *testing.T) {
 	_, reg, _, p := testbed(t)
-	rep := p.RunInterception(get(t, reg, "amazon-echo-dot"))
+	rep := p.RunInterception(get(t, reg, "amazon-echo-dot"), nil)
 	if rep.VulnerableTo(AttackNoValidation) {
 		t.Error("echo dot should reject self-signed certs")
 	}
@@ -87,7 +87,7 @@ func TestInterceptionAmazonWrongHostnameOnly(t *testing.T) {
 
 func TestInterceptionYiGiveUp(t *testing.T) {
 	_, reg, _, p := testbed(t)
-	rep := p.RunInterception(get(t, reg, "yi-camera"))
+	rep := p.RunInterception(get(t, reg, "yi-camera"), nil)
 	if !rep.Vulnerable() {
 		t.Fatal("yi camera should fall after repeated attempts")
 	}
@@ -98,7 +98,7 @@ func TestInterceptionYiGiveUp(t *testing.T) {
 
 func TestInterceptionSecureDeviceResists(t *testing.T) {
 	_, reg, _, p := testbed(t)
-	rep := p.RunInterception(get(t, reg, "nest-thermostat"))
+	rep := p.RunInterception(get(t, reg, "nest-thermostat"), nil)
 	if rep.Vulnerable() {
 		t.Fatalf("nest thermostat intercepted: %v", rep.VulnerableHosts())
 	}
@@ -107,7 +107,7 @@ func TestInterceptionSecureDeviceResists(t *testing.T) {
 func TestInterceptionPartialDevice(t *testing.T) {
 	// Wink Hub 2: 1 of 2 destinations vulnerable.
 	_, reg, _, p := testbed(t)
-	rep := p.RunInterception(get(t, reg, "wink-hub-2"))
+	rep := p.RunInterception(get(t, reg, "wink-hub-2"), nil)
 	if got := len(rep.VulnerableHosts()); got != 1 || rep.TotalHosts != 2 {
 		t.Errorf("vulnerable/total = %d/%d, want 1/2", got, rep.TotalHosts)
 	}
@@ -118,7 +118,7 @@ func TestInterceptionPartialDevice(t *testing.T) {
 
 func TestDowngradeAmazonSSL3(t *testing.T) {
 	_, reg, _, p := testbed(t)
-	rep := p.RunDowngrade(get(t, reg, "amazon-echo-plus"))
+	rep := p.RunDowngrade(get(t, reg, "amazon-echo-plus"), nil)
 	if !rep.OnIncomplete || rep.OnFailed {
 		t.Errorf("triggers = failed:%v incomplete:%v, want incomplete only", rep.OnFailed, rep.OnIncomplete)
 	}
@@ -132,7 +132,7 @@ func TestDowngradeAmazonSSL3(t *testing.T) {
 
 func TestDowngradeHomeMiniCipher(t *testing.T) {
 	_, reg, _, p := testbed(t)
-	rep := p.RunDowngrade(get(t, reg, "google-home-mini"))
+	rep := p.RunDowngrade(get(t, reg, "google-home-mini"), nil)
 	if rep.DowngradedHosts != 5 || rep.TotalHosts != 5 {
 		t.Errorf("downgraded/total = %d/%d, want 5/5", rep.DowngradedHosts, rep.TotalHosts)
 	}
@@ -143,7 +143,7 @@ func TestDowngradeHomeMiniCipher(t *testing.T) {
 
 func TestDowngradeRokuBothTriggers(t *testing.T) {
 	_, reg, _, p := testbed(t)
-	rep := p.RunDowngrade(get(t, reg, "roku-tv"))
+	rep := p.RunDowngrade(get(t, reg, "roku-tv"), nil)
 	if !rep.OnIncomplete || !rep.OnFailed {
 		t.Errorf("roku triggers = failed:%v incomplete:%v, want both", rep.OnFailed, rep.OnIncomplete)
 	}
@@ -154,7 +154,7 @@ func TestDowngradeRokuBothTriggers(t *testing.T) {
 
 func TestNoDowngradeForStableDevice(t *testing.T) {
 	_, reg, _, p := testbed(t)
-	rep := p.RunDowngrade(get(t, reg, "amazon-echo-dot-3"))
+	rep := p.RunDowngrade(get(t, reg, "amazon-echo-dot-3"), nil)
 	if rep.Downgraded() {
 		t.Fatalf("echo dot 3 downgraded: %+v", rep)
 	}
@@ -169,7 +169,7 @@ func TestOldVersionCheck(t *testing.T) {
 		"nest-thermostat": {false, false},
 	}
 	for id, want := range cases {
-		rep := RunOldVersionCheck(nw, cl, get(t, reg, id))
+		rep := RunOldVersionCheck(nw, cl, get(t, reg, id), nil)
 		if rep.TLS10OK != want[0] || rep.TLS11OK != want[1] {
 			t.Errorf("%s: (1.0, 1.1) = (%v, %v), want (%v, %v)",
 				id, rep.TLS10OK, rep.TLS11OK, want[0], want[1])
@@ -179,7 +179,7 @@ func TestOldVersionCheck(t *testing.T) {
 
 func TestPassthroughFindsNewHosts(t *testing.T) {
 	_, reg, _, p := testbed(t)
-	rep := p.RunPassthrough(get(t, reg, "philips-hub"))
+	rep := p.RunPassthrough(get(t, reg, "philips-hub"), nil)
 	if len(rep.NewHosts) != 1 || rep.NewHosts[0] != "portal.meethue.com" {
 		t.Fatalf("new hosts = %v, want portal.meethue.com", rep.NewHosts)
 	}
@@ -192,7 +192,7 @@ func TestPassthroughNoNewHostsForVulnerable(t *testing.T) {
 	// A no-validation device succeeds under attack; passthrough adds
 	// nothing.
 	_, reg, _, p := testbed(t)
-	rep := p.RunPassthrough(get(t, reg, "zmodo-doorbell"))
+	rep := p.RunPassthrough(get(t, reg, "zmodo-doorbell"), nil)
 	if len(rep.NewHosts) != 0 {
 		t.Fatalf("new hosts = %v, want none", rep.NewHosts)
 	}
@@ -206,7 +206,7 @@ func TestSpoofedCAAlertSideChannel(t *testing.T) {
 	dst, _ := dev.ProbeDestination()
 
 	inStore := device.OperationalCAs(reg.Universe)[0].Pair.Cert
-	res := p.ProbeOnce(dev, dst, inStore)
+	res := p.ProbeOnce(dev, dst, inStore, nil)
 	if res.ClientAlert == nil || res.ClientAlert.Description != wire.AlertDecryptError {
 		t.Fatalf("spoofed in-store CA alert = %v, want decrypt_error", res.ClientAlert)
 	}
@@ -222,7 +222,7 @@ func TestSpoofedCAAlertSideChannel(t *testing.T) {
 	if absent == nil {
 		t.Fatal("no absent deprecated CA found")
 	}
-	res = p.ProbeOnce(dev, dst, absent)
+	res = p.ProbeOnce(dev, dst, absent, nil)
 	if res.ClientAlert == nil || res.ClientAlert.Description != wire.AlertUnknownCA {
 		t.Fatalf("spoofed absent CA alert = %v, want unknown_ca", res.ClientAlert)
 	}
@@ -258,7 +258,7 @@ func TestSpoofedRootSharedAcrossHosts(t *testing.T) {
 func TestInterceptedTrafficIsDecryptable(t *testing.T) {
 	// The whole point of interception: the proxy reads plaintext.
 	_, reg, _, p := testbed(t)
-	rep := p.RunInterception(get(t, reg, "lg-tv"))
+	rep := p.RunInterception(get(t, reg, "lg-tv"), nil)
 	found := false
 	for _, hs := range rep.PerAttack {
 		for _, h := range hs {
@@ -287,7 +287,7 @@ func TestSensitivePayloadClassifier(t *testing.T) {
 func TestForcedVersionRestores(t *testing.T) {
 	nw, reg, cl, _ := testbed(t)
 	dev := get(t, reg, "zmodo-doorbell")
-	RunOldVersionCheck(nw, cl, dev)
+	RunOldVersionCheck(nw, cl, dev, nil)
 	// After the check, normal traffic negotiates normally again.
 	cfg, ok := cl.ServerConfigFor(dev.Destinations[0].Host)
 	if !ok || cfg.ForceVersion != 0 {

@@ -165,8 +165,8 @@ func (p *Prober) calibrate(dev *device.Device, dsp *trace.Span) (amenable bool, 
 		return false, 0, 0, fmt.Errorf("probe: %s has no boot destination", dev.ID)
 	}
 	trusted := device.OperationalCAs(p.Registry.Universe)[0].Pair.Cert
-	recKnown := p.Proxy.ProbeOnceTraced(dev, dst, trusted, dsp)
-	recUnknown := p.Proxy.ProbeArbitraryCATraced(dev, dst, dsp)
+	recKnown := p.Proxy.ProbeOnce(dev, dst, trusted, dsp)
+	recUnknown := p.Proxy.ProbeArbitraryCA(dev, dst, dsp)
 	if recKnown.Intercepted || recUnknown.Intercepted {
 		// The device accepted a forged chain: it is not validating, so
 		// there is no side channel to read.
@@ -183,14 +183,9 @@ func (p *Prober) calibrate(dev *device.Device, dsp *trace.Span) (amenable bool, 
 
 // Explore runs the full exploration for one device: calibration, then
 // one spoofed-CA trial per certificate in the common and deprecated
-// sets.
-func (p *Prober) Explore(dev *device.Device) (*Report, error) {
-	return p.ExploreTraced(dev, nil)
-}
-
-// ExploreTraced is Explore with every probe connection traced under the
-// device's span dsp.
-func (p *Prober) ExploreTraced(dev *device.Device, dsp *trace.Span) (*Report, error) {
+// sets. Every probe connection is traced under the device's span dsp,
+// which may be nil.
+func (p *Prober) Explore(dev *device.Device, dsp *trace.Span) (*Report, error) {
 	tel := p.Proxy.Telemetry()
 	report := &Report{Device: dev.ID}
 	amenable, badSig, unknown, err := p.calibrate(dev, dsp)
@@ -224,7 +219,7 @@ func (p *Prober) ExploreTraced(dev *device.Device, dsp *trace.Span) (*Report, er
 			}
 			votes := map[Verdict]int{}
 			for attempt := 0; attempt < p.repeats(); attempt++ {
-				rec := p.Proxy.ProbeOnceTraced(dev, dst, c, dsp)
+				rec := p.Proxy.ProbeOnce(dev, dst, c, dsp)
 				var v Verdict
 				switch {
 				case rec.ClientAlert == nil:
@@ -270,7 +265,7 @@ func (p *Prober) ExploreAll() (amenable []*Report, candidates int, err error) {
 	reports := make([]*Report, len(devs))
 	errs := make([]error, len(devs))
 	run := func(_, i int, dsp *trace.Span) {
-		reports[i], errs[i] = p.ExploreTraced(devs[i], dsp)
+		reports[i], errs[i] = p.Explore(devs[i], dsp)
 	}
 	pool.RunSpans(p.Parallelism, len(devs), p.Trace, "device",
 		func(i int) string { return devs[i].ID }, run)

@@ -70,7 +70,7 @@ func TestCalibrateNonAmenableDevices(t *testing.T) {
 func TestExploreMatchesTable9Row(t *testing.T) {
 	p, reg := newProber(t)
 	dev, _ := reg.Get("google-home-mini")
-	rep, err := p.Explore(dev)
+	rep, err := p.Explore(dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestExploreMatchesTable9Row(t *testing.T) {
 func TestExploreNonAmenableShortCircuits(t *testing.T) {
 	p, reg := newProber(t)
 	dev, _ := reg.Get("apple-tv")
-	rep, err := p.Explore(dev)
+	rep, err := p.Explore(dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestExploreNonAmenableShortCircuits(t *testing.T) {
 func TestStaleIncludedYears(t *testing.T) {
 	p, reg := newProber(t)
 	dev, _ := reg.Get("lg-tv")
-	rep, err := p.Explore(dev)
+	rep, err := p.Explore(dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestMajorityVotingSurvivesPacketLoss(t *testing.T) {
 	// Drop roughly every 5th connection.
 	defer dropEveryN(nw, 5)()
 
-	rep, err := p.Explore(dev)
+	rep, err := p.Explore(dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSingleTrialUnderLossDegrades(t *testing.T) {
 	p := New(mitm.NewProxy(nw, reg.Universe), reg)
 	dev, _ := reg.Get("amazon-echo-dot-3")
 	defer dropEveryN(nw, 5)()
-	rep, err := p.Explore(dev)
+	rep, err := p.Explore(dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestFallbackRetryRescuesDroppedProbes(t *testing.T) {
 	p := New(mitm.NewProxy(nw, reg.Universe), reg)
 	dev, _ := reg.Get("google-home-mini")
 	defer dropEveryN(nw, 5)()
-	rep, err := p.Explore(dev)
+	rep, err := p.Explore(dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,10 @@ type PhaseStat struct {
 	Statuses map[string]int64 `json:"statuses,omitempty"`
 }
 
-// Report is the stable metrics-report shape behind `iotls metrics` and
-// BENCH_telemetry.json. It contains only deterministic measurements:
-// two runs of the same seeded simulation marshal to identical JSON.
+// Report is the stable metrics-report shape behind `iotls metrics`; the
+// full study's report is pinned as cmd/iotls/testdata/metrics_report.json.
+// It contains only deterministic measurements: two runs of the same
+// seeded simulation marshal to identical JSON.
 type Report struct {
 	Schema string `json:"schema"`
 	// Phase is the study phase(s) the report covers (the subcommand

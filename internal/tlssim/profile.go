@@ -134,20 +134,11 @@ var Profiles = []*LibraryProfile{
 	ProfileSecureTransport,
 }
 
-// AlertForValidationError maps a certificate validation error to the
-// alert this library sends (ok=false when the library sends none).
-func (p *LibraryProfile) AlertForValidationError(err error) (wire.Alert, bool) {
-	return p.alertForValidationError(err, 0)
-}
-
-// AlertForValidationErrorAt is the version-aware variant: a library
-// with TLS13AlertsOptional stays silent when the failing connection
-// negotiated TLS 1.3.
+// AlertForValidationErrorAt maps a certificate validation error on a
+// connection that negotiated version v to the alert this library sends
+// (ok=false when the library sends none). A library with
+// TLS13AlertsOptional stays silent when v is TLS 1.3.
 func (p *LibraryProfile) AlertForValidationErrorAt(err error, v ciphers.Version) (wire.Alert, bool) {
-	return p.alertForValidationError(err, v)
-}
-
-func (p *LibraryProfile) alertForValidationError(err error, v ciphers.Version) (wire.Alert, bool) {
 	if !p.SendsAlerts {
 		return wire.Alert{}, false
 	}

@@ -78,8 +78,8 @@ func TestTLS13OptionalAlertsOnlyAffect13(t *testing.T) {
 	if !ok || a.Description != wire.AlertDecryptError {
 		t.Fatalf("alert at 1.2 = %v (%v), want decrypt_error", a, ok)
 	}
-	// The legacy single-argument mapping is unaffected.
-	a, ok = profileModernSilent13.AlertForValidationError(certs.ErrSignature)
+	// Before any version is negotiated the normal table applies.
+	a, ok = profileModernSilent13.AlertForValidationErrorAt(certs.ErrSignature, 0)
 	if !ok || a.Description != wire.AlertDecryptError {
 		t.Fatalf("versionless alert = %v (%v)", a, ok)
 	}
