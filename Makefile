@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race race-parallel chaos dataset serve trace cluster fleet perfbench vet profile clean
+.PHONY: check build test race race-parallel chaos dataset serve trace cluster fleet perfbench vet profile fuzz clean
 
 # check is the full verification gate: vet, build, the test suite under
 # the race detector, the parallel-study workload under the race
@@ -23,7 +23,8 @@ build:
 # guards the one passive entry point: only internal/core builds a
 # traffic generator (Study.RunPassive), so no non-test code can bring
 # back a second passive path that skips the study's window, phase
-# record or drain check.
+# record or drain check. And it guards the one transport: non-test code
+# connects in-process peers with netem.NewPair, never net.Pipe.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -31,6 +32,8 @@ vet:
 		if [ -n "$$out" ]; then echo "ed25519.Sign/Verify outside internal/certs:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'traffic\.New\(' . | grep -v '^\./internal/core/'); \
 		if [ -n "$$out" ]; then echo "traffic.New outside internal/core (use Study.RunPassive):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build '\bnet\.Pipe\(' .); \
+		if [ -n "$$out" ]; then echo "net.Pipe in non-test code (use netem.NewPair):"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -107,6 +110,15 @@ perfbench:
 trace:
 	$(GO) test -race -run 'TestTraceDeterminism|TestTraceErrorsAttributesDegradations|TestStudyLeaksNoSpans|TestPhaseMetricsMatchTree' \
 		-count=1 -timeout 10m ./internal/core/
+
+# fuzz runs each native fuzz target of the wire decoders (records,
+# ClientHello, alerts) for 60 s on one worker. Plain `go test` runs only
+# their seed corpora; commit any crasher written under
+# internal/wire/testdata/fuzz/ together with its fix. Not part of check.
+fuzz:
+	for t in FuzzReadRecord FuzzParseClientHello FuzzParseAlert; do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 60s -parallel 1 ./internal/wire/ || exit 1; \
+	done
 
 # profile captures CPU and heap profiles of the full-study benchmark
 # (in-memory sequential + parallel pair) into ./profiles/ and prints

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 
@@ -12,6 +11,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/device"
 	"repro/internal/mitm"
+	"repro/internal/netem"
 	"repro/internal/probe"
 	"repro/internal/rootstore"
 	"repro/internal/tlssim"
@@ -95,7 +95,7 @@ func BuildTable4() []Table4Row {
 	}, "table4-unknown-leaf")
 
 	alertFor := func(profile *tlssim.LibraryProfile, chain []*certs.Certificate, key certs.KeyPair) string {
-		cc, sc := net.Pipe()
+		cc, sc := netem.NewPair("table4-device", host)
 		resCh := make(chan *tlssim.ServerResult, 1)
 		go func() {
 			resCh <- tlssim.Serve(sc, &tlssim.ServerConfig{

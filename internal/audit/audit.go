@@ -225,8 +225,9 @@ func NewService(nw *netem.Network, host string, ca certs.KeyPair) *Service {
 		svc.advisories[meta.SrcHost] = adv
 		svc.mu.Unlock()
 		if res.Session != nil {
-			// Read the device's request (the transport is unbuffered;
-			// the client writes first), then answer with its grade.
+			// Read the device's request (a netem write waits for its
+			// reader, and the client writes first), then answer with
+			// its grade.
 			res.Session.Conn.Conn.SetDeadline(time.Now().Add(netem.DefaultIODeadline))
 			buf := make([]byte, 1024)
 			res.Session.Conn.Read(buf)

@@ -198,6 +198,9 @@ type workerState struct {
 	running int
 	misses  int
 	stop    context.CancelFunc // ends the monitor goroutine
+	// abandoned lists the remote jobs of attempts given up when the
+	// worker was lost; they are cancelled remotely if it rejoins.
+	abandoned []string
 }
 
 // event kinds flowing into the control loop.
@@ -552,9 +555,12 @@ func (c *Coordinator) runAttempt(ctx context.Context, at *attempt, spec serve.Jo
 	case c.events <- event{kind: evSubmitted, attempt: at, jobID: st.ID}:
 	case <-ctx.Done():
 	}
-	st, err = at.worker.client.waitTerminal(ctx, st.ID, c.opts.PollInterval)
+	id := st.ID
+	st, err = at.worker.client.waitTerminal(ctx, id, c.opts.PollInterval)
 	if err != nil {
-		fail(fmt.Errorf("await %s: %w", st.ID, err))
+		// waitTerminal returns a zero Status on error: name the job by
+		// the ID submit returned.
+		fail(fmt.Errorf("await %s: %w", id, err))
 		return
 	}
 	if st.State != serve.StateDone {
@@ -645,10 +651,15 @@ func (c *Coordinator) handleHeartbeat(ev event) {
 			c.opts.Logf("worker %s lost (%d consecutive missed heartbeats)", w.name, w.misses)
 			// Its in-flight attempts can't finish; fail them proactively
 			// instead of waiting for their HTTP calls to exhaust retries.
+			// The worker can't be reached to cancel their remote jobs, so
+			// remember them for a rejoin.
 			for _, j := range c.jobs {
 				for _, at := range append([]*attempt(nil), j.attempts...) {
 					if at.worker == w {
 						at.cancel()
+						if at.jobID != "" {
+							w.abandoned = append(w.abandoned, at.jobID)
+						}
 					}
 				}
 			}
@@ -664,10 +675,16 @@ func (c *Coordinator) handleHeartbeat(ev event) {
 		w.state = workerReady
 	case w.state == workerLost:
 		// Back from the dead (a partition healed). Its old jobs were
-		// already requeued; it may take new ones — including jobs whose
-		// failures on it were really its death, so clear its exclusions.
+		// already requeued, so cancel their remote runs, which would
+		// only duplicate that work; it may take new jobs — including
+		// ones whose failures on it were really its death, so clear its
+		// exclusions.
 		w.state = workerReady
 		c.tel.Counter("coord.workers.rejoined").Inc()
+		for _, id := range w.abandoned {
+			cancelRemote(w.client, id, "worker lost")
+		}
+		w.abandoned = nil
 		for _, j := range c.jobs {
 			if j.state == jobPending || j.state == jobRunning {
 				delete(j.excluded, w.name)
@@ -682,12 +699,17 @@ func (c *Coordinator) handleHeartbeat(ev event) {
 func (c *Coordinator) cancelAttempt(at *attempt, reason string) {
 	at.cancel()
 	if at.jobID != "" && at.worker.state != workerLost {
-		go func(wc *workerClient, id string) {
-			cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			wc.cancel(cctx, id, reason)
-		}(at.worker.client, at.jobID)
+		cancelRemote(at.worker.client, at.jobID, reason)
 	}
+}
+
+// cancelRemote best-effort cancels remote job id in the background.
+func cancelRemote(wc *workerClient, id, reason string) {
+	go func() {
+		cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		wc.cancel(cctx, id, reason)
+	}()
 }
 
 // completedCount counts done jobs.

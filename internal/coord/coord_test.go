@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -318,6 +319,8 @@ func TestCoordWorkerRejoins(t *testing.T) {
 			}
 		}
 	}
+	// cancels carries the job IDs worker 0 is asked to cancel.
+	cancels := make(chan string, 8)
 	fleet, err := SpawnLocalWorkers(2, LocalOptions{
 		WorkDir: t.TempDir(),
 		// Worker 0 fails its readiness probes until it is lost.
@@ -329,6 +332,12 @@ func TestCoordWorkerRejoins(t *testing.T) {
 				if r.URL.Path == "/readyz" && counter(tel, "coord.workers.lost") < 1 {
 					http.Error(w, "held down", http.StatusInternalServerError)
 					return
+				}
+				if id, ok := strings.CutSuffix(strings.TrimPrefix(r.URL.Path, "/jobs/"), "/cancel"); ok && r.Method == http.MethodPost {
+					select {
+					case cancels <- id:
+					default:
+					}
 				}
 				h.ServeHTTP(w, r)
 			})
@@ -375,6 +384,20 @@ func TestCoordWorkerRejoins(t *testing.T) {
 	}
 	if res.Partial || res.Completed != 2 {
 		t.Fatalf("partial=%v completed=%d, want clean 2", res.Partial, res.Completed)
+	}
+	// The job worker 0 was running when it was lost was requeued, so
+	// the coordinator cancels it on the worker once it is back.
+	abandoned := fleet[0].Manager.Jobs()[0].ID
+	deadline := time.After(time.Minute)
+	for {
+		select {
+		case id := <-cancels:
+			if id == abandoned {
+				return
+			}
+		case <-deadline:
+			t.Fatalf("rejoined w0 never received a cancel for its abandoned job %s", abandoned)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/capture"
@@ -135,6 +136,41 @@ func TestFleetSmoke(t *testing.T) {
 		t.Logf("fleet n=%d: %d handshakes, %d records spilled, peak RSS %d KiB", n, handshakes, spilled, kib)
 		if kib > ceilingKiB {
 			t.Errorf("peak RSS %d KiB exceeds the %d KiB fleet ceiling", kib, ceilingKiB)
+		}
+	}
+}
+
+// TestBackToBackFleetsKeepHeapFlat runs three 2,000-device two-month
+// fleet studies in one process, as a long-lived `iotls serve` would,
+// and checks that nothing one study allocated outlives it: heap after
+// GC stays within 2 MiB of its level after the first study, and the
+// goroutine count returns to its baseline. A connection that stays
+// reachable after Close (say, through a still-armed deadline timer)
+// grows the heap by every study's connections.
+func TestBackToBackFleetsKeepHeapFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three fleet studies; skipped under -short")
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	baseline := runtime.NumGoroutine()
+	var first uint64
+	for i := 1; i <= 3; i++ {
+		fleetWindowRun(t, 2000)
+		h, g := heap(), runtime.NumGoroutine()
+		t.Logf("study %d: heap after GC %.1f MiB, %d goroutines (baseline %d)", i, float64(h)/(1<<20), g, baseline)
+		if g != baseline {
+			t.Errorf("study %d left %d goroutines, baseline %d", i, g, baseline)
+		}
+		if i == 1 {
+			first = h
+		} else if h > first+2<<20 {
+			t.Errorf("study %d: heap after GC %.1f MiB, more than 2 MiB above the first study's %.1f MiB",
+				i, float64(h)/(1<<20), float64(first)/(1<<20))
 		}
 	}
 }

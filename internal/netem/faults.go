@@ -1,6 +1,7 @@
-// Fault materialization: the handlers and conn wrappers that turn a
-// fault.Decision into observable connection behaviour. Every path here
-// is deadlock-safe on the unbuffered net.Pipe transport and yields a
+// Fault materialization: the handlers and server-end write paths that
+// turn a fault.Decision into observable connection behaviour. Every
+// path here is deadlock-safe on the rendezvous transport (a Write
+// returns only once the peer has read it, see Conn) and yields a
 // deterministic failure class on the client:
 //
 //   - reset:    the ClientHello is consumed in full, then the
@@ -17,7 +18,8 @@ package netem
 import (
 	"io"
 	"net"
-	"sync"
+
+	"repro/internal/fault"
 )
 
 // resetAfterHello serves the KindReset fault: it reads exactly one TLS
@@ -39,92 +41,49 @@ func resetAfterHello(conn net.Conn, _ ConnMeta) {
 	}
 }
 
-// truncateConn serves the KindTruncate fault from the server side: the
-// first write is cut short at a seeded offset and the connection
-// closes. Later writes fail without touching the pipe.
-type truncateConn struct {
-	net.Conn // the *serverConn
-	entropy  uint64
-
-	mu    sync.Mutex
-	fired bool
-}
-
-func (c *truncateConn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	fired := c.fired
-	c.fired = true
-	c.mu.Unlock()
-	if fired {
-		return 0, io.ErrClosedPipe
-	}
-	if len(p) < 2 {
-		n, err := c.Conn.Write(p)
-		c.Conn.Close()
-		if err != nil {
-			return n, err
-		}
-		return n, io.ErrClosedPipe
-	}
-	cut := 1 + int(c.entropy%uint64(len(p)-1))
-	n, err := c.Conn.Write(p[:cut])
-	c.Conn.Close()
-	if err != nil {
-		return n, err
-	}
-	return n, io.ErrClosedPipe
-}
-
-// StallPeer forwards the deterministic stall signal, so a handler that
-// decides to withhold its flight (never writing) behaves exactly as it
-// would unwrapped.
-func (c *truncateConn) StallPeer() {
-	if s, ok := c.Conn.(Staller); ok {
-		s.StallPeer()
-	}
-}
-
-// corruptConn serves the KindCorrupt fault: it flips one seeded byte of
-// the server's fourth write. Writes one and two are the ServerHello
-// record (header, payload) — which the client parses immediately on
-// receipt, where an error answer could cross the server's next write
-// on the unbuffered pipe — so the corruption targets write four, the
-// Certificate message payload, which the client only reacts to after
-// reading the server's full flight.
-type corruptConn struct {
-	net.Conn // the *serverConn
-	entropy  uint64
-
-	mu     sync.Mutex
-	writes int
+// blackHole serves the KindStall fault: it swallows everything the
+// client sends and never answers. It declares the stall up front, so
+// the client's read fails with a timeout at once instead of waiting out
+// its handshake deadline — same failure class, no wall-clock wait.
+func blackHole(conn net.Conn, _ ConnMeta) {
+	defer conn.Close()
+	conn.(Staller).StallPeer()
+	io.Copy(io.Discard, conn)
 }
 
 // corruptTargetWrite selects the server's Certificate-message payload:
-// writes go header, payload, header, payload, ... (wire.WriteRecord
-// issues two writes per record).
+// wire.WriteRecord writes a header, then a payload, so writes one and
+// two are the ServerHello record, which the client parses on receipt.
 const corruptTargetWrite = 4
 
-func (c *corruptConn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	c.writes++
-	w := c.writes
-	c.mu.Unlock()
-	if w != corruptTargetWrite || len(p) == 0 {
-		return c.Conn.Write(p)
+// degradedWrite is the server end's Write under the truncate and
+// corrupt faults. Truncate cuts the first write short at a seeded
+// offset and closes; later writes fail without touching the transport.
+// Corrupt flips one seeded byte of write corruptTargetWrite.
+func (c *Conn) degradedWrite(b []byte) (int, error) {
+	w := c.faultWrites.Add(1)
+	if c.fault == fault.KindCorrupt {
+		if w == corruptTargetWrite && len(b) > 0 {
+			q := append([]byte(nil), b...)
+			mask := byte(c.entropy >> 8)
+			if mask == 0 {
+				mask = 0x5a
+			}
+			q[int(c.entropy%uint64(len(b)))] ^= mask
+			b = q
+		}
+		return c.write(b)
 	}
-	q := make([]byte, len(p))
-	copy(q, p)
-	mask := byte(c.entropy >> 8)
-	if mask == 0 {
-		mask = 0x5a
+	if w > 1 {
+		return 0, io.ErrClosedPipe
 	}
-	q[int(c.entropy%uint64(len(p)))] ^= mask
-	return c.Conn.Write(q)
-}
-
-// StallPeer forwards the deterministic stall signal.
-func (c *corruptConn) StallPeer() {
-	if s, ok := c.Conn.(Staller); ok {
-		s.StallPeer()
+	if len(b) >= 2 {
+		b = b[:1+int(c.entropy%uint64(len(b)-1))]
 	}
+	n, err := c.write(b)
+	c.Close()
+	if err == nil {
+		err = io.ErrClosedPipe
+	}
+	return n, err
 }

@@ -5,9 +5,9 @@
 // experiments) and actively redirect connections to an interception
 // handler (the paper's mitmproxy-based active experiments).
 //
-// Connections are real net.Conn pairs (net.Pipe), so TLS state machines
-// running on top exercise genuine blocking reads/writes, deadlines and
-// close semantics.
+// Every connection is a Conn pair with net.Pipe's semantics, so TLS
+// state machines on top exercise genuine blocking reads and writes,
+// deadlines and closes; the mirror and write faults live in the Conn.
 package netem
 
 import (
@@ -16,7 +16,6 @@ import (
 	"net"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -39,9 +38,8 @@ type ConnMeta struct {
 	// attempt that produced the bytes.
 	Trace *trace.Span
 
-	// addr caches the rendered destination. Dial fills it once so the
-	// several Addr calls along the dial path (routing, telemetry, fault
-	// keying, mirroring) don't re-format the string.
+	// addr caches the rendered destination, which Dial fills once for
+	// the Addr calls along the dial path (routing, telemetry, faults).
 	addr string
 }
 
@@ -97,7 +95,7 @@ type Network struct {
 
 	mu        sync.RWMutex
 	listeners map[string]Handler
-	taps      []*tapEntry
+	taps      []*Tap
 	mirror    MirrorFactory
 	faults    *fault.Plan
 
@@ -105,9 +103,8 @@ type Network struct {
 	// can join them before the virtual clock moves.
 	handlers sync.WaitGroup
 
-	// hot caches the dial-path counter handles; Registry.Counter is a
-	// lock-guarded map lookup, too heavy for once-per-dial (and
-	// once-per-Read on mirrored conns).
+	// hot caches the counter handles the dial path and mirrored conns
+	// bump; Registry.Counter is a lock-guarded map lookup.
 	hot hotCounters
 
 	// endpointCounters caches "netem.endpoint.<addr>" counters keyed by
@@ -122,12 +119,6 @@ type hotCounters struct {
 	faultsStall, faultsTruncate, faultsCorrupt *telemetry.Counter
 	mirrorConns, mirrorFrames                  *telemetry.Counter
 	mirrorClientBytes, mirrorServerBytes       *telemetry.Counter
-}
-
-// tapEntry is one AddTap registration, boxed so the remove closure can
-// identify its own entry by pointer.
-type tapEntry struct {
-	tap Tap
 }
 
 // New creates an empty network observing time through clk. The network
@@ -191,7 +182,7 @@ func (n *Network) Unlisten(host string, port int) {
 // returning a non-nil handler hijacks the connection. Taps filtering on disjoint sources compose, which is what
 // lets active experiments against different devices run concurrently.
 func (n *Network) AddTap(t Tap) (remove func()) {
-	e := &tapEntry{tap: t}
+	e := &t // boxed, so the remove closure finds its own entry by pointer
 	n.mu.Lock()
 	n.taps = append(n.taps, e)
 	n.mu.Unlock()
@@ -230,23 +221,6 @@ func (n *Network) FaultPlan() *fault.Plan {
 	return n.faults
 }
 
-// blackHole swallows everything the client sends and never answers.
-// It declares the stall up front, so the client's read fails with a
-// timeout immediately instead of waiting out its handshake deadline —
-// same failure class, no wall-clock sensitivity.
-func blackHole(conn net.Conn, _ ConnMeta) {
-	defer conn.Close()
-	if s, ok := conn.(Staller); ok {
-		s.StallPeer()
-	}
-	buf := make([]byte, 1024)
-	for {
-		if _, err := conn.Read(buf); err != nil {
-			return
-		}
-	}
-}
-
 // Dial opens a connection from srcHost to dstHost:dstPort through the
 // gateway. The returned conn is the client side; the matching server side
 // is passed to the interception handler (if the tap hijacks) or to the
@@ -264,7 +238,7 @@ func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Spa
 	meta.addr = meta.DstHost + ":" + strconv.Itoa(meta.DstPort)
 
 	n.mu.RLock()
-	taps := append([]*tapEntry(nil), n.taps...)
+	taps := append([]*Tap(nil), n.taps...)
 	mirror := n.mirror
 	handler := n.listeners[meta.Addr()]
 	plan := n.faults
@@ -308,7 +282,7 @@ func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Spa
 	}
 
 	for _, e := range taps {
-		if h := e.tap(meta); h != nil {
+		if h := (*e)(meta); h != nil {
 			handler = h
 			n.hot.dialsTapped.Inc()
 			break
@@ -319,40 +293,28 @@ func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Spa
 		return nil, fmt.Errorf("%w: %s", ErrNoRoute, meta.Addr())
 	}
 
-	clientSide, serverSide := net.Pipe()
-	st := &stallState{peer: clientSide}
-	var client net.Conn = &stallConn{
-		Conn: &addrConn{Conn: clientSide, local: hostAddr(srcHost), remote: hostAddr(meta.Addr()), peer: serverSide},
-		st:   st,
-	}
-	server := &serverConn{
-		Conn: &addrConn{Conn: serverSide, local: hostAddr(meta.Addr()), remote: hostAddr(srcHost), peer: clientSide},
-		st:   st,
-	}
-
+	client, server := NewPair(srcHost, meta.addr)
 	if mirror != nil {
 		if m := mirror(meta); m != nil {
 			n.hot.mirrorConns.Inc()
-			client = newMirroredConn(client, m, n)
+			client.mirror, client.nw = m, n
 		}
 	}
 
 	// The truncate and corrupt faults let the connection reach its real
-	// handler but degrade the server's writes.
-	var srv net.Conn = server
+	// handler but degrade the server's writes (Conn.degradedWrite).
+	server.fault, server.entropy = dec.Kind, dec.Rand
 	switch dec.Kind {
 	case fault.KindTruncate:
 		n.hot.faultsTruncate.Inc()
-		srv = &truncateConn{Conn: server, entropy: dec.Rand}
 	case fault.KindCorrupt:
 		n.hot.faultsCorrupt.Inc()
-		srv = &corruptConn{Conn: server, entropy: dec.Rand}
 	}
 
 	n.handlers.Add(1)
 	go func() {
 		defer n.handlers.Done()
-		handler(srv, meta)
+		handler(server, meta)
 	}()
 	return client, nil
 }
@@ -362,141 +324,7 @@ func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Spa
 // wait first: a handler scheduled late would otherwise stamp its spans
 // with post-advance virtual times, making telemetry histograms depend
 // on goroutine scheduling. Callers must ensure no concurrent Dials —
-// barriers are naturally quiescent points. With nothing in flight,
-// Wait returns after a single atomic load.
+// barriers are naturally quiescent points.
 func (n *Network) WaitHandlers() {
 	n.handlers.Wait()
-}
-
-// hostAddr is a net.Addr naming a simulated host.
-type hostAddr string
-
-func (h hostAddr) Network() string { return "iotls" }
-func (h hostAddr) String() string  { return string(h) }
-
-// addrConn decorates a pipe conn with meaningful addresses.
-type addrConn struct {
-	net.Conn
-	local, remote net.Addr
-	peer          net.Conn // the other raw pipe end
-}
-
-func (c *addrConn) LocalAddr() net.Addr  { return c.local }
-func (c *addrConn) RemoteAddr() net.Addr { return c.remote }
-
-// Close clears both ends' deadlines before closing. A pipe deadline is a
-// runtime timer whose callback holds the pipe, and a pipe refuses
-// SetDeadline once either end has closed — so without this, every end
-// closed with a deadline armed stays live until its timer fires. Once
-// this end closes, the peer's reads and writes fail on the close
-// whatever their deadline, so clearing it changes no outcome.
-func (c *addrConn) Close() error {
-	c.Conn.SetDeadline(time.Time{})
-	c.peer.SetDeadline(time.Time{})
-	return c.Conn.Close()
-}
-
-// Staller is implemented by the server side of every dialed connection.
-// A handler that intends never to answer again calls StallPeer, which
-// fails the client's pending and future reads immediately with a
-// timeout instead of making it wait out its handshake deadline. The
-// failure class the client observes is identical to a real timeout
-// (FailIncomplete territory), but the outcome no longer depends on
-// wall-clock scheduling — the property the parallel engine's
-// bit-identical-artifacts guarantee rests on.
-type Staller interface{ StallPeer() }
-
-// stallState coordinates a declared stall with the client's own
-// deadline management: once stalled, the client's read deadline is
-// pinned in the past and stallConn refuses to move it forward.
-type stallState struct {
-	mu      sync.Mutex
-	stalled bool
-	peer    net.Conn // raw client pipe end
-}
-
-// stallConn is the client end of a dialed connection.
-type stallConn struct {
-	net.Conn // addrConn
-	st       *stallState
-}
-
-func (c *stallConn) SetDeadline(t time.Time) error {
-	c.st.mu.Lock()
-	defer c.st.mu.Unlock()
-	if c.st.stalled {
-		return c.Conn.SetWriteDeadline(t)
-	}
-	return c.Conn.SetDeadline(t)
-}
-
-func (c *stallConn) SetReadDeadline(t time.Time) error {
-	c.st.mu.Lock()
-	defer c.st.mu.Unlock()
-	if c.st.stalled {
-		return nil
-	}
-	return c.Conn.SetReadDeadline(t)
-}
-
-// serverConn is the server end of a dialed connection.
-type serverConn struct {
-	net.Conn // addrConn
-	st       *stallState
-}
-
-// StallPeer implements Staller.
-func (c *serverConn) StallPeer() {
-	c.st.mu.Lock()
-	defer c.st.mu.Unlock()
-	c.st.stalled = true
-	c.st.peer.SetReadDeadline(time.Unix(1, 0))
-}
-
-// mirroredConn copies all traffic through a Mirror. Reads observe
-// server->client bytes; writes observe client->server bytes.
-type mirroredConn struct {
-	net.Conn
-	mirror Mirror
-	nw     *Network
-	once   sync.Once
-
-	clientBytes atomic.Int64
-	serverBytes atomic.Int64
-}
-
-func newMirroredConn(c net.Conn, m Mirror, nw *Network) *mirroredConn {
-	return &mirroredConn{Conn: c, mirror: m, nw: nw}
-}
-
-func (c *mirroredConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if n > 0 {
-		c.mirror.ServerBytes(p[:n])
-		c.serverBytes.Add(int64(n))
-		c.nw.hot.mirrorFrames.Inc()
-		c.nw.hot.mirrorServerBytes.Add(int64(n))
-	}
-	return n, err
-}
-
-func (c *mirroredConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	if n > 0 {
-		c.mirror.ClientBytes(p[:n])
-		c.clientBytes.Add(int64(n))
-		c.nw.hot.mirrorFrames.Inc()
-		c.nw.hot.mirrorClientBytes.Add(int64(n))
-	}
-	return n, err
-}
-
-func (c *mirroredConn) Close() error {
-	err := c.Conn.Close()
-	c.once.Do(func() {
-		c.mirror.CloseMirror()
-		c.nw.tel.Histogram("netem.conn.client_bytes", telemetry.SizeBuckets).Observe(c.clientBytes.Load())
-		c.nw.tel.Histogram("netem.conn.server_bytes", telemetry.SizeBuckets).Observe(c.serverBytes.Load())
-	})
-	return err
 }

@@ -316,10 +316,10 @@ func TestDeadlinesPropagate(t *testing.T) {
 }
 
 // TestClosedConnsReleaseDeadlines checks that closing a dialed
-// connection frees both pipe ends even when each still has a deadline
-// armed. A pipe deadline is a runtime timer holding its pipe, so
-// without the clear on Close every pair would stay live until its
-// timers fired, minutes from now.
+// connection frees both ends even though each has a deadline set and
+// the server's Read blocked on it. A blocked call arms the pair's
+// timer, whose callback holds the pair, so without the stop on Close
+// every pair would stay live until its timer fired, minutes from now.
 func TestClosedConnsReleaseDeadlines(t *testing.T) {
 	const pairs = 10000
 	n, _ := newTestNetwork()

@@ -91,8 +91,10 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	transcript.add(shMsg)
 
 	// Read the rest of the server flight before reacting: real stacks
-	// process the full flight (TCP buffers it), and alerting mid-flight
-	// would deadlock an unbuffered in-memory transport.
+	// process the full flight (TCP buffers it), and on netem's
+	// rendezvous transport, where a write returns only once the peer
+	// has read it, alerting mid-flight would deadlock against the
+	// server's pending write.
 	certMsg, herr := mr.expect(wire.TypeCertificate)
 	if herr != nil {
 		return nil, herr
