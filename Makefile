@@ -24,7 +24,10 @@ build:
 # traffic generator (Study.RunPassive), so no non-test code can bring
 # back a second passive path that skips the study's window, phase
 # record or drain check. And it guards the one transport: non-test code
-# connects in-process peers with netem.NewPair, never net.Pipe.
+# connects in-process peers with netem.NewPair, never net.Pipe. And it
+# guards the one report derivation: only internal/core builds artifacts
+# (Study.Derive and its parts), so a restored report cannot drift from a
+# live one.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -34,6 +37,8 @@ vet:
 		if [ -n "$$out" ]; then echo "traffic.New outside internal/core (use Study.RunPassive):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build '\bnet\.Pipe\(' .); \
 		if [ -n "$$out" ]; then echo "net.Pipe in non-test code (use netem.NewPair):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'analysis\.Build' . | grep -vE '^\./internal/(analysis|core)/'); \
+		if [ -n "$$out" ]; then echo "analysis.Build outside internal/analysis and internal/core (use Study.Derive):"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

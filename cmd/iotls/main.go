@@ -64,7 +64,6 @@ import (
 	"repro/internal/audit"
 	"repro/internal/capture"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/device"
 	"repro/internal/driver"
 	"repro/internal/guard"
@@ -245,12 +244,14 @@ func runPassive() error {
 	}
 	fmt.Printf("passive simulation: %d months, %d handshakes representing %d connections\n\n",
 		stats.Months, stats.Handshakes, stats.WeightedConns)
-	fmt.Println(analysis.BuildFigure1(s.Store, s.NameOf).Render())
-	fmt.Println(analysis.BuildFigure2(s.Store, s.NameOf).Render())
-	fmt.Println(analysis.BuildFigure3(s.Store, s.NameOf).Render())
-	fmt.Println(analysis.BuildTable8(s.Store, deviceIDs(s), s.NameOf).Render())
-	fmt.Println(analysis.BuildPriorWorkComparison(s.Store).Render())
-	fmt.Println(analysis.BuildDatasetSummary(s.Store).Render())
+	rep := &core.Report{}
+	s.DerivePassive(rep)
+	fmt.Println(rep.Figure1.Render())
+	fmt.Println(rep.Figure2.Render())
+	fmt.Println(rep.Figure3.Render())
+	fmt.Println(rep.Table8.Render())
+	fmt.Println(rep.Comparison.Render())
+	fmt.Println(rep.Dataset.Render())
 	return nil
 }
 
@@ -259,7 +260,9 @@ func runActive() error {
 	fmt.Println(analysis.RenderTable5(s.RunDowngradeSuite(), s.NameOf))
 	fmt.Println(analysis.RenderTable6(s.RunOldVersionSuite(), s.NameOf))
 	fmt.Println(analysis.RenderTable7(s.RunInterceptionSuite(), s.NameOf))
-	fmt.Println(analysis.BuildPassthroughStat(s.RunPassthroughSuite()).Render())
+	rep := &core.Report{Passthroughs: s.RunPassthroughSuite()}
+	s.DeriveExperiments(rep, false)
+	fmt.Println(rep.Passthrough.Render())
 	return nil
 }
 
@@ -271,7 +274,9 @@ func runProbe() error {
 	}
 	fmt.Printf("probe candidates: %d, amenable: %d\n\n", candidates, len(reports))
 	fmt.Println(analysis.RenderTable9(reports, s.NameOf))
-	fmt.Println(analysis.BuildFigure4(reports, s.NameOf).Render())
+	rep := &core.Report{ProbeReports: reports}
+	s.DeriveExperiments(rep, false)
+	fmt.Println(rep.Figure4.Render())
 	return nil
 }
 
@@ -281,11 +286,13 @@ func runFingerprint() error {
 	if err != nil {
 		return err
 	}
-	fig := analysis.BuildFigure5(store, device.ReferenceDB(), s.NameOf)
-	fmt.Println(fig.Render())
+	rep := &core.Report{ActiveStore: store}
+	s.DeriveActive(rep)
+	fmt.Println(rep.Figure5.Render())
 	return nil
 }
 
+// runReport runs the full study and renders the report it produced.
 func runReport(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	dir := fs.String("dir", "", "also write per-artifact files to this directory")
@@ -293,13 +300,6 @@ func runReport(args []string) error {
 	s := newStudy()
 	rep, err := s.RunAll()
 	if err != nil {
-		return err
-	}
-	// The default report renders through the dataset layer — snapshot
-	// the run, restore it onto the testbed it names, render from that —
-	// so the in-process path and the capture/analyze split share one
-	// code path and cannot drift.
-	if s, rep, err = dataset.Analyze(dataset.FromStudy(s, rep)); err != nil {
 		return err
 	}
 	fmt.Println(rep.Render(s))
@@ -321,7 +321,9 @@ func runTables() error {
 	fmt.Println(analysis.RenderTable1(s.Registry))
 	fmt.Println(analysis.RenderTable2())
 	fmt.Println(analysis.RenderTable3())
-	fmt.Println(analysis.RenderTable4(analysis.BuildTable4()))
+	rep := &core.Report{}
+	s.DeriveExperiments(rep, false)
+	fmt.Println(analysis.RenderTable4(rep.Table4Rows))
 	return nil
 }
 
@@ -379,12 +381,4 @@ func runGuard() error {
 	}
 	fmt.Print(g.Report())
 	return nil
-}
-
-func deviceIDs(s *core.Study) []string {
-	var out []string
-	for _, d := range s.Registry.Devices {
-		out = append(out, d.ID)
-	}
-	return out
 }

@@ -273,10 +273,7 @@ func splitDevices(cfg core.Config, n int) ([][]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ids []string
-	for _, d := range s.Registry.Devices {
-		ids = append(ids, d.ID)
-	}
+	ids := s.Registry.IDs()
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("coord: study has no devices")
 	}

@@ -78,13 +78,19 @@ func (s *Study) Degradations() []Degradation {
 	s.degradeMu.Lock()
 	out := append([]Degradation(nil), s.degradations...)
 	s.degradeMu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Phase != out[j].Phase {
-			return out[i].Phase < out[j].Phase
-		}
-		return out[i].Reason < out[j].Reason
-	})
+	sortDegradations(out)
 	return out
+}
+
+// sortDegradations puts a degradation log in its canonical order: by
+// phase, then reason.
+func sortDegradations(ds []Degradation) {
+	sort.Slice(ds, func(i, j int) bool {
+		if ds[i].Phase != ds[j].Phase {
+			return ds[i].Phase < ds[j].Phase
+		}
+		return ds[i].Reason < ds[j].Reason
+	})
 }
 
 // errSkipped is the contained error of a phase a drained study skipped.

@@ -8,7 +8,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -303,39 +302,38 @@ func (s *Study) CaptureActiveSnapshot() (store *capture.Store, err error) {
 }
 
 // RunInterceptionSuite attacks every active device (Table 7).
-func (s *Study) RunInterceptionSuite() (out []*mitm.InterceptionReport) {
-	s.phase("interception", func() error {
-		s.advanceToActiveWindow()
-		devs := s.Registry.ActiveDevices()
-		out = make([]*mitm.InterceptionReport, len(devs))
-		pool.RunSpans(s.Workers(), len(devs), s.tracePhase, "device",
-			func(i int) string { return devs[i].ID },
-			func(_, i int, dsp *trace.Span) {
-				defer s.recoverDevice("interception", devs[i].ID, dsp, func() {
-					out[i] = &mitm.InterceptionReport{Device: devs[i].ID}
-				})
-				out[i] = s.Proxy.RunInterception(devs[i], dsp)
-			})
-		return nil
-	})
-	return out
+func (s *Study) RunInterceptionSuite() []*mitm.InterceptionReport {
+	return runDeviceSuite(s, "interception", s.Proxy.RunInterception,
+		func(id string) *mitm.InterceptionReport { return &mitm.InterceptionReport{Device: id} }, nil)
 }
 
 // RunDowngradeSuite probes every active device for downgrade behaviour
 // (Table 5).
-func (s *Study) RunDowngradeSuite() (out []*mitm.DowngradeReport) {
-	s.phase("downgrade", func() error {
+func (s *Study) RunDowngradeSuite() []*mitm.DowngradeReport {
+	return runDeviceSuite(s, "downgrade", s.Proxy.RunDowngrade,
+		func(id string) *mitm.DowngradeReport { return &mitm.DowngradeReport{Device: id} }, nil)
+}
+
+// runDeviceSuite runs one per-device experiment as the named phase,
+// over every active device in parallel, and returns the reports in
+// registry order. Each device runs contained: one that panics gets the
+// empty report and a degradation. check, when non-nil, runs inside the
+// phase over the reports, so connections it abandons count against the
+// phase.
+func runDeviceSuite[R any](s *Study, phase string, run func(*device.Device, *trace.Span) R, empty func(id string) R, check func([]R)) (out []R) {
+	s.phase(phase, func() error {
 		s.advanceToActiveWindow()
 		devs := s.Registry.ActiveDevices()
-		out = make([]*mitm.DowngradeReport, len(devs))
+		out = make([]R, len(devs))
 		pool.RunSpans(s.Workers(), len(devs), s.tracePhase, "device",
 			func(i int) string { return devs[i].ID },
 			func(_, i int, dsp *trace.Span) {
-				defer s.recoverDevice("downgrade", devs[i].ID, dsp, func() {
-					out[i] = &mitm.DowngradeReport{Device: devs[i].ID}
-				})
-				out[i] = s.Proxy.RunDowngrade(devs[i], dsp)
+				defer s.recoverDevice(phase, devs[i].ID, dsp, func() { out[i] = empty(devs[i].ID) })
+				out[i] = run(devs[i], dsp)
 			})
+		if check != nil {
+			check(out)
+		}
 		return nil
 	})
 	return out
@@ -366,31 +364,14 @@ func (s *Study) RunOldVersionSuite() (out []*mitm.OldVersionReport) {
 // RunPassthroughSuite runs the TrafficPassthrough control for every
 // active device (§4.2).
 func (s *Study) RunPassthroughSuite() []*mitm.PassthroughReport {
-	return s.runPassthrough(nil)
+	return runPassthrough(s, nil)
 }
 
 // runPassthrough is RunPassthroughSuite with an optional check of the
-// reports run inside the phase, so connections the check abandons
-// count against the phase.
-func (s *Study) runPassthrough(check func([]*mitm.PassthroughReport)) (out []*mitm.PassthroughReport) {
-	s.phase("passthrough", func() error {
-		s.advanceToActiveWindow()
-		devs := s.Registry.ActiveDevices()
-		out = make([]*mitm.PassthroughReport, len(devs))
-		pool.RunSpans(s.Workers(), len(devs), s.tracePhase, "device",
-			func(i int) string { return devs[i].ID },
-			func(_, i int, dsp *trace.Span) {
-				defer s.recoverDevice("passthrough", devs[i].ID, dsp, func() {
-					out[i] = &mitm.PassthroughReport{Device: devs[i].ID}
-				})
-				out[i] = s.Proxy.RunPassthrough(devs[i], dsp)
-			})
-		if check != nil {
-			check(out)
-		}
-		return nil
-	})
-	return out
+// reports run inside the phase.
+func runPassthrough(s *Study, check func([]*mitm.PassthroughReport)) []*mitm.PassthroughReport {
+	return runDeviceSuite(s, "passthrough", s.Proxy.RunPassthrough,
+		func(id string) *mitm.PassthroughReport { return &mitm.PassthroughReport{Device: id} }, check)
 }
 
 // RunProbe explores every probe candidate's root store (Table 9,
@@ -451,7 +432,6 @@ type Report struct {
 func (s *Study) RunAll() (*Report, error) {
 	end := s.phaseMetrics("all")
 	rep := &Report{}
-	nameOf := s.NameOf
 
 	// Each phase records its own failure as a degradation, so RunAll
 	// keeps only the results.
@@ -464,41 +444,29 @@ func (s *Study) RunAll() (*Report, error) {
 			// Artifacts come from the persisted dataset (analyze/Restore).
 			return nil
 		}
-		rep.Figure1 = analysis.BuildFigure1(s.Store, nameOf)
-		rep.Figure2 = analysis.BuildFigure2(s.Store, nameOf)
-		rep.Figure3 = analysis.BuildFigure3(s.Store, nameOf)
-		rep.Comparison = analysis.BuildPriorWorkComparison(s.Store)
-		rep.Dataset = analysis.BuildDatasetSummary(s.Store)
-		rep.Diversity = analysis.BuildVersionDiversity(s.Store, nameOf)
-		rep.Table8 = analysis.BuildTable8(s.Store, s.deviceIDs(), nameOf)
+		s.DerivePassive(rep)
 		return nil
 	})
 
 	if store, _ := s.CaptureActiveSnapshot(); store != nil {
 		rep.ActiveStore = store
-		rep.Figure5 = analysis.BuildFigure5(store, device.ReferenceDB(), nameOf)
+		s.DeriveActive(rep)
 	}
 
-	rep.Table4Rows = analysis.BuildTable4()
 	rep.Downgrades = s.RunDowngradeSuite()
 	rep.OldVersions = s.RunOldVersionSuite()
 	rep.Interceptions = s.RunInterceptionSuite()
-
-	// A skipped probe leaves Figure 4 unset, so it renders as PARTIAL;
-	// a failed one still draws from whatever it explored.
-	if reports, _, err := s.RunProbe(); !errors.Is(err, errSkipped) {
-		rep.ProbeReports = reports
-		rep.Figure4 = analysis.BuildFigure4(reports, nameOf)
-	}
+	rep.ProbeReports, _, _ = s.RunProbe()
 
 	// The §4.2 re-test of newly exposed hosts dials, so it runs inside
 	// the passthrough phase.
-	rep.Passthroughs = s.runPassthrough(func(reports []*mitm.PassthroughReport) {
-		rep.Passthrough = analysis.BuildPassthroughStat(reports)
-		rep.Passthrough.NoNewValidationFailures = s.verifyNoNewFailures(reports, rep.Interceptions)
+	var noNewFailures bool
+	rep.Passthroughs = runPassthrough(s, func(reports []*mitm.PassthroughReport) {
+		noNewFailures = s.verifyNoNewFailures(reports, rep.Interceptions)
 	})
 
 	rep.Degradations = s.Degradations()
+	s.DeriveExperiments(rep, noNewFailures)
 	status := "ok"
 	if rep.Degraded() {
 		status = "degraded"
@@ -548,25 +516,16 @@ func (s *Study) verifyNoNewFailures(passthrough []*mitm.PassthroughReport, inter
 	return true
 }
 
-func (s *Study) deviceIDs() []string {
-	var out []string
-	for _, d := range s.Registry.Devices {
-		out = append(out, d.ID)
-	}
-	return out
-}
-
-// section appends one artifact to the report, tolerating a renderer
-// that panics on degraded inputs (e.g. a nil figure): the artifact is
-// replaced with an explicit placeholder so the report always renders.
-func section(b *strings.Builder, render func() string) {
+// RenderSafe renders one artifact contained: a renderer that panics on
+// degraded inputs (e.g. a nil figure) yields an explicit placeholder
+// instead, so a report always renders.
+func RenderSafe(render func() string) (out string) {
 	defer func() {
 		if p := recover(); p != nil {
-			fmt.Fprintf(b, "[PARTIAL: artifact unavailable — %v]\n\n", p)
+			out = fmt.Sprintf("[PARTIAL: artifact unavailable — %v]\n", p)
 		}
 	}()
-	b.WriteString(render())
-	b.WriteByte('\n')
+	return render()
 }
 
 // Render produces the full textual report. A degraded study renders
@@ -579,29 +538,32 @@ func (r *Report) Render(s *Study) string {
 	if r.Degraded() {
 		fmt.Fprintf(&b, "!! DEGRADED STUDY: %d incident(s) contained; see the degradation log at the end.\n\n", len(r.Degradations))
 	}
-	section(&b, func() string { return analysis.RenderTable1(s.Registry) })
-	section(&b, func() string { return analysis.RenderTable2() })
-	section(&b, func() string { return analysis.RenderTable3() })
-	section(&b, func() string { return analysis.RenderTable4(r.Table4Rows) })
-	section(&b, r.Figure1.Render)
-	section(&b, r.Figure2.Render)
-	section(&b, r.Figure3.Render)
-	section(&b, func() string { return analysis.RenderTable5(r.Downgrades, nameOf) })
-	section(&b, func() string { return analysis.RenderTable6(r.OldVersions, nameOf) })
-	section(&b, func() string { return analysis.RenderTable7(r.Interceptions, nameOf) })
-	section(&b, r.Table8.Render)
-	section(&b, func() string { return analysis.RenderTable9(r.ProbeReports, nameOf) })
-	section(&b, r.Figure4.Render)
-	section(&b, r.Figure5.Render)
-	section(&b, r.Comparison.Render)
-	section(&b, r.Passthrough.Render)
-	section(&b, r.Dataset.Render)
-	out := b.String()
+	for _, render := range []func() string{
+		func() string { return analysis.RenderTable1(s.Registry) },
+		analysis.RenderTable2,
+		analysis.RenderTable3,
+		func() string { return analysis.RenderTable4(r.Table4Rows) },
+		r.Figure1.Render,
+		r.Figure2.Render,
+		r.Figure3.Render,
+		func() string { return analysis.RenderTable5(r.Downgrades, nameOf) },
+		func() string { return analysis.RenderTable6(r.OldVersions, nameOf) },
+		func() string { return analysis.RenderTable7(r.Interceptions, nameOf) },
+		r.Table8.Render,
+		func() string { return analysis.RenderTable9(r.ProbeReports, nameOf) },
+		r.Figure4.Render,
+		r.Figure5.Render,
+		r.Comparison.Render,
+		r.Passthrough.Render,
+		r.Dataset.Render,
+	} {
+		b.WriteString(RenderSafe(render))
+		b.WriteByte('\n')
+	}
 	// The last artifact carries no trailing blank line, preserving the
 	// clean-study render byte for byte.
-	var tail strings.Builder
-	section(&tail, r.Diversity.Render)
-	out += strings.TrimSuffix(tail.String(), "\n")
+	b.WriteString(RenderSafe(r.Diversity.Render))
+	out := b.String()
 	if r.Degraded() {
 		out += "\n\n" + degradationLog(r.Degradations)
 	}

@@ -28,11 +28,8 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/analysis"
 	"repro/internal/capture"
-	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/mitm"
 	"repro/internal/probe"
 	"repro/internal/rootstore"
@@ -43,8 +40,7 @@ import (
 
 // Dataset is the in-memory form of a capture dataset: everything the
 // analysis side needs to rebuild a core.Report without touching the
-// simulator. The CLI's default run flows through this type too, so the
-// capture and analyze phases share one code path.
+// simulator.
 type Dataset struct {
 	// Runs is the provenance of every capture merged into this dataset.
 	Runs []Run
@@ -81,35 +77,8 @@ func (ds *Dataset) Len() int {
 // store and suite reports).
 func FromStudy(s *core.Study, rep *core.Report) *Dataset {
 	ds := reportSections(s, rep)
-	ds.Observations, ds.Revocations = windowedPassive(s)
+	ds.Observations, ds.Revocations = s.PassiveRecords()
 	return ds
-}
-
-// windowedPassive returns the study store's passive records that fall
-// inside the collection window. The store accumulates past the window:
-// the active attack suites and passthrough controls route their
-// handshakes through the same collector. The paper's figures are built
-// from the passive window only, so the dataset captures exactly those
-// months — the suite phases' evidence is persisted as their reports
-// instead.
-func windowedPassive(s *core.Study) ([]*capture.Observation, []capture.RevocationEvent) {
-	from, to := s.Window()
-	inWindow := func(m clock.Month) bool {
-		return !m.Before(from) && !to.Before(m)
-	}
-	var obs []*capture.Observation
-	for _, o := range s.Store.All() {
-		if inWindow(o.Month) {
-			obs = append(obs, o)
-		}
-	}
-	var revs []capture.RevocationEvent
-	for _, ev := range s.Store.Revocations() {
-		if inWindow(clock.MonthOf(ev.Time)) {
-			revs = append(revs, ev)
-		}
-	}
-	return obs, revs
 }
 
 // reportSections snapshots everything of a run but its passive records:
@@ -153,9 +122,7 @@ func runProvenance(s *core.Study, rep *core.Report) Run {
 		run.FaultSeed = plan.Seed()
 		run.FaultProfile = plan.Profile().Name
 	}
-	for _, d := range s.Registry.Devices {
-		run.Devices = append(run.Devices, d.ID)
-	}
+	run.Devices = s.Registry.IDs()
 	sort.Strings(run.Devices)
 	if rep.PassiveStats != nil {
 		run.Stats = *rep.PassiveStats
@@ -304,9 +271,10 @@ func Analyze(ds *Dataset) (*core.Study, *core.Report, error) {
 
 // Restore rebuilds the full analysis state inside a fresh study
 // scaffold: it installs the captured observations as the study's
-// store and returns a core.Report whose artifacts render byte-identical
-// to the run that produced the dataset. The study must not have been
-// run (its registry and CA universe are deterministic testbed state the
+// store, loads the rest of the evidence into a core.Report, and derives
+// the artifacts from it exactly as the run that produced the dataset
+// did, so they render byte-identical. The study must not have been run
+// (its registry and CA universe are deterministic testbed state the
 // restore resolves against); the simulator is never invoked.
 func Restore(s *core.Study, ds *Dataset) (*core.Report, error) {
 	store := capture.NewStore()
@@ -317,7 +285,6 @@ func Restore(s *core.Study, ds *Dataset) (*core.Report, error) {
 	}
 	s.Store = store
 
-	rep := &core.Report{}
 	stats := traffic.Stats{}
 	noNewFailures := len(ds.Runs) > 0
 	for _, run := range ds.Runs {
@@ -331,31 +298,19 @@ func Restore(s *core.Study, ds *Dataset) (*core.Report, error) {
 			noNewFailures = false
 		}
 	}
-	rep.PassiveStats = &stats
-
-	nameOf := s.NameOf
-	rep.Figure1 = analysis.BuildFigure1(store, nameOf)
-	rep.Figure2 = analysis.BuildFigure2(store, nameOf)
-	rep.Figure3 = analysis.BuildFigure3(store, nameOf)
-	rep.Comparison = analysis.BuildPriorWorkComparison(store)
-	rep.Dataset = analysis.BuildDatasetSummary(store)
-	rep.Diversity = analysis.BuildVersionDiversity(store, nameOf)
-	var deviceIDs []string
-	for _, d := range s.Registry.Devices {
-		deviceIDs = append(deviceIDs, d.ID)
+	rep := &core.Report{
+		PassiveStats: &stats,
+		Degradations: append([]core.Degradation(nil), ds.Degradations...),
 	}
-	rep.Table8 = analysis.BuildTable8(store, deviceIDs, nameOf)
 
 	if ds.HasActive {
 		active := capture.NewStore()
 		active.SetTelemetry(s.Telemetry)
 		active.AddAll(ds.ActiveObservations)
 		rep.ActiveStore = active
-		rep.Figure5 = analysis.BuildFigure5(active, device.ReferenceDB(), nameOf)
 	}
 
 	rank := deviceRank(s)
-	rep.Table4Rows = analysis.BuildTable4()
 	rep.Downgrades = append([]*mitm.DowngradeReport(nil), ds.Downgrades...)
 	sortByDevice(rep.Downgrades, func(r *mitm.DowngradeReport) string { return r.Device }, rank)
 	rep.OldVersions = append([]*mitm.OldVersionReport(nil), ds.OldVersions...)
@@ -375,17 +330,7 @@ func Restore(s *core.Study, ds *Dataset) (*core.Report, error) {
 		}
 		rep.ProbeReports = append(rep.ProbeReports, pr)
 	}
-	rep.Figure4 = analysis.BuildFigure4(rep.ProbeReports, nameOf)
 
-	rep.Passthrough = analysis.BuildPassthroughStat(rep.Passthroughs)
-	rep.Passthrough.NoNewValidationFailures = noNewFailures
-
-	rep.Degradations = append([]core.Degradation(nil), ds.Degradations...)
-	sort.Slice(rep.Degradations, func(i, j int) bool {
-		if rep.Degradations[i].Phase != rep.Degradations[j].Phase {
-			return rep.Degradations[i].Phase < rep.Degradations[j].Phase
-		}
-		return rep.Degradations[i].Reason < rep.Degradations[j].Reason
-	})
+	s.Derive(rep, noNewFailures)
 	return rep, nil
 }

@@ -14,13 +14,22 @@ import (
 )
 
 // runFull drives the complete study at the given parallelism,
-// optionally with a fault plan armed.
-func runFull(t *testing.T, parallelism int, plan *fault.Plan) (*core.Study, *core.Report) {
+// optionally with a fault plan armed. drain interrupts the study once
+// passive_analysis is done, as a SIGTERM drain would: every later phase
+// is skipped.
+func runFull(t *testing.T, parallelism int, plan *fault.Plan, drain bool) (*core.Study, *core.Report) {
 	t.Helper()
 	s := core.NewStudy()
 	s.Parallelism = parallelism
 	if plan != nil {
 		s.SetFaultPlan(plan)
+	}
+	if drain {
+		s.PhaseDone = func(name string) {
+			if name == "passive_analysis" {
+				s.Interrupt()
+			}
+		}
 	}
 	rep, err := s.RunAll()
 	if err != nil {
@@ -73,13 +82,16 @@ func artifactFiles(t *testing.T, s *core.Study, rep *core.Report) map[string]str
 // TestRoundTripByteIdentical is the subsystem's core contract: for the
 // same seed, capture → persist → read → restore renders every artifact
 // byte-identical to the in-memory run — at parallelism 1 and 8, with
-// and without gzip, and under an armed fault plan.
+// and without gzip, under an armed fault plan, and drained before the
+// active phases, whose skipped artifacts must stay PARTIAL rather than
+// render as results of experiments that never ran.
 func TestRoundTripByteIdentical(t *testing.T) {
 	cases := []struct {
 		name        string
 		parallelism int
 		gzip        bool
 		plan        func() *fault.Plan
+		drain       bool
 	}{
 		{name: "sequential", parallelism: 1},
 		{name: "parallel8", parallelism: 8},
@@ -87,6 +99,7 @@ func TestRoundTripByteIdentical(t *testing.T) {
 		{name: "faults_aggressive", parallelism: 8, plan: func() *fault.Plan {
 			return fault.NewPlan(7, fault.Profiles["aggressive"])
 		}},
+		{name: "drained", parallelism: 8, drain: true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -96,7 +109,7 @@ func TestRoundTripByteIdentical(t *testing.T) {
 			if tc.plan != nil {
 				plan = tc.plan()
 			}
-			s, rep := runFull(t, tc.parallelism, plan)
+			s, rep := runFull(t, tc.parallelism, plan, tc.drain)
 			want := rep.Render(s)
 			wantFiles := artifactFiles(t, s, rep)
 

@@ -488,6 +488,15 @@ func (r *Registry) Subset(ids []string) error {
 	return nil
 }
 
+// IDs returns every device's ID, in registry order.
+func (r *Registry) IDs() []string {
+	var out []string
+	for _, d := range r.Devices {
+		out = append(out, d.ID)
+	}
+	return out
+}
+
 // ActiveDevices returns the 32 devices used in active experiments.
 func (r *Registry) ActiveDevices() []*Device {
 	var out []*Device

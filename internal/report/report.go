@@ -24,18 +24,6 @@ type artifact struct {
 	Render func() string
 }
 
-// renderSafe invokes one artifact renderer contained: a panic (nil
-// figure, damaged analysis) becomes an explicit placeholder, matching
-// the PARTIAL annotations core.Report.Render uses for the same inputs.
-func renderSafe(render func() string) (out string) {
-	defer func() {
-		if p := recover(); p != nil {
-			out = fmt.Sprintf("[PARTIAL: artifact unavailable — %v]\n", p)
-		}
-	}()
-	return render()
-}
-
 // Write renders every artifact of rep into dir (created if needed) and
 // returns the file names written, index.md first.
 func Write(dir string, s *core.Study, rep *core.Report) ([]string, error) {
@@ -60,26 +48,20 @@ func Write(dir string, s *core.Study, rep *core.Report) ([]string, error) {
 		{"figure5.txt", "Fingerprint sharing", func() string { return rep.Figure5.Render() }},
 		{"stats.txt", "Statistics", func() string {
 			return strings.Join([]string{
-				renderSafe(rep.Comparison.Render),
-				renderSafe(rep.Passthrough.Render),
-				renderSafe(rep.Dataset.Render),
-				renderSafe(rep.Diversity.Render),
+				core.RenderSafe(rep.Comparison.Render),
+				core.RenderSafe(rep.Passthrough.Render),
+				core.RenderSafe(rep.Dataset.Render),
+				core.RenderSafe(rep.Diversity.Render),
 			}, "\n")
 		}},
 		{"figure2.csv", "Insecure-suite advertising (CSV)", func() string { return heatmapCSV(rep.Figure2.Heatmap) }},
 		{"figure3.csv", "Strong-suite establishment (CSV)", func() string { return heatmapCSV(rep.Figure3.Heatmap) }},
 	}
-	// The passive dataset itself. The store also accumulates the active
-	// suites' later handshakes, so the export is clipped to the passive
-	// window — matching what the dataset subsystem persists and keeping
-	// live-run and restored-run artifacts byte-identical.
-	from, to := s.Window()
+	// The passive dataset itself, clipped to the passive window like the
+	// persisted dataset, so live and restored artifacts are identical.
+	obs, _ := s.PassiveRecords()
 	passive := capture.NewStore()
-	for _, o := range s.Store.All() {
-		if !o.Month.Before(from) && !to.Before(o.Month) {
-			passive.Add(o)
-		}
-	}
+	passive.AddAll(obs)
 	var ds strings.Builder
 	if _, err := capture.WriteCSV(&ds, passive); err != nil {
 		return nil, err
@@ -92,7 +74,7 @@ func Write(dir string, s *core.Study, rep *core.Report) ([]string, error) {
 	index.WriteString("# IoTLS study artifacts\n\n")
 	for _, a := range artifacts {
 		path := filepath.Join(dir, a.Name)
-		if err := os.WriteFile(path, []byte(renderSafe(a.Render)), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(core.RenderSafe(a.Render)), 0o644); err != nil {
 			return written, err
 		}
 		written = append(written, a.Name)
