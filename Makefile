@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race race-parallel chaos dataset serve trace cluster fleet perfbench vet profile fuzz clean
+.PHONY: check build test race race-parallel chaos dataset serve trace cluster fleet perfbench vet profile fuzz cover clean
 
 # check is the full verification gate: vet, build, the test suite under
 # the race detector, the parallel-study workload under the race
@@ -116,14 +116,33 @@ trace:
 	$(GO) test -race -run 'TestTraceDeterminism|TestTraceErrorsAttributesDegradations|TestStudyLeaksNoSpans|TestPhaseMetricsMatchTree' \
 		-count=1 -timeout 10m ./internal/core/
 
-# fuzz runs each native fuzz target of the wire decoders (records,
-# ClientHello, alerts) for 60 s on one worker. Plain `go test` runs only
-# their seed corpora; commit any crasher written under
-# internal/wire/testdata/fuzz/ together with its fix. Not part of check.
+# fuzz runs each native fuzz target for 60 s on one worker: the wire
+# decoders (records, ClientHello, alerts) and the dataset decoders
+# (manifests, every record kind, the Content-Range start). Plain
+# `go test` runs only their seed corpora; commit any crasher written
+# under the package's testdata/fuzz/ together with its fix. Not part of
+# check.
 fuzz:
 	for t in FuzzReadRecord FuzzParseClientHello FuzzParseAlert; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 60s -parallel 1 ./internal/wire/ || exit 1; \
 	done
+	for t in FuzzDecodeManifest FuzzDecodeRecord FuzzContentRangeStart; do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 60s -parallel 1 ./internal/dataset/ || exit 1; \
+	done
+
+# cover runs the whole suite once with every internal and CLI package
+# instrumented, so a statement counts as covered whichever test binary
+# reaches it. The profiles of all test binaries land in one file
+# (cover.out); the report merges their blocks and prints each package's
+# statement coverage, then the internal/ total. Not part of check.
+cover:
+	$(GO) test -count=1 -coverpkg=./internal/...,./cmd/... -coverprofile=cover.out ./... > /dev/null
+	@awk -F'[: ]' '!/^mode:/ { b = $$1 ":" $$2; n[b] = $$3; if ($$4 > 0) hit[b] = 1 } \
+		END { for (b in n) { split(b, f, ":"); p = f[1]; sub(/\/[^\/]*$$/, "", p); \
+			t[p] += n[b]; c[p] += hit[b] * n[b]; \
+			if (p ~ /\/internal\//) { ti += n[b]; ci += hit[b] * n[b] } } \
+		for (p in t) printf "%-32s %5.1f%%\n", p, 100 * c[p] / t[p] | "sort"; close("sort"); \
+		printf "%-32s %5.1f%%\n", "internal/ (total)", 100 * ci / ti }' cover.out
 
 # profile captures CPU and heap profiles of the full-study benchmark
 # (in-memory sequential + parallel pair) into ./profiles/ and prints
@@ -139,5 +158,4 @@ profile:
 	$(GO) tool pprof -top -flat -nodecount=10 -sample_index=alloc_objects $(CURDIR)/profiles/bench.test $(CURDIR)/profiles/mem.out
 
 clean:
-	rm -f observations.jsonl trace.json
-	rm -rf trace-example-data
+	rm -f observations.jsonl trace.json cover.out

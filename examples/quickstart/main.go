@@ -16,9 +16,11 @@ import (
 
 func main() {
 	// NewStudy builds the whole smart home: 40 device models, the cloud
-	// endpoints they talk to, a gateway that mirrors every byte, and a
-	// virtual clock starting in January 2018.
+	// endpoints they talk to, a gateway, and a virtual clock starting in
+	// January 2018. The study's own phases arm the gateway's mirror while
+	// they run; outside them, arm it by hand to capture every byte.
 	study := core.NewStudy()
+	study.Network.SetMirror(study.Collector.Mirror)
 
 	dev, ok := study.Registry.Get("google-home-mini")
 	if !ok {

@@ -10,8 +10,6 @@
 package capture
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -262,12 +260,14 @@ func (s *Store) prepare(o *Observation, hot *storeCounters) {
 // TakeMonth removes and returns every observation and revocation event
 // belonging to month m, each in canonical order — the streaming engine's
 // spill primitive. The core layer calls it from the traffic generator's
-// month barrier, once WaitIdlePatient has joined every sniffer (each
-// publishes straight into the store through Add): all of month m's
-// records are then in the store and no later month has begun. Draining
-// there keeps peak store size bounded by one month's traffic instead of
-// the whole run's. Because the canonical observation order begins with
-// the timestamp, and every month's timestamps precede the next month's,
+// month barrier, once the month's dialers have returned and
+// netem.Network.Settle has found no mirrored connection open (each
+// sniffer publishes straight into the store when its connection's
+// client end closes): all of month m's records are then in the store
+// and no later month has begun. Draining there keeps peak store size
+// bounded by one month's traffic instead of the whole run's. Because
+// the canonical observation order begins with the timestamp, and every
+// month's timestamps precede the next month's,
 // sorting each drained month independently yields exactly the per-month
 // groups a whole-run canonical sort would: the spilled shard bytes match
 // the bulk path's.
@@ -364,62 +364,17 @@ func (s *Store) TotalWeight() int {
 
 // Collector wires the store into a netem gateway: it is a MirrorFactory
 // whose sniffers publish observations on connection close. Weights are
-// announced by the traffic generator before each dial. The collector
-// tracks every mirror it hands out and is signalled when each closes,
-// so WaitIdle gives the study a real completion barrier instead of
-// polling the store.
+// announced by the traffic generator before each dial.
 type Collector struct {
 	Store *Store
 
 	mu         sync.Mutex
 	nextWeight map[string]int // "src->host:port" -> weight
-
-	wg      sync.WaitGroup
-	created atomic.Int64
-	closed  atomic.Int64
 }
 
 // NewCollector builds a collector around a store.
 func NewCollector(store *Store) *Collector {
 	return &Collector{Store: store, nextWeight: make(map[string]int)}
-}
-
-// ErrCaptureLagging reports that mirrored connections were still open
-// when a completion barrier timed out.
-var ErrCaptureLagging = errors.New("capture lagging")
-
-// WaitIdle blocks until every mirror handed out so far has closed (the
-// sniffers have published), or the timeout expires. Callers must not
-// race WaitIdle with new dials. On timeout the returned error wraps
-// ErrCaptureLagging with the closed/created mirror counts.
-func (c *Collector) WaitIdle(timeout time.Duration) error {
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-time.After(timeout):
-		return fmt.Errorf("%w: %d/%d mirrors closed", ErrCaptureLagging, c.closed.Load(), c.created.Load())
-	}
-}
-
-// WaitIdlePatient is WaitIdle with bounded retry: on ErrCaptureLagging
-// it waits again up to retries extra times, doubling the timeout each
-// round, counting every extra round in the store's telemetry under
-// "capture.waitidle.wall_retries". The counter carries a "wall" dot
-// segment deliberately: the retry count depends on host scheduling, so
-// it is excluded from the deterministic snapshot.
-func (c *Collector) WaitIdlePatient(timeout time.Duration, retries int) error {
-	err := c.WaitIdle(timeout)
-	for i := 0; i < retries && errors.Is(err, ErrCaptureLagging); i++ {
-		c.Store.Telemetry().Counter("capture.waitidle.wall_retries").Inc()
-		timeout *= 2
-		err = c.WaitIdle(timeout)
-	}
-	return err
 }
 
 // WillDial announces that the next connection from src to host carries
@@ -448,37 +403,16 @@ func weightKey(src, host string, port int) string {
 
 // Mirror implements netem.MirrorFactory. Port-443 connections get a TLS
 // sniffer; port-80 connections get a plaintext sniffer that detects
-// revocation-protocol fetches (Table 8's CRL/OCSP evidence). Every
-// mirror is wrapped so its close feeds the WaitIdle barrier.
+// revocation-protocol fetches (Table 8's CRL/OCSP evidence).
 func (c *Collector) Mirror(meta netem.ConnMeta) netem.Mirror {
-	var m netem.Mirror
 	switch meta.DstPort {
 	case 443:
-		m = newSniffer(c, meta)
+		return newSniffer(c, meta)
 	case 80:
-		m = newPlainSniffer(c, meta)
+		return newPlainSniffer(c, meta)
 	default:
 		return nil
 	}
-	c.wg.Add(1)
-	c.created.Add(1)
-	return &trackedMirror{Mirror: m, c: c}
-}
-
-// trackedMirror signals the collector when the connection closes.
-type trackedMirror struct {
-	netem.Mirror
-	c    *Collector
-	once sync.Once
-}
-
-// CloseMirror implements netem.Mirror.
-func (t *trackedMirror) CloseMirror() {
-	t.Mirror.CloseMirror()
-	t.once.Do(func() {
-		t.c.closed.Add(1)
-		t.c.wg.Done()
-	})
 }
 
 // RevocationKind classifies a revocation fetch.

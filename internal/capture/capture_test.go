@@ -2,7 +2,6 @@ package capture
 
 import (
 	"bytes"
-	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/ciphers"
 	"repro/internal/clock"
 	"repro/internal/netem"
-	"repro/internal/telemetry"
 	"repro/internal/tlssim"
 	"repro/internal/wire"
 )
@@ -318,37 +316,6 @@ func TestStoreQueries(t *testing.T) {
 	}
 	if got := store.ByDevice("a"); len(got) != 1 || got[0].Host != "x" {
 		t.Fatalf("ByDevice = %v", got)
-	}
-}
-
-func TestWaitIdlePatientRecovers(t *testing.T) {
-	store := NewStore()
-	store.SetTelemetry(telemetry.New(clock.NewSimulated(captureEpoch)))
-	col := NewCollector(store)
-	m := col.Mirror(testMeta())
-	if m == nil {
-		t.Fatal("no mirror for port 443")
-	}
-	// Close the mirror after the first (10ms) barrier round expires but
-	// well within the doubled retry rounds.
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		m.CloseMirror()
-	}()
-	if err := col.WaitIdlePatient(10*time.Millisecond, 3); err != nil {
-		t.Fatalf("WaitIdlePatient = %v, want recovery", err)
-	}
-	if v := store.Telemetry().Counter("capture.waitidle.wall_retries").Value(); v < 1 {
-		t.Fatalf("wall_retries = %d, want >= 1", v)
-	}
-}
-
-func TestWaitIdlePatientExhausts(t *testing.T) {
-	col := NewCollector(NewStore())
-	m := col.Mirror(testMeta()) // never closed
-	defer m.CloseMirror()
-	if err := col.WaitIdlePatient(time.Millisecond, 2); !errors.Is(err, ErrCaptureLagging) {
-		t.Fatalf("WaitIdlePatient = %v, want ErrCaptureLagging", err)
 	}
 }
 

@@ -2,11 +2,14 @@ package coord
 
 import (
 	"context"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +17,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/report"
+	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
 
@@ -431,6 +435,102 @@ func TestNoSpeculationStormOnInstantJobs(t *testing.T) {
 	c.checkStragglers(context.Background(), t.TempDir())
 	if got := counter(c.Telemetry(), "coord.speculative.launched"); got != 0 {
 		t.Fatalf("coord.speculative.launched = %d, want 0: instant jobs must not trigger speculation", got)
+	}
+}
+
+// TestCoordDrainingWorkerGetsNoWork pins the draining branch of the
+// heartbeat: a worker whose /readyz answers 503 "draining" is marked
+// draining and offered no job, and once /readyz answers 200 again it
+// is ready and takes the next one.
+func TestCoordDrainingWorkerGetsNoWork(t *testing.T) {
+	var draining atomic.Bool
+	draining.Store(true)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/readyz" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		if draining.Load() {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprint(w, `{"status":"draining","queued":1}`)
+			return
+		}
+		fmt.Fprint(w, `{"status":"ready","queued":0}`)
+	}))
+	defer srv.Close()
+
+	c := New(Options{Workers: []string{srv.URL}})
+	w := &workerState{name: "w0", state: workerReady,
+		client: &workerClient{name: "w0", base: srv.URL, retry: c.retry, tel: c.tel}}
+	c.workers = map[string]*workerState{"w0": w}
+	j := &subJob{index: 0, state: jobPending, excluded: map[string]bool{}}
+	c.jobs = []*subJob{j}
+	probe := func() {
+		c.handleHeartbeat(event{kind: evHeartbeat, worker: w, ready: w.client.ready(context.Background())})
+	}
+	// The dispatched attempt's submit fails at once on the cancelled
+	// context, so no request reaches the fake worker.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	probe()
+	if w.state != workerDraining {
+		t.Fatalf("after a 503 draining probe the worker is %q, want %q", w.state, workerDraining)
+	}
+	c.dispatch(ctx, t.TempDir())
+	if j.state != jobPending || w.running != 0 {
+		t.Fatalf("draining worker was given work: job %s, running %d", j.state, w.running)
+	}
+
+	draining.Store(false)
+	probe()
+	if w.state != workerReady {
+		t.Fatalf("after a 200 probe the worker is %q, want %q", w.state, workerReady)
+	}
+	c.dispatch(ctx, t.TempDir())
+	if j.state != jobRunning || w.running != 1 || len(j.attempts) != 1 {
+		t.Fatalf("ready worker took no job: job %s, running %d, attempts %d", j.state, w.running, len(j.attempts))
+	}
+	if ev := <-c.events; ev.kind != evAttemptFailed || ev.attempt != j.attempts[0] {
+		t.Fatalf("attempt reported %+v, want its cancelled submit", ev)
+	}
+}
+
+// TestCoordSubmitRetriesTransientStatus pins the worker client's retry
+// on a transient status: a POST /jobs answered 503 once and then 202
+// submits the job, counting one coord.http.retries.
+func TestCoordSubmitRetriesTransientStatus(t *testing.T) {
+	var posts atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/jobs" {
+			http.NotFound(w, r)
+			return
+		}
+		if posts.Add(1) == 1 {
+			http.Error(w, "briefly unavailable", http.StatusServiceUnavailable)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprint(w, `{"id":"job-000001","kind":"study","state":"queued"}`)
+	}))
+	defer srv.Close()
+
+	c := New(Options{Workers: []string{srv.URL}, RetryBase: time.Millisecond, RetryCap: time.Millisecond})
+	wc := &workerClient{name: "w0", base: srv.URL, retry: c.retry, tel: c.tel}
+	st, err := wc.submit(context.Background(), serve.JobSpec{Kind: serve.KindStudy})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if st.ID != "job-000001" {
+		t.Fatalf("submitted job ID %q, want job-000001", st.ID)
+	}
+	if got := posts.Load(); got != 2 {
+		t.Fatalf("worker saw %d submits, want 2", got)
+	}
+	if got := counter(c.Telemetry(), "coord.http.retries"); got != 1 {
+		t.Fatalf("coord.http.retries = %d, want 1", got)
 	}
 }
 

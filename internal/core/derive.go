@@ -11,8 +11,6 @@ package core
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/capture"
-	"repro/internal/clock"
 	"repro/internal/device"
 )
 
@@ -74,30 +72,4 @@ func skipped(log []Degradation, phase string) bool {
 		}
 	}
 	return false
-}
-
-// PassiveRecords returns the passive store's records that fall inside
-// the study's window. The store accumulates past the window: the active
-// suites and passthrough controls route their handshakes through the
-// same collector. The paper's figures are built from the passive window
-// only, so the dataset persists, and the observations export lists,
-// exactly those months; the suites' evidence is their reports.
-func (s *Study) PassiveRecords() ([]*capture.Observation, []capture.RevocationEvent) {
-	from, to := s.Window()
-	inWindow := func(m clock.Month) bool {
-		return !m.Before(from) && !to.Before(m)
-	}
-	var obs []*capture.Observation
-	for _, o := range s.Store.All() {
-		if inWindow(o.Month) {
-			obs = append(obs, o)
-		}
-	}
-	var revs []capture.RevocationEvent
-	for _, ev := range s.Store.Revocations() {
-		if inWindow(clock.MonthOf(ev.Time)) {
-			revs = append(revs, ev)
-		}
-	}
-	return obs, revs
 }

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/capture"
@@ -185,7 +184,9 @@ func (s *Study) RestrictDevices(ids []string) error {
 	return s.Registry.Subset(ids)
 }
 
-// NewStudy builds a fresh testbed with the gateway mirror armed.
+// NewStudy builds a fresh testbed. The gateway mirrors nothing until a
+// capture phase arms it: the passive run mirrors into Collector, the
+// active snapshot into a store of its own.
 func NewStudy() *Study {
 	return newStudyWithRegistry(device.NewRegistry)
 }
@@ -204,7 +205,6 @@ func newStudyWithRegistry(mkReg func(clk clock.Clock) *device.Registry) *Study {
 	store := capture.NewStore()
 	store.SetTelemetry(nw.Telemetry())
 	col := capture.NewCollector(store)
-	nw.SetMirror(col.Mirror)
 	proxy := mitm.NewProxy(nw, reg.Universe)
 	return &Study{
 		Clock:     clk,
@@ -283,7 +283,7 @@ func (s *Study) CaptureActiveSnapshot() (store *capture.Store, err error) {
 		store.SetTelemetry(s.Telemetry)
 		col := capture.NewCollector(store)
 		s.Network.SetMirror(col.Mirror)
-		defer s.Network.SetMirror(s.Collector.Mirror)
+		defer s.Network.SetMirror(nil)
 
 		// Each device's boot sequence base is fixed by its registry
 		// index, so its hello randoms are identical at any parallelism.
@@ -293,8 +293,8 @@ func (s *Study) CaptureActiveSnapshot() (store *capture.Store, err error) {
 			func(_, i int, dsp *trace.Span) {
 				driver.Boot(s.Network, devs[i], device.ActiveSnapshot, uint64(i)*100000, dsp)
 			})
-		if err := col.WaitIdlePatient(10*time.Second, 2); err != nil {
-			return fmt.Errorf("core: active capture lagging (%d observations stored): %w", store.Len(), err)
+		if err := s.Network.Settle(); err != nil {
+			return fmt.Errorf("core: active capture: %w", err)
 		}
 		return nil
 	})

@@ -57,6 +57,28 @@ func TestPassiveDatasetShape(t *testing.T) {
 	}
 }
 
+// TestStoreHoldsOnlyPassiveWindow pins that the gateway mirrors into
+// the passive store during the passive run only: after the full study,
+// with every active suite and the probe run, the store holds exactly
+// one observation per passive handshake, all inside the window.
+func TestStoreHoldsOnlyPassiveWindow(t *testing.T) {
+	s, rep := fullReport(t)
+	if got, want := s.Store.Len(), rep.PassiveStats.Handshakes; got != want {
+		t.Errorf("store holds %d observations, want %d (one per passive handshake)", got, want)
+	}
+	from, to := s.Window()
+	for _, o := range s.Store.All() {
+		if o.Month.Before(from) || to.Before(o.Month) {
+			t.Fatalf("%s -> %s observed in %s, outside the %s..%s window", o.Device, o.Host, o.Month, from, to)
+		}
+	}
+	for _, ev := range s.Store.Revocations() {
+		if m := clock.MonthOf(ev.Time); m.Before(from) || to.Before(m) {
+			t.Fatalf("%s -> %s revocation in %s, outside the %s..%s window", ev.Device, ev.Host, m, from, to)
+		}
+	}
+}
+
 func TestFigure1Shape(t *testing.T) {
 	_, rep := fullReport(t)
 	// Paper: 28 devices use TLS 1.2 essentially exclusively; 12 shown.

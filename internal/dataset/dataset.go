@@ -77,7 +77,7 @@ func (ds *Dataset) Len() int {
 // store and suite reports).
 func FromStudy(s *core.Study, rep *core.Report) *Dataset {
 	ds := reportSections(s, rep)
-	ds.Observations, ds.Revocations = s.PassiveRecords()
+	ds.Observations, ds.Revocations = s.Store.All(), s.Store.Revocations()
 	return ds
 }
 

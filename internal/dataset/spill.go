@@ -25,9 +25,11 @@ import (
 // sorting each drained month independently produces exactly the
 // per-month groups a whole-run canonical sort would — and each month's
 // shard streams its observations before its revocations in both paths.
-// The month barrier guarantees completeness: WaitIdle has joined every
-// sniffer, each of which published straight into the store, before the
-// drain, so no record of a spilled month can arrive late.
+// The month barrier guarantees completeness: every dialer of the month
+// has returned, and netem's Settle has found no mirrored connection
+// open, before the drain; each sniffer publishes straight into the
+// store when its connection closes, so no record of a spilled month can
+// arrive late.
 //
 // Usage:
 //

@@ -200,6 +200,7 @@ func (c *Conn) Close() error {
 	c.p.mu.Unlock()
 	if first && c.mirror != nil {
 		c.mirror.CloseMirror()
+		c.nw.mirrorsOpen.Add(-1)
 		c.nw.tel.Histogram("netem.conn.client_bytes", telemetry.SizeBuckets).Observe(c.sent.Load())
 		c.nw.tel.Histogram("netem.conn.server_bytes", telemetry.SizeBuckets).Observe(c.received.Load())
 	}

@@ -16,6 +16,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -62,9 +63,11 @@ type Handler func(conn net.Conn, meta ConnMeta)
 type Tap func(meta ConnMeta) Handler
 
 // Mirror receives a copy of every byte crossing the gateway for one
-// connection, split by direction. Implementations must tolerate calls
-// from the two transfer goroutines concurrently. CloseMirror is called
-// exactly once after both directions have finished.
+// connection, split by direction. The client end's Read and Write feed
+// it, so its two directions are called concurrently whenever a caller
+// reads and writes the client end from two goroutines, as the guard's
+// copy loops do. CloseMirror is called exactly once, on the client
+// end's first Close.
 type Mirror interface {
 	// ClientBytes observes bytes flowing client -> server.
 	ClientBytes(p []byte)
@@ -102,6 +105,9 @@ type Network struct {
 	// handlers counts in-flight server handler goroutines, so barriers
 	// can join them before the virtual clock moves.
 	handlers sync.WaitGroup
+	// mirrorsOpen counts mirrored connections whose client end has not
+	// closed yet; Settle fails while any is open.
+	mirrorsOpen atomic.Int64
 
 	// hot caches the counter handles the dial path and mirrored conns
 	// bump; Registry.Counter is a lock-guarded map lookup.
@@ -297,6 +303,7 @@ func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Spa
 	if mirror != nil {
 		if m := mirror(meta); m != nil {
 			n.hot.mirrorConns.Inc()
+			n.mirrorsOpen.Add(1)
 			client.mirror, client.nw = m, n
 		}
 	}
@@ -327,4 +334,19 @@ func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Spa
 // barriers are naturally quiescent points.
 func (n *Network) WaitHandlers() {
 	n.handlers.Wait()
+}
+
+// Settle is the completion barrier of a mirrored phase: it joins every
+// server handler (WaitHandlers), then fails at once, without waiting,
+// if a mirrored connection is still open. Every dialer closes its
+// client end before it returns, and the close publishes the mirror, so
+// once a phase's dialers have returned no mirror is open; an open one
+// is a leaked connection whose observation would otherwise be lost.
+// Same quiescence contract as WaitHandlers.
+func (n *Network) Settle() error {
+	n.WaitHandlers()
+	if open := n.mirrorsOpen.Load(); open != 0 {
+		return fmt.Errorf("netem: %d mirrored connection(s) still open", open)
+	}
+	return nil
 }

@@ -57,13 +57,10 @@ func Write(dir string, s *core.Study, rep *core.Report) ([]string, error) {
 		{"figure2.csv", "Insecure-suite advertising (CSV)", func() string { return heatmapCSV(rep.Figure2.Heatmap) }},
 		{"figure3.csv", "Strong-suite establishment (CSV)", func() string { return heatmapCSV(rep.Figure3.Heatmap) }},
 	}
-	// The passive dataset itself, clipped to the passive window like the
-	// persisted dataset, so live and restored artifacts are identical.
-	obs, _ := s.PassiveRecords()
-	passive := capture.NewStore()
-	passive.AddAll(obs)
+	// The passive dataset itself: the store holds exactly the passive
+	// window, live and restored alike.
 	var ds strings.Builder
-	if _, err := capture.WriteCSV(&ds, passive); err != nil {
+	if _, err := capture.WriteCSV(&ds, s.Store); err != nil {
 		return nil, err
 	}
 	csv := ds.String()

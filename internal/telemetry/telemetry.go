@@ -17,7 +17,7 @@
 //     them out for run-to-run comparison.
 //
 //   - Concurrency. Every instrument is safe for concurrent use from the
-//     transfer goroutines, handshake goroutines and analysis code, and
+//     connections' client and server goroutines and analysis code, and
 //     the hot-path operations (Counter.Add, Histogram.Observe) are
 //     single atomic ops after the first lookup.
 //

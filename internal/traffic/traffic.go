@@ -28,9 +28,6 @@ import (
 	"repro/internal/trace"
 )
 
-// captureTimeout bounds the post-month wait for sniffers to publish.
-const captureTimeout = 10 * time.Second
-
 // Generator runs the passive study.
 type Generator struct {
 	Network   *netem.Network
@@ -57,13 +54,14 @@ type Generator struct {
 	Stop func() bool
 
 	// MonthDone, when non-nil, is invoked at each month barrier — after
-	// WaitIdle has joined every sniffer and the server handlers have
-	// drained — with the completed month. At that point every
-	// observation and revocation of the month is in the store and no
-	// later month has begun, which is the spill point of the streaming
-	// engine: the core layer drains the month from the store and
-	// appends it to the dataset, bounding peak memory by one month's
-	// traffic. An error aborts the run.
+	// every dialer of the month has returned and Network.Settle has
+	// joined the server handlers and found no mirrored connection open
+	// — with the completed month. At that point every observation and
+	// revocation of the month is in the store and no later month has
+	// begun, which is the spill point of the streaming engine: the core
+	// layer drains the month from the store and appends it to the
+	// dataset, bounding peak memory by one month's traffic. An error
+	// aborts the run.
 	MonthDone func(m clock.Month) error
 
 	// seq numbers every planned connection. It only advances during
@@ -100,8 +98,12 @@ type workItem struct {
 	seqs []uint64
 }
 
-// Run simulates the months from first through last inclusive.
+// Run simulates the months from first through last inclusive. The
+// gateway mirrors into the collector for exactly as long as Run runs,
+// so the store holds the passive phase's traffic and nothing else.
 func (g *Generator) Run(first, last clock.Month) (*Stats, error) {
+	g.Network.SetMirror(g.Collector.Mirror)
+	defer g.Network.SetMirror(nil)
 	stats := &Stats{}
 	tel := g.Network.Telemetry()
 	workers := pool.Parallelism(g.Parallelism)
@@ -160,19 +162,15 @@ func (g *Generator) Run(first, last clock.Month) (*Stats, error) {
 			stats.add(acc)
 		}
 
-		// Month barrier: every sniffer has signalled completion before
-		// the next month's clock advance (or the caller's analyses) run.
-		// Lagging is usually a transiently overloaded host, so the
-		// barrier retries with doubled timeouts before failing the month.
-		if err := g.Collector.WaitIdlePatient(captureTimeout, 2); err != nil {
-			msp.End("lagging")
-			return stats, fmt.Errorf("traffic: capture lagging in %s (%d observations stored): %w",
-				m, g.Collector.Store.Len(), err)
+		// Month barrier: the month's dialers have all returned, so every
+		// sniffer has published unless a connection leaked; server
+		// handlers must also finish before the clock moves, or a
+		// late-scheduled handler would run its handshake at next month's
+		// virtual time.
+		if err := g.Network.Settle(); err != nil {
+			msp.End("mirror_open")
+			return stats, fmt.Errorf("traffic: month %s barrier: %w", m, err)
 		}
-		// Server handler goroutines must also finish before the clock
-		// moves, or a late-scheduled handler would run its handshake at
-		// next month's virtual time.
-		g.Network.WaitHandlers()
 		if g.MonthDone != nil {
 			if err := g.MonthDone(m); err != nil {
 				msp.End("spill_failed")

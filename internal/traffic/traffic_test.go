@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,9 +21,7 @@ func newGenerator(t *testing.T) (*Generator, *capture.Store, *cloud.Cloud) {
 	reg := device.NewRegistry(clk)
 	cl := cloud.New(nw, reg)
 	store := capture.NewStore()
-	col := capture.NewCollector(store)
-	nw.SetMirror(col.Mirror)
-	return New(nw, reg, col, clk), store, cl
+	return New(nw, reg, capture.NewCollector(store), clk), store, cl
 }
 
 func TestRunSingleMonth(t *testing.T) {
@@ -110,5 +110,43 @@ func TestRevocationTrafficAcrossStudy(t *testing.T) {
 	}
 	if cl.CRLHits()["apple-tv"] != 0 {
 		t.Error("apple tv should not fetch CRLs")
+	}
+}
+
+// TestRunFailsOnOpenMirror pins the month barrier: a mirrored
+// connection still open when the month's dialers have returned fails
+// the month at once, naming the count, instead of losing its
+// observation.
+func TestRunFailsOnOpenMirror(t *testing.T) {
+	g, store, _ := newGenerator(t)
+	g.Network.Listen("leak.example.com", 443, func(c net.Conn, _ netem.ConnMeta) { c.Close() })
+	var leaked net.Conn
+	g.Stop = func() bool {
+		if leaked == nil {
+			var err error
+			if leaked, err = g.Network.Dial("leaky-device", "leak.example.com", 443); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return false
+	}
+	stats, err := g.Run(device.StudyStart, device.StudyStart)
+	if err == nil || !strings.Contains(err.Error(), "1 mirrored connection(s) still open") {
+		t.Fatalf("Run = %v, want the barrier to fail on 1 open mirrored connection", err)
+	}
+	if stats.Months != 0 {
+		t.Errorf("months = %d, want the failed month uncounted", stats.Months)
+	}
+	// The leaked connection still publishes on close; a connection
+	// dialed after Run returned is not mirrored.
+	before := store.Len()
+	leaked.Close()
+	after, err := g.Network.Dial("leaky-device", "leak.example.com", 443)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after.Close()
+	if store.Len() != before+1 {
+		t.Errorf("store grew by %d, want 1: the leaked connection only", store.Len()-before)
 	}
 }
