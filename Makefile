@@ -27,7 +27,9 @@ build:
 # connects in-process peers with netem.NewPair, never net.Pipe. And it
 # guards the one report derivation: only internal/core builds artifacts
 # (Study.Derive and its parts), so a restored report cannot drift from a
-# live one.
+# live one. And it guards the one reboot: instance state is reset only
+# through device.Reset (internal/tlssim defines ResetState), so no
+# experiment can reset some slots and not others.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -39,6 +41,8 @@ vet:
 		if [ -n "$$out" ]; then echo "net.Pipe in non-test code (use netem.NewPair):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'analysis\.Build' . | grep -vE '^\./internal/(analysis|core)/'); \
 		if [ -n "$$out" ]; then echo "analysis.Build outside internal/analysis and internal/core (use Study.Derive):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build '\.ResetState\(\)' . | grep -vE '^\./internal/(device|tlssim)/'); \
+		if [ -n "$$out" ]; then echo "ResetState outside internal/device and internal/tlssim (use device.Reset):"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -117,13 +121,13 @@ trace:
 		-count=1 -timeout 10m ./internal/core/
 
 # fuzz runs each native fuzz target for 60 s on one worker: the wire
-# decoders (records, ClientHello, alerts) and the dataset decoders
-# (manifests, every record kind, the Content-Range start). Plain
-# `go test` runs only their seed corpora; commit any crasher written
-# under the package's testdata/fuzz/ together with its fix. Not part of
-# check.
+# decoders (records, read and framed; ClientHello; alerts) and the
+# dataset decoders (manifests, every record kind, the Content-Range
+# start). Plain `go test` runs only their seed corpora; commit any
+# crasher written under the package's testdata/fuzz/ together with its
+# fix. Not part of check.
 fuzz:
-	for t in FuzzReadRecord FuzzParseClientHello FuzzParseAlert; do \
+	for t in FuzzReadRecord FuzzFramer FuzzParseClientHello FuzzParseAlert; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 60s -parallel 1 ./internal/wire/ || exit 1; \
 	done
 	for t in FuzzDecodeManifest FuzzDecodeRecord FuzzContentRangeStart; do \

@@ -97,6 +97,8 @@ func TestCLIGolden(t *testing.T) {
 		{name: "fingerprint", cmd: "fingerprint", run: runFingerprint},
 		{name: "tables", cmd: "tables", run: runTables},
 		{name: "guard", cmd: "guard", run: runGuard},
+		{name: "guard_f7", flags: "-fault-seed 7 -fault-profile aggressive", cfg: f7, cmd: "guard", run: runGuard},
+		{name: "audit", cmd: "audit", run: runAudit},
 		{name: "capture_f7", cmd: "capture", run: captureSums, full: true,
 			regen: "rm -rf /tmp/f7; go run ./cmd/iotls -fault-seed 7 -fault-profile aggressive capture -out /tmp/f7 >/dev/null; (cd /tmp/f7 && LC_ALL=C sha256sum *)"},
 		{name: "trace_slow_f7", cmd: "trace slow -in /tmp/f7", run: traceVerb("slow"), full: true},

@@ -180,56 +180,6 @@ func TestSnifferFailedHandshakeCapturesAlert(t *testing.T) {
 	}
 }
 
-// feedAll drives the assembler and collects emitted records, copying
-// each transient payload view so assertions can outlive the emit call.
-func feedAll(ra *recordAssembler, p []byte) []wire.Record {
-	var out []wire.Record
-	ra.feed(p, func(rec wire.Record) {
-		rec.Payload = append([]byte(nil), rec.Payload...)
-		out = append(out, rec)
-	})
-	return out
-}
-
-func TestRecordAssemblerFragmentation(t *testing.T) {
-	// A record delivered byte by byte must still reassemble.
-	var ra recordAssembler
-	rec := wire.Record{Type: wire.TypeHandshake, Version: ciphers.TLS12, Payload: []byte("hello world")}
-	var buf bytes.Buffer
-	wire.WriteRecord(&buf, rec)
-	raw := buf.Bytes()
-	var got []wire.Record
-	for _, b := range raw {
-		got = append(got, feedAll(&ra, []byte{b})...)
-	}
-	if len(got) != 1 || string(got[0].Payload) != "hello world" {
-		t.Fatalf("reassembly failed: %v", got)
-	}
-}
-
-func TestRecordAssemblerCoalesced(t *testing.T) {
-	var buf bytes.Buffer
-	wire.WriteRecord(&buf, wire.Record{Type: wire.TypeAlert, Version: ciphers.TLS12, Payload: []byte{1, 2}})
-	wire.WriteRecord(&buf, wire.Record{Type: wire.TypeHandshake, Version: ciphers.TLS12, Payload: []byte{3}})
-	var ra recordAssembler
-	got := feedAll(&ra, buf.Bytes())
-	if len(got) != 2 || got[0].Type != wire.TypeAlert || got[1].Type != wire.TypeHandshake {
-		t.Fatalf("coalesced parse = %v", got)
-	}
-}
-
-func TestRecordAssemblerCorruptStream(t *testing.T) {
-	var ra recordAssembler
-	// Length field beyond the cap poisons the direction.
-	got := feedAll(&ra, []byte{22, 3, 3, 0xff, 0xff, 0, 0})
-	if len(got) != 0 {
-		t.Fatalf("corrupt stream produced records: %v", got)
-	}
-	if len(feedAll(&ra, []byte{22, 3, 3, 0, 0})) != 0 {
-		t.Fatal("poisoned assembler kept parsing")
-	}
-}
-
 func TestPlainSnifferRevocation(t *testing.T) {
 	store := NewStore()
 	col := NewCollector(store)

@@ -18,7 +18,7 @@ type sniffer struct {
 	meta      netem.ConnMeta
 
 	mu        sync.Mutex
-	c2s, s2c  recordAssembler
+	c2s, s2c  wire.Framer
 	obs       *Observation
 	published bool
 	// ccsFromServer tracks establishment: the server sends CCS only
@@ -47,8 +47,8 @@ func newSniffer(c *Collector, meta netem.ConnMeta) *sniffer {
 func (s *sniffer) ClientBytes(p []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.c2s.feed(p, func(rec wire.Record) { s.onRecord(rec, true) })
-	if s.c2s.dead && !s.poisonedC2S {
+	s.c2s.Feed(p, func(rec wire.Record) { s.onRecord(rec, true) })
+	if s.c2s.Poisoned() && !s.poisonedC2S {
 		s.poisonedC2S = true
 		s.hot.poisoned.Inc()
 	}
@@ -58,8 +58,8 @@ func (s *sniffer) ClientBytes(p []byte) {
 func (s *sniffer) ServerBytes(p []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.s2c.feed(p, func(rec wire.Record) { s.onRecord(rec, false) })
-	if s.s2c.dead && !s.poisonedS2C {
+	s.s2c.Feed(p, func(rec wire.Record) { s.onRecord(rec, false) })
+	if s.s2c.Poisoned() && !s.poisonedS2C {
 		s.poisonedS2C = true
 		s.hot.poisoned.Inc()
 	}
@@ -87,15 +87,10 @@ func (s *sniffer) onRecord(rec wire.Record, fromClient bool) {
 	s.hot.records.Inc()
 	switch rec.Type {
 	case wire.TypeHandshake:
-		rest := rec.Payload
-		for len(rest) > 0 {
-			msg, r, err := wire.ParseHandshake(rest)
-			if err != nil {
-				return
-			}
-			rest = r
+		wire.EachHandshake(rec.Payload, func(msg wire.Handshake) bool {
 			s.onHandshake(msg, fromClient)
-		}
+			return true
+		})
 	case wire.TypeAlert:
 		a, err := wire.ParseAlert(rec.Payload)
 		if err != nil {
@@ -145,48 +140,5 @@ func (s *sniffer) onHandshake(msg wire.Handshake, fromClient bool) {
 		s.obs.NegotiatedVersion = sh.Version
 		s.obs.NegotiatedSuite = sh.CipherSuite
 		s.obs.StapledOCSP = sh.HasStaple()
-	}
-}
-
-// recordAssembler buffers a directional byte stream and emits complete
-// TLS records. A stream that desynchronises (impossible record length)
-// is permanently poisoned: without a valid framing anchor nothing after
-// the corruption can be trusted.
-type recordAssembler struct {
-	buf  []byte
-	dead bool
-}
-
-// feed appends bytes and calls emit with each complete record. The
-// record's Payload is a view into the assembler's buffer, valid only
-// for the duration of the emit call: the wire parsers copy whatever
-// they retain, and the sniffer consumes records synchronously, so the
-// hot path avoids one payload copy (and one records-slice allocation)
-// per mirrored chunk.
-func (a *recordAssembler) feed(p []byte, emit func(wire.Record)) {
-	if a.dead {
-		return
-	}
-	a.buf = append(a.buf, p...)
-	for {
-		if len(a.buf) < 5 {
-			return
-		}
-		n := int(a.buf[3])<<8 | int(a.buf[4])
-		if n > wire.MaxRecordPayload {
-			// Corrupt stream: stop parsing this direction.
-			a.buf = nil
-			a.dead = true
-			return
-		}
-		if len(a.buf) < 5+n {
-			return
-		}
-		emit(wire.Record{
-			Type:    wire.ContentType(a.buf[0]),
-			Version: wire.RecordVersion(a.buf[1], a.buf[2]),
-			Payload: a.buf[5 : 5+n : 5+n],
-		})
-		a.buf = a.buf[5+n:]
 	}
 }

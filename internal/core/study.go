@@ -506,7 +506,7 @@ func (s *Study) verifyNoNewFailures(passthrough []*mitm.PassthroughReport, inter
 				continue
 			}
 			for _, attack := range []mitm.Attack{mitm.AttackNoValidation, mitm.AttackInvalidBasicConstraints, mitm.AttackWrongHostname} {
-				res := s.Proxy.AttackOne(dev, *dst, attack)
+				res := s.Proxy.AttackHost(dev, *dst, attack, nil)
 				if res.Vulnerable && !known[pr.Device][host] {
 					return false
 				}

@@ -250,6 +250,15 @@ func (d *Device) ConfigAt(slot int, m clock.Month) *tlssim.ClientConfig {
 	return cfgs[idx]
 }
 
+// Reset power-cycles the device's TLS instances for month m: every
+// slot's instance state (failure counters, given-up validation) starts
+// fresh, as after a smart-plug reboot.
+func (d *Device) Reset(m clock.Month) {
+	for i := range d.Slots {
+		d.ConfigAt(i, m).ResetState()
+	}
+}
+
 // FallbackConfigAt returns the slot's fallback configuration, or nil.
 func (d *Device) FallbackConfigAt(slot int) *tlssim.ClientConfig {
 	return d.fallbacks[d.Slots[slot].Label]

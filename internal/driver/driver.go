@@ -187,9 +187,7 @@ func connectStatus(out *Outcome, err error) string {
 // for the active phase), which may be nil.
 func Boot(nw *netem.Network, dev *device.Device, m clock.Month, seq uint64, parent *trace.Span) []Outcome {
 	nw.Telemetry().Counter("driver.boots").Inc()
-	for i := range dev.Slots {
-		dev.ConfigAt(i, m).ResetState()
-	}
+	dev.Reset(m)
 	var outs []Outcome
 	for i, dst := range dev.BootDestinations() {
 		outs = append(outs, ConnectTraced(nw, dev, dst, m, seq+uint64(i)*101, parent))

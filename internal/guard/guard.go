@@ -201,57 +201,39 @@ func pipeCopy(dst io.WriteCloser, src io.Reader, observe func([]byte)) {
 	}
 }
 
-// inspector reassembles server->client records until the ServerHello
-// decides the connection's fate.
+// inspector frames server->client records until the ServerHello
+// decides the connection's fate. A malformed handshake decides it too,
+// uncut: nothing after it can be trusted.
 type inspector struct {
 	policy  Policy
 	cut     func(string)
-	buf     []byte
+	records wire.Framer
 	decided bool
 }
 
 func (in *inspector) feed(p []byte) {
-	if in.decided {
+	if !in.decided {
+		in.records.Feed(p, in.onRecord)
+	}
+}
+
+func (in *inspector) onRecord(rec wire.Record) {
+	if in.decided || rec.Type != wire.TypeHandshake {
 		return
 	}
-	in.buf = append(in.buf, p...)
-	for !in.decided {
-		if len(in.buf) < 5 {
-			return
+	err := wire.EachHandshake(rec.Payload, func(msg wire.Handshake) bool {
+		if msg.Type != wire.TypeServerHello {
+			return true
 		}
-		n := int(in.buf[3])<<8 | int(in.buf[4])
-		if n > wire.MaxRecordPayload {
-			in.decided = true
-			return
-		}
-		if len(in.buf) < 5+n {
-			return
-		}
-		typ := wire.ContentType(in.buf[0])
-		payload := in.buf[5 : 5+n]
-		if typ == wire.TypeHandshake {
-			rest := payload
-			for len(rest) > 0 && !in.decided {
-				msg, r, err := wire.ParseHandshake(rest)
-				if err != nil {
-					in.decided = true
-					break
-				}
-				rest = r
-				if msg.Type != wire.TypeServerHello {
-					continue
-				}
-				sh, err := wire.ParseServerHello(msg.Body)
-				if err != nil {
-					in.decided = true
-					break
-				}
-				in.decided = true
-				if reason, bad := in.policy.violation(sh.Version, sh.CipherSuite); bad {
-					in.cut(reason)
-				}
+		in.decided = true
+		if sh, err := wire.ParseServerHello(msg.Body); err == nil {
+			if reason, bad := in.policy.violation(sh.Version, sh.CipherSuite); bad {
+				in.cut(reason)
 			}
 		}
-		in.buf = in.buf[5+n:]
+		return false
+	})
+	if err != nil {
+		in.decided = true
 	}
 }

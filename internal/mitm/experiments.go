@@ -1,10 +1,6 @@
 package mitm
 
 import (
-	"net"
-	"sort"
-	"sync"
-
 	"repro/internal/certs"
 	"repro/internal/ciphers"
 	"repro/internal/device"
@@ -111,27 +107,25 @@ func (p *Proxy) RunInterception(dev *device.Device, sp *trace.Span) *Interceptio
 	report.TotalHosts = len(targets)
 	for _, attack := range []Attack{AttackNoValidation, AttackInvalidBasicConstraints, AttackWrongHostname} {
 		for _, dst := range targets {
-			report.PerAttack[attack] = append(report.PerAttack[attack], p.attackHost(dev, dst, attack, sp))
+			report.PerAttack[attack] = append(report.PerAttack[attack], p.AttackHost(dev, dst, attack, sp))
 		}
 	}
 	return report
 }
 
-// attackHost runs one attack against one destination, rebooting the
-// device first and allowing repeated attempts within the session.
-func (p *Proxy) attackHost(dev *device.Device, dst device.Destination, attack Attack, sp *trace.Span) HostResult {
-	h := p.intercept(attack, dev.ID, dst.Host, nil)
-	defer h.stop()
-
-	// A fresh boot: per-instance failure counters reset.
-	for i := range dev.Slots {
-		dev.ConfigAt(i, device.ActiveSnapshot).ResetState()
-	}
+// AttackHost runs one attack against one destination: a fresh boot,
+// then up to InterceptionAttempts connections within one session. The
+// connections are traced under sp, which may be nil — the passthrough
+// control's re-test of newly discovered hosts (§4.2's negative result)
+// runs untraced.
+func (p *Proxy) AttackHost(dev *device.Device, dst device.Destination, attack Attack, sp *trace.Span) HostResult {
+	s := p.intercept(attack, dev, onlyHost(dst.Host), nil)
+	defer s.stop()
 
 	res := HostResult{Host: dst.Host}
 	for attempt := 0; attempt < InterceptionAttempts; attempt++ {
 		driver.ConnectTraced(p.nw, dev, dst, device.ActiveSnapshot, uint64(attempt)+1, sp)
-		for _, rec := range h.drain() {
+		for _, rec := range s.drain() {
 			if rec.ClientAlert != nil {
 				res.ClientAlert = rec.ClientAlert
 			}
@@ -150,11 +144,14 @@ func (p *Proxy) attackHost(dev *device.Device, dst device.Destination, attack At
 	return res
 }
 
-// AttackOne runs a single attack against one destination — used by the
-// passthrough control to re-test newly discovered hosts for validation
-// failures (§4.2's negative result).
-func (p *Proxy) AttackOne(dev *device.Device, dst device.Destination, attack Attack) HostResult {
-	return p.attackHost(dev, dst, attack, nil)
+// connectOnce opens a session hijacking dst, dials it once from a fresh
+// boot and returns the hijacked dials' records (a fallback retry is a
+// second record).
+func (p *Proxy) connectOnce(attack Attack, dev *device.Device, dst device.Destination, spoofTarget *certs.Certificate, sp *trace.Span) []ConnRecord {
+	s := p.intercept(attack, dev, onlyHost(dst.Host), spoofTarget)
+	defer s.stop()
+	driver.ConnectTraced(p.nw, dev, dst, device.ActiveSnapshot, 1, sp)
+	return s.drain()
 }
 
 // DowngradeReport records the Table 5 evidence for one device.
@@ -185,13 +182,7 @@ func (p *Proxy) RunDowngrade(dev *device.Device, sp *trace.Span) *DowngradeRepor
 
 	for _, trigger := range []Attack{AttackFailedHandshake, AttackIncompleteHandshake} {
 		for _, dst := range boot {
-			h := p.intercept(trigger, dev.ID, dst.Host, nil)
-			for i := range dev.Slots {
-				dev.ConfigAt(i, device.ActiveSnapshot).ResetState()
-			}
-			driver.ConnectTraced(p.nw, dev, dst, device.ActiveSnapshot, 1, sp)
-			recs := h.drain()
-			h.stop()
+			recs := p.connectOnce(trigger, dev, dst, nil, sp)
 			if len(recs) < 2 {
 				continue // no retry observed
 			}
@@ -280,9 +271,7 @@ func RunOldVersionCheck(nw *netem.Network, forcer VersionForcer, dev *device.Dev
 			if !forcer.SetForceVersion(dst.Host, v) {
 				continue
 			}
-			for i := range dev.Slots {
-				dev.ConfigAt(i, device.ActiveSnapshot).ResetState()
-			}
+			dev.Reset(device.ActiveSnapshot)
 			out := driver.ConnectTraced(nw, dev, dst, device.ActiveSnapshot, uint64(v), sp)
 			forcer.SetForceVersion(dst.Host, 0)
 			if out.Established && out.Version == v {
@@ -300,35 +289,17 @@ func RunOldVersionCheck(nw *netem.Network, forcer VersionForcer, dev *device.Dev
 // at a spoofed copy of target, returning what the interceptor observed.
 // This is the unit step of the root-store exploration technique (§4.2):
 // the client's alert distinguishes "unknown CA" from "known CA, bad
-// signature". The connection is traced under the device's span sp,
-// which may be nil.
+// signature". A nil target presents an arbitrary self-signed CA instead
+// (the NoValidation chain: the unknown-issuer control of §4.2). The
+// connection is traced under the device's span sp, which may be nil.
 func (p *Proxy) ProbeOnce(dev *device.Device, dst device.Destination, target *certs.Certificate, sp *trace.Span) ConnRecord {
-	h := p.intercept(AttackSpoofedCA, dev.ID, dst.Host, target)
-	defer h.stop()
-	for i := range dev.Slots {
-		dev.ConfigAt(i, device.ActiveSnapshot).ResetState()
+	attack := AttackSpoofedCA
+	if target == nil {
+		attack = AttackNoValidation
 	}
-	driver.ConnectTraced(p.nw, dev, dst, device.ActiveSnapshot, 1, sp)
-	recs := h.drain()
+	recs := p.connectOnce(attack, dev, dst, target, sp)
 	if len(recs) == 0 {
-		return ConnRecord{Attack: AttackSpoofedCA, Host: dst.Host}
-	}
-	return recs[0]
-}
-
-// ProbeArbitraryCA intercepts with an arbitrary self-signed CA (the
-// unknown-issuer control of §4.2), tracing the connection under the
-// device's span sp, which may be nil.
-func (p *Proxy) ProbeArbitraryCA(dev *device.Device, dst device.Destination, sp *trace.Span) ConnRecord {
-	h := p.intercept(AttackNoValidation, dev.ID, dst.Host, nil)
-	defer h.stop()
-	for i := range dev.Slots {
-		dev.ConfigAt(i, device.ActiveSnapshot).ResetState()
-	}
-	driver.ConnectTraced(p.nw, dev, dst, device.ActiveSnapshot, 1, sp)
-	recs := h.drain()
-	if len(recs) == 0 {
-		return ConnRecord{Attack: AttackNoValidation, Host: dst.Host}
+		return ConnRecord{Attack: attack, Host: dst.Host}
 	}
 	return recs[0]
 }
@@ -358,80 +329,34 @@ func (p *Proxy) RunPassthrough(dev *device.Device, sp *trace.Span) *PassthroughR
 	report := &PassthroughReport{Device: dev.ID}
 
 	// Phase 1: intercept everything from the device with self-signed
-	// certificates; note which hosts failed. The maps are shared between
-	// the tap selector (the dialer's goroutine) and the per-connection
-	// handler goroutines, which can outlive the client side of a failed
-	// handshake — so every access takes the mutex, and each phase waits
-	// for its handlers before reading results: phase 2's passthrough
-	// decisions depend on a complete `failed` set.
-	var mu sync.Mutex
-	var handlers sync.WaitGroup
-	seen := make(map[string]bool)
-	failed := make(map[string]bool)
-	removeTap := p.nw.AddTap(func(meta netem.ConnMeta) netem.Handler {
-		if meta.SrcHost != dev.ID || meta.DstPort != 443 {
-			return nil
-		}
-		host := meta.DstHost
-		mu.Lock()
-		seen[host] = true
-		mu.Unlock()
-		chain, key := p.chainFor(AttackNoValidation, host, nil)
-		handlers.Add(1)
-		return func(conn net.Conn, meta netem.ConnMeta) {
-			defer handlers.Done()
-			rec := p.serveAttack(AttackNoValidation, host, chain, key, conn)
-			if !rec.Intercepted {
-				mu.Lock()
-				failed[host] = true
-				mu.Unlock()
-			}
-		}
-	})
+	// certificates; note which hosts failed.
+	all := p.intercept(AttackNoValidation, dev, everyHost, nil)
 	driver.Boot(p.nw, dev, device.ActiveSnapshot, 1, sp)
-	handlers.Wait()
-	removeTap()
-	for h := range seen {
-		report.AttackHosts = append(report.AttackHosts, h)
+	failed := make(map[string]bool)
+	for _, rec := range all.drain() {
+		if !rec.Intercepted {
+			failed[rec.Host] = true
+		}
 	}
-	// Map iteration order is randomized; the report is serialized into
-	// dataset shards, so the host lists must be deterministic.
-	sort.Strings(report.AttackHosts)
+	all.stop()
+	report.AttackHosts = all.hosts()
 
 	// Phase 2: passthrough — previously-failed hosts go to the real
 	// servers; others stay intercepted.
-	seen2 := make(map[string]bool)
-	removeTap = p.nw.AddTap(func(meta netem.ConnMeta) netem.Handler {
-		if meta.SrcHost != dev.ID || meta.DstPort != 443 {
-			return nil
-		}
-		host := meta.DstHost
-		mu.Lock()
-		seen2[host] = true
-		mu.Unlock()
-		if failed[host] {
-			return nil // pass through
-		}
-		chain, key := p.chainFor(AttackNoValidation, host, nil)
-		handlers.Add(1)
-		return func(conn net.Conn, meta netem.ConnMeta) {
-			defer handlers.Done()
-			p.serveAttack(AttackNoValidation, host, chain, key, conn)
-		}
-	})
+	pass := p.intercept(AttackNoValidation, dev, func(host string) bool { return !failed[host] }, nil)
 	driver.Boot(p.nw, dev, device.ActiveSnapshot, 2, sp)
-	handlers.Wait()
-	removeTap()
+	pass.drain()
+	pass.stop()
+	report.PassthroughHosts = pass.hosts()
 
-	mu.Lock()
-	for h := range seen2 {
-		report.PassthroughHosts = append(report.PassthroughHosts, h)
-		if !seen[h] {
+	attacked := make(map[string]bool, len(report.AttackHosts))
+	for _, h := range report.AttackHosts {
+		attacked[h] = true
+	}
+	for _, h := range report.PassthroughHosts {
+		if !attacked[h] {
 			report.NewHosts = append(report.NewHosts, h)
 		}
 	}
-	mu.Unlock()
-	sort.Strings(report.PassthroughHosts)
-	sort.Strings(report.NewHosts)
 	return report
 }

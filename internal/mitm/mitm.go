@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/certs"
@@ -73,7 +72,8 @@ const AttackerDomain = "attacker-owned.example.net"
 
 // Proxy is the interception proxy. It owns the attacker PKI material:
 // a private root CA, a legitimate certificate for AttackerDomain
-// chaining to a universally trusted root, and per-host forged leaves.
+// chaining to a universally trusted root, and the forged chains, which
+// it caches.
 type Proxy struct {
 	nw *netem.Network
 
@@ -81,22 +81,18 @@ type Proxy struct {
 	legitLeaf    certs.KeyPair // valid chain for AttackerDomain
 	trustedCA    certs.KeyPair // the operational CA that signed legitLeaf
 
-	mu         sync.Mutex
-	leaves     map[string]certs.KeyPair // forged per-host leaves (self-signed root)
-	bcLeaves   map[string]certs.KeyPair // per-host leaves issued by the CA=false legitLeaf
-	spoofs     map[string]spoofChain    // per-(target, host) spoofed-CA chains
-	spoofRoots map[string]certs.KeyPair // per-target spoofed roots, shared across hosts
+	mu     sync.Mutex
+	forged map[chainKey]certs.KeyPair
 }
 
-// spoofChain is a memoized SpoofedCA attack chain: the spoofed copy of
-// the target root plus the per-host leaf it issued. Spoof and Issue are
-// deterministic (seeded keys, deterministic signatures), so rebuilding
-// the chain for the same (target, host) reproduces it bit for bit —
-// memoizing only removes the repeated Ed25519 signing, which the probe
-// suite otherwise pays once per device for each of the ~200 CAs.
-type spoofChain struct {
-	spoof certs.KeyPair
-	leaf  certs.KeyPair
+// chainKey names one forged key pair in the proxy's chain cache: the
+// attack class that forges it, the fingerprint of the CA it spoofs
+// (SpoofedCA only) and the host it is issued for — empty for a spoofed
+// root, which every host attacked with one target shares.
+type chainKey struct {
+	attack Attack
+	target string
+	host   string
 }
 
 // attackValidity must cover the 2021 active experiment window.
@@ -112,10 +108,7 @@ func NewProxy(nw *netem.Network, u *rootstore.Universe) *Proxy {
 		nw:           nw,
 		trustedCA:    trusted,
 		attackerRoot: certs.NewRootCA(certs.Name{CommonName: "mitm attacker root", Organization: "IoTLS", Country: "US"}, 6666, attackNotBefore, attackNotAfter, "mitm-attacker-root"),
-		leaves:       make(map[string]certs.KeyPair),
-		bcLeaves:     make(map[string]certs.KeyPair),
-		spoofs:       make(map[string]spoofChain),
-		spoofRoots:   make(map[string]certs.KeyPair),
+		forged:       make(map[chainKey]certs.KeyPair),
 	}
 	p.legitLeaf = trusted.Issue(certs.Template{
 		SerialNumber: 6667,
@@ -135,81 +128,56 @@ func (p *Proxy) Telemetry() *telemetry.Registry { return p.nw.Telemetry() }
 func (p *Proxy) chainFor(attack Attack, host string, spoofTarget *certs.Certificate) ([]*certs.Certificate, certs.KeyPair) {
 	switch attack {
 	case AttackNoValidation, AttackFailedHandshake:
-		leaf := p.selfSignedLeaf(host)
+		leaf := p.forge(chainKey{attack: AttackNoValidation, host: host}, func() certs.KeyPair {
+			return p.attackerRoot.Issue(leafTemplate(host, serial(host)), "mitm-leaf-"+host)
+		})
 		return []*certs.Certificate{leaf.Cert, p.attackerRoot.Cert}, leaf
 	case AttackWrongHostname:
 		// Full valid chain, wrong name.
 		return []*certs.Certificate{p.legitLeaf.Cert, p.trustedCA.Cert}, p.legitLeaf
 	case AttackInvalidBasicConstraints:
 		// The legit leaf (CA=false) misused as an issuer for host.
-		leaf := p.bcLeaf(host)
+		leaf := p.forge(chainKey{attack: attack, host: host}, func() certs.KeyPair {
+			return p.legitLeaf.Issue(leafTemplate(host, serial(host)+1), "mitm-bc-leaf-"+host)
+		})
 		return []*certs.Certificate{leaf.Cert, p.legitLeaf.Cert, p.trustedCA.Cert}, leaf
 	case AttackSpoofedCA:
-		sc := p.spoofChain(spoofTarget, host)
-		return []*certs.Certificate{sc.leaf.Cert, sc.spoof.Cert}, sc.leaf
+		target := spoofTarget.Fingerprint()
+		spoof := p.forge(chainKey{attack: attack, target: target}, func() certs.KeyPair {
+			return certs.Spoof(spoofTarget, "mitm-spoof-"+spoofTarget.SubjectKey())
+		})
+		leaf := p.forge(chainKey{attack: attack, target: target, host: host}, func() certs.KeyPair {
+			return spoof.Issue(leafTemplate(host, serial(host)+2), "mitm-spoof-leaf-"+host)
+		})
+		return []*certs.Certificate{leaf.Cert, spoof.Cert}, leaf
 	default:
 		return nil, certs.KeyPair{}
 	}
 }
 
-func (p *Proxy) selfSignedLeaf(host string) certs.KeyPair {
+// forge returns the cached key pair for k, issuing it on first use.
+// Forging is deterministic (seeded keys, deterministic signatures), so
+// the cache only removes repeated Ed25519 signing, which the probe
+// suite otherwise pays once per device for each of the ~200 CAs.
+func (p *Proxy) forge(k chainKey, issue func() certs.KeyPair) certs.KeyPair {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if leaf, ok := p.leaves[host]; ok {
-		return leaf
-	}
-	leaf := p.attackerRoot.Issue(certs.Template{
-		SerialNumber: serial(host),
-		Subject:      certs.Name{CommonName: host},
-		NotBefore:    attackNotBefore, NotAfter: attackNotAfter,
-		DNSNames: []string{host},
-	}, "mitm-leaf-"+host)
-	p.leaves[host] = leaf
-	return leaf
-}
-
-// bcLeaf memoizes the per-host InvalidBasicConstraints leaf.
-func (p *Proxy) bcLeaf(host string) certs.KeyPair {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if leaf, ok := p.bcLeaves[host]; ok {
-		return leaf
-	}
-	leaf := p.legitLeaf.Issue(certs.Template{
-		SerialNumber: serial(host) + 1,
-		Subject:      certs.Name{CommonName: host},
-		NotBefore:    attackNotBefore, NotAfter: attackNotAfter,
-		DNSNames: []string{host},
-	}, "mitm-bc-leaf-"+host)
-	p.bcLeaves[host] = leaf
-	return leaf
-}
-
-// spoofChain memoizes the SpoofedCA chain for one (target, host) pair.
-// The spoofed root depends only on the target, so every host attacked
-// with one target shares it; the leaf is per host.
-func (p *Proxy) spoofChain(spoofTarget *certs.Certificate, host string) spoofChain {
-	target := spoofTarget.Fingerprint()
-	key := target + "|" + host
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if sc, ok := p.spoofs[key]; ok {
-		return sc
-	}
-	spoof, ok := p.spoofRoots[target]
+	kp, ok := p.forged[k]
 	if !ok {
-		spoof = certs.Spoof(spoofTarget, "mitm-spoof-"+spoofTarget.SubjectKey())
-		p.spoofRoots[target] = spoof
+		kp = issue()
+		p.forged[k] = kp
 	}
-	leaf := spoof.Issue(certs.Template{
-		SerialNumber: serial(host) + 2,
+	return kp
+}
+
+// leafTemplate is a forged leaf for host.
+func leafTemplate(host string, serial uint64) certs.Template {
+	return certs.Template{
+		SerialNumber: serial,
 		Subject:      certs.Name{CommonName: host},
 		NotBefore:    attackNotBefore, NotAfter: attackNotAfter,
 		DNSNames: []string{host},
-	}, "mitm-spoof-leaf-"+host)
-	sc := spoofChain{spoof: spoof, leaf: leaf}
-	p.spoofs[key] = sc
-	return sc
+	}
 }
 
 func serial(host string) uint64 {
@@ -239,71 +207,112 @@ type ConnRecord struct {
 	FailureClass tlssim.FailureClass
 }
 
-// interceptHandle is a live interception tap. Its drain method is the
-// deterministic way to read results: it waits for every handler whose
-// connection has already been dialed to finish publishing, then returns
-// the records. Handler lifetimes are bounded (every read in serveAttack
-// carries a deadline), so the wait always terminates.
-type interceptHandle struct {
-	records chan indexedRecord
-	dials   atomic.Int64
-	wg      sync.WaitGroup
-	remove  func()
+// session is one interception run against one device: the proxy's
+// only tap. It hijacks the device's port-443 dials to the hosts its
+// selector picks, serves each the attack's chain, and records every
+// dial it saw, hijacked or passed through to the real server. Every
+// experiment opens a session, dials, drains and stops it.
+type session struct {
+	remove func()
+	wg     sync.WaitGroup
+
+	mu sync.Mutex
+	// dials is indexed by dial ordinal. The tap runs synchronously
+	// inside netem.Dial, so the order is the client's dial order even
+	// though handler goroutines finish in scheduling order.
+	dials []tappedDial
+	next  int // first dial the next drain returns
 }
 
-// indexedRecord carries the dial ordinal assigned when the tap matched
-// the connection. Tap selectors run synchronously inside netem.Dial, so
-// the ordinal reflects the client's dial order even though handler
-// goroutines publish in scheduling order.
-type indexedRecord struct {
-	idx int64
-	rec ConnRecord
+// tappedDial is one dial the session's tap saw.
+type tappedDial struct {
+	host     string
+	hijacked bool
+	rec      ConnRecord // set by the handler of a hijacked dial
 }
 
-// drain waits for all in-flight handlers, then returns their records in
-// dial order. Callers must have finished dialing (the client side of
-// every tapped connection has returned) before calling, so no new
-// handlers can start during the wait.
-func (h *interceptHandle) drain() []ConnRecord {
-	h.wg.Wait()
-	var got []indexedRecord
-	for {
-		select {
-		case r := <-h.records:
-			got = append(got, r)
-		default:
-			sort.Slice(got, func(i, j int) bool { return got[i].idx < got[j].idx })
-			out := make([]ConnRecord, len(got))
-			for i, r := range got {
-				out[i] = r.rec
-			}
-			return out
-		}
-	}
+// everyHost and onlyHost are session selectors.
+func everyHost(string) bool { return true }
+
+func onlyHost(host string) func(string) bool {
+	return func(h string) bool { return h == host }
 }
 
-// stop deregisters the tap.
-func (h *interceptHandle) stop() { h.remove() }
-
-// intercept registers a tap hijacking connections from srcHost to
-// dstHost. The tap filters on the source device, so intercepts against
-// different devices stack and run concurrently.
-func (p *Proxy) intercept(attack Attack, srcHost, dstHost string, spoofTarget *certs.Certificate) *interceptHandle {
-	h := &interceptHandle{records: make(chan indexedRecord, 64)}
-	chain, key := p.chainFor(attack, dstHost, spoofTarget)
-	h.remove = p.nw.AddTap(func(meta netem.ConnMeta) netem.Handler {
-		if meta.SrcHost != srcHost || meta.DstHost != dstHost || meta.DstPort != 443 {
+// intercept reboots dev (per-instance failure counters reset) and
+// opens a session on its port-443 dials: those to a host pick selects
+// are hijacked with the attack's chain for that host, built through the
+// chain cache when the dial is tapped; the rest pass through. The tap
+// filters on the source device, so sessions against different devices
+// stack and run concurrently.
+func (p *Proxy) intercept(attack Attack, dev *device.Device, pick func(host string) bool, spoofTarget *certs.Certificate) *session {
+	dev.Reset(device.ActiveSnapshot)
+	s := &session{}
+	s.remove = p.nw.AddTap(func(meta netem.ConnMeta) netem.Handler {
+		if meta.SrcHost != dev.ID || meta.DstPort != 443 {
 			return nil
 		}
-		idx := h.dials.Add(1)
-		h.wg.Add(1)
-		return func(conn net.Conn, meta netem.ConnMeta) {
-			defer h.wg.Done()
-			h.records <- indexedRecord{idx: idx, rec: p.serveAttack(attack, dstHost, chain, key, conn)}
+		host := meta.DstHost
+		hijack := pick(host)
+		s.mu.Lock()
+		idx := len(s.dials)
+		s.dials = append(s.dials, tappedDial{host: host, hijacked: hijack})
+		s.mu.Unlock()
+		if !hijack {
+			return nil
+		}
+		chain, key := p.chainFor(attack, host, spoofTarget)
+		s.wg.Add(1)
+		return func(conn net.Conn, _ netem.ConnMeta) {
+			defer s.wg.Done()
+			rec := p.serveAttack(attack, host, chain, key, conn)
+			s.mu.Lock()
+			s.dials[idx].rec = rec
+			s.mu.Unlock()
 		}
 	})
-	return h
+	return s
 }
+
+// drain waits for the handlers of every hijacked dial, then returns the
+// records of the hijacked dials since the previous drain, in dial
+// order. Callers must have finished dialing (the client side of every
+// tapped connection has returned), so no handler starts during the
+// wait; handler lifetimes are bounded (every read in serveAttack
+// carries a deadline), so the wait always ends.
+func (s *session) drain() []ConnRecord {
+	s.wg.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []ConnRecord
+	for _, d := range s.dials[s.next:] {
+		if d.hijacked {
+			out = append(out, d.rec)
+		}
+	}
+	s.next = len(s.dials)
+	return out
+}
+
+// hosts returns the distinct hosts of every dial the session saw,
+// hijacked or passed through, sorted: the reports built from them are
+// serialized into dataset shards.
+func (s *session) hosts() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	seen := make(map[string]bool, len(s.dials))
+	var out []string
+	for _, d := range s.dials {
+		if !seen[d.host] {
+			seen[d.host] = true
+			out = append(out, d.host)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// stop deregisters the session's tap.
+func (s *session) stop() { s.remove() }
 
 // serveAttack terminates one hijacked connection.
 func (p *Proxy) serveAttack(attack Attack, host string, chain []*certs.Certificate, key certs.KeyPair, conn net.Conn) ConnRecord {

@@ -1,14 +1,17 @@
 package mitm
 
 import (
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/certs"
 	"repro/internal/ciphers"
 	"repro/internal/clock"
 	"repro/internal/cloud"
 	"repro/internal/device"
+	"repro/internal/driver"
 	"repro/internal/netem"
 	"repro/internal/wire"
 )
@@ -228,29 +231,133 @@ func TestSpoofedCAAlertSideChannel(t *testing.T) {
 	}
 }
 
+func TestProbeWithoutTargetPresentsSelfSignedChain(t *testing.T) {
+	// A nil target is the unknown-issuer control: the NoValidation
+	// chain, counted as a NoValidation attack.
+	nw, reg, _, p := testbed(t)
+	dev := get(t, reg, "google-home-mini")
+	dst, _ := dev.ProbeDestination()
+	rec := p.ProbeOnce(dev, dst, nil, nil)
+	if rec.Attack != AttackNoValidation || rec.Host != dst.Host {
+		t.Fatalf("record = %s on %s, want NoValidation on %s", rec.Attack, rec.Host, dst.Host)
+	}
+	if rec.ClientAlert == nil || rec.ClientAlert.Description != wire.AlertUnknownCA {
+		t.Fatalf("self-signed chain alert = %v, want unknown_ca", rec.ClientAlert)
+	}
+	tel := nw.Telemetry()
+	if got := tel.Counter("mitm.attacks.NoValidation").Value(); got != 1 {
+		t.Errorf("mitm.attacks.NoValidation = %d, want 1", got)
+	}
+	if got := tel.Counter("mitm.attacks.SpoofedCA").Value(); got != 0 {
+		t.Errorf("mitm.attacks.SpoofedCA = %d, want 0", got)
+	}
+}
+
+// wantDials lists the hosts boots dialed, in order: each outcome's host,
+// twice when the device retried with its fallback configuration.
+func wantDials(outs []driver.Outcome) []string {
+	var hosts []string
+	for _, o := range outs {
+		hosts = append(hosts, o.Host)
+		if o.UsedFallback {
+			hosts = append(hosts, o.Host)
+		}
+	}
+	return hosts
+}
+
+func TestSessionKeepsEveryRecordPastOneDrain(t *testing.T) {
+	// A device-wide session tapping far more dials than a fixed record
+	// buffer would hold before its first drain still returns every
+	// record, in dial order.
+	nw, reg, _, p := testbed(t)
+	dev := get(t, reg, "amazon-fire-tv")
+	s := p.intercept(AttackNoValidation, dev, everyHost, nil)
+	defer s.stop()
+	var want []string
+	for seq := uint64(1); len(want) <= 64; seq++ {
+		want = append(want, wantDials(driver.Boot(nw, dev, device.ActiveSnapshot, seq*1000, nil))...)
+	}
+	done := make(chan []ConnRecord, 1)
+	go func() { done <- s.drain() }()
+	var recs []ConnRecord
+	select {
+	case recs = <-done:
+	case <-time.After(time.Minute):
+		t.Fatalf("drain of %d tapped dials did not return", len(want))
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("drain returned %d records for %d dials", len(recs), len(want))
+	}
+	for i, rec := range recs {
+		if rec.Host != want[i] || rec.Attack != AttackNoValidation {
+			t.Fatalf("record %d = %s on %s, want NoValidation on %s", i, rec.Attack, rec.Host, want[i])
+		}
+	}
+	if again := s.drain(); len(again) != 0 {
+		t.Fatalf("second drain returned %d records, want none", len(again))
+	}
+}
+
+func TestSessionListsPassedThroughHosts(t *testing.T) {
+	// Dials the selector passes through reach the real server: the
+	// session lists their hosts but holds no record for them.
+	nw, reg, _, p := testbed(t)
+	dev := get(t, reg, "amazon-fire-tv")
+	passed := dev.BootDestinations()[0].Host
+	s := p.intercept(AttackNoValidation, dev, func(h string) bool { return h != passed }, nil)
+	defer s.stop()
+	outs := driver.Boot(nw, dev, device.ActiveSnapshot, 1, nil)
+	if !outs[0].Established || outs[0].Host != passed {
+		t.Fatalf("passed-through dial to %s: established=%v", outs[0].Host, outs[0].Established)
+	}
+	recs := s.drain()
+	for _, rec := range recs {
+		if rec.Host == passed {
+			t.Fatalf("passed-through host %s has a record", passed)
+		}
+	}
+	var hijacked int
+	for _, h := range wantDials(outs) {
+		if h != passed {
+			hijacked++
+		}
+	}
+	if len(recs) != hijacked {
+		t.Fatalf("drain returned %d records, want %d", len(recs), hijacked)
+	}
+	hosts := s.hosts()
+	if i := sort.SearchStrings(hosts, passed); i == len(hosts) || hosts[i] != passed {
+		t.Fatalf("session hosts %v miss the passed-through %s", hosts, passed)
+	}
+	if len(hosts) < 2 {
+		t.Fatalf("session hosts = %v, want the hijacked hosts too", hosts)
+	}
+}
+
 func TestSpoofedRootSharedAcrossHosts(t *testing.T) {
 	// The spoofed root depends only on the target, so two hosts attacked
 	// with one target share it; each host still gets its own leaf, and
 	// each leaf chains to the shared root.
 	_, reg, _, p := testbed(t)
 	target := device.OperationalCAs(reg.Universe)[0].Pair.Cert
-	a := p.spoofChain(target, "a.example.com")
-	b := p.spoofChain(target, "b.example.com")
-	if a.spoof.Cert != b.spoof.Cert {
+	a, _ := p.chainFor(AttackSpoofedCA, "a.example.com", target)
+	b, _ := p.chainFor(AttackSpoofedCA, "b.example.com", target)
+	if a[1] != b[1] {
 		t.Fatal("hosts attacked with one target got distinct spoofed roots")
 	}
-	if a.leaf.Cert == b.leaf.Cert || a.leaf.Cert.Fingerprint() == b.leaf.Cert.Fingerprint() {
+	if a[0] == b[0] || a[0].Fingerprint() == b[0].Fingerprint() {
 		t.Fatal("hosts attacked with one target share a leaf")
 	}
-	for _, sc := range []spoofChain{a, b} {
-		if err := sc.leaf.Cert.CheckSignatureFrom(sc.spoof.Cert); err != nil {
-			t.Fatalf("leaf %s does not chain to the shared spoofed root: %v", sc.leaf.Cert.Subject, err)
+	for _, chain := range [][]*certs.Certificate{a, b} {
+		if err := chain[0].CheckSignatureFrom(chain[1]); err != nil {
+			t.Fatalf("leaf %s does not chain to the shared spoofed root: %v", chain[0].Subject, err)
 		}
 	}
-	if a.spoof.Cert.SubjectKey() != target.SubjectKey() || a.spoof.Cert.Fingerprint() == target.Fingerprint() {
+	if a[1].SubjectKey() != target.SubjectKey() || a[1].Fingerprint() == target.Fingerprint() {
 		t.Fatal("shared root is not a spoof of the target")
 	}
-	if again := p.spoofChain(target, "a.example.com"); again.leaf.Cert != a.leaf.Cert {
+	if again, _ := p.chainFor(AttackSpoofedCA, "a.example.com", target); again[0] != a[0] {
 		t.Fatal("repeated (target, host) rebuilt its chain")
 	}
 }

@@ -166,7 +166,7 @@ func (p *Prober) calibrate(dev *device.Device, dsp *trace.Span) (amenable bool, 
 	}
 	trusted := device.OperationalCAs(p.Registry.Universe)[0].Pair.Cert
 	recKnown := p.Proxy.ProbeOnce(dev, dst, trusted, dsp)
-	recUnknown := p.Proxy.ProbeArbitraryCA(dev, dst, dsp)
+	recUnknown := p.Proxy.ProbeOnce(dev, dst, nil, dsp)
 	if recKnown.Intercepted || recUnknown.Intercepted {
 		// The device accepted a forged chain: it is not validating, so
 		// there is no side channel to read.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/ciphers"
@@ -43,6 +44,62 @@ func FuzzReadRecord(f *testing.F) {
 			}
 			if read := data[start : len(data)-r.Len()]; !bytes.Equal(out.Bytes(), read) {
 				t.Fatalf("record re-frames to %x, read from %x", out.Bytes(), read)
+			}
+		}
+	})
+}
+
+// FuzzFramer feeds the input to a Framer in chunks whose sizes cuts
+// gives, cycled (a zero is an empty feed), and checks it against
+// repeated ReadRecord calls on the whole input: the framer emits exactly
+// the records ReadRecord returns, and is poisoned from the feed that
+// completes the header ReadRecord rejects with ErrRecordTooLarge, and
+// not before. Its seeds are the FuzzReadRecord corpus, each with a
+// chunking.
+func FuzzFramer(f *testing.F) {
+	var buf bytes.Buffer
+	WriteRecord(&buf, Record{Type: TypeAlert, Version: ciphers.TLS12, Payload: Alert{Level: LevelFatal, Description: AlertUnknownCA}.Marshal()})
+	f.Add(buf.Bytes(), []byte{1})
+	f.Add([]byte{22, 3, 3, 0, 1, 7, 22, 3, 3, 0xff, 0xff}, []byte{3, 0, 4})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		var want []Record
+		poisonAt := -1 // the input offset just past the rejected header
+		r := bytes.NewReader(data)
+		for {
+			start := len(data) - r.Len()
+			rec, err := ReadRecord(r)
+			if errors.Is(err, ErrRecordTooLarge) {
+				poisonAt = start + headerLen
+			}
+			if err != nil {
+				break
+			}
+			want = append(want, rec)
+		}
+
+		var fr Framer
+		var got []Record
+		emit := func(rec Record) {
+			rec.Payload = append([]byte(nil), rec.Payload...)
+			got = append(got, rec)
+		}
+		for i, pos := 0, 0; pos < len(data); i++ {
+			n := len(data) - pos
+			if len(cuts) > 0 && i < len(data)+len(cuts) {
+				n = min(n, int(cuts[i%len(cuts)]))
+			}
+			fr.Feed(data[pos:pos+n], emit)
+			pos += n
+			if want := poisonAt >= 0 && pos >= poisonAt; fr.Poisoned() != want {
+				t.Fatalf("after %d of %d bytes: poisoned=%v, want %v (ReadRecord rejects the header ending at %d)", pos, len(data), fr.Poisoned(), want, poisonAt)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("framer emitted %d records, ReadRecord read %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Type != want[i].Type || got[i].Version != want[i].Version || !bytes.Equal(got[i].Payload, want[i].Payload) {
+				t.Fatalf("record %d: framer emitted %+v, ReadRecord read %+v", i, got[i], want[i])
 			}
 		}
 	})

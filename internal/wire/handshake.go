@@ -74,6 +74,23 @@ func ParseHandshake(data []byte) (Handshake, []byte, error) {
 	return h, data[4+n:], nil
 }
 
+// EachHandshake calls fn with each handshake message coalesced in a
+// handshake record's payload, in order, until fn returns false or a
+// message fails to parse, whose error it returns.
+func EachHandshake(payload []byte, fn func(Handshake) bool) error {
+	for len(payload) > 0 {
+		msg, rest, err := ParseHandshake(payload)
+		if err != nil {
+			return err
+		}
+		if !fn(msg) {
+			return nil
+		}
+		payload = rest
+	}
+	return nil
+}
+
 // WriteHandshake frames msg in a handshake record at record version v.
 func WriteHandshake(w io.Writer, v ciphers.Version, msg Handshake) error {
 	return WriteRecord(w, Record{Type: TypeHandshake, Version: v, Payload: msg.Marshal()})

@@ -61,10 +61,17 @@ type Record struct {
 // ErrRecordTooLarge is returned for records exceeding MaxRecordPayload.
 var ErrRecordTooLarge = errors.New("wire: record payload exceeds maximum length")
 
-// RecordVersion assembles the record-layer version from its two header
-// bytes (a convenience for byte-level sniffers).
-func RecordVersion(hi, lo byte) ciphers.Version {
-	return ciphers.Version(uint16(hi)<<8 | uint16(lo))
+// headerLen is the record header's size: type, version, length.
+const headerLen = 5
+
+// parseHeader decodes a record header: the record it opens, without its
+// payload, and the payload's length.
+func parseHeader(hdr []byte) (Record, int, error) {
+	n := int(hdr[3])<<8 | int(hdr[4])
+	if n > MaxRecordPayload {
+		return Record{}, 0, ErrRecordTooLarge
+	}
+	return Record{Type: ContentType(hdr[0]), Version: ciphers.Version(uint16(hdr[1])<<8 | uint16(hdr[2]))}, n, nil
 }
 
 // WriteRecord frames and writes a single record.
@@ -87,7 +94,7 @@ func WriteRecord(w io.Writer, rec Record) error {
 // ReadRecord reads a single framed record. io.EOF is returned unchanged
 // when the stream ends cleanly at a record boundary.
 func ReadRecord(r io.Reader) (Record, error) {
-	var hdr [5]byte
+	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return Record{}, err
 	}
@@ -97,15 +104,11 @@ func ReadRecord(r io.Reader) (Record, error) {
 		}
 		return Record{}, err
 	}
-	n := int(hdr[3])<<8 | int(hdr[4])
-	if n > MaxRecordPayload {
-		return Record{}, ErrRecordTooLarge
+	rec, n, err := parseHeader(hdr[:])
+	if err != nil {
+		return Record{}, err
 	}
-	rec := Record{
-		Type:    ContentType(hdr[0]),
-		Version: ciphers.Version(uint16(hdr[1])<<8 | uint16(hdr[2])),
-		Payload: make([]byte, n),
-	}
+	rec.Payload = make([]byte, n)
 	if _, err := io.ReadFull(r, rec.Payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -114,3 +117,44 @@ func ReadRecord(r io.Reader) (Record, error) {
 	}
 	return rec, nil
 }
+
+// Framer reassembles one direction of a TLS byte stream into records,
+// whatever chunks the transport delivers: the push-style counterpart of
+// ReadRecord, framing exactly the records ReadRecord reads from the
+// concatenated chunks. Where ReadRecord would return ErrRecordTooLarge,
+// the stream is poisoned for good: without a valid framing anchor
+// nothing after the corruption can be trusted.
+type Framer struct {
+	buf      []byte
+	poisoned bool
+}
+
+// Feed appends p and calls emit with each record it completes. The
+// record's Payload is a view into the framer's buffer, valid only for
+// the duration of the emit call: the parsers copy whatever they retain,
+// so a byte-level observer consuming records synchronously avoids one
+// payload copy per record.
+func (f *Framer) Feed(p []byte, emit func(Record)) {
+	if f.poisoned {
+		return
+	}
+	f.buf = append(f.buf, p...)
+	for len(f.buf) >= headerLen {
+		rec, n, err := parseHeader(f.buf)
+		if err != nil {
+			f.buf = nil
+			f.poisoned = true
+			return
+		}
+		if len(f.buf) < headerLen+n {
+			return
+		}
+		rec.Payload = f.buf[headerLen : headerLen+n : headerLen+n]
+		emit(rec)
+		f.buf = f.buf[headerLen+n:]
+	}
+}
+
+// Poisoned reports whether the stream declared an impossible record
+// length.
+func (f *Framer) Poisoned() bool { return f.poisoned }

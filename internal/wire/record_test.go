@@ -203,3 +203,51 @@ func TestAlertLevelString(t *testing.T) {
 		t.Fatal("unknown level name wrong")
 	}
 }
+
+// feedAll drives the framer and collects emitted records, copying each
+// transient payload view so assertions can outlive the emit call.
+func feedAll(f *Framer, p []byte) []Record {
+	var out []Record
+	f.Feed(p, func(rec Record) {
+		rec.Payload = append([]byte(nil), rec.Payload...)
+		out = append(out, rec)
+	})
+	return out
+}
+
+func TestFramerFragmentation(t *testing.T) {
+	// A record delivered byte by byte must still reassemble.
+	var f Framer
+	var buf bytes.Buffer
+	WriteRecord(&buf, Record{Type: TypeHandshake, Version: ciphers.TLS12, Payload: []byte("hello world")})
+	var got []Record
+	for _, b := range buf.Bytes() {
+		got = append(got, feedAll(&f, []byte{b})...)
+	}
+	if len(got) != 1 || string(got[0].Payload) != "hello world" || got[0].Version != ciphers.TLS12 {
+		t.Fatalf("reassembly failed: %v", got)
+	}
+}
+
+func TestFramerCoalesced(t *testing.T) {
+	var buf bytes.Buffer
+	WriteRecord(&buf, Record{Type: TypeAlert, Version: ciphers.TLS12, Payload: []byte{1, 2}})
+	WriteRecord(&buf, Record{Type: TypeHandshake, Version: ciphers.TLS12, Payload: []byte{3}})
+	var f Framer
+	got := feedAll(&f, buf.Bytes())
+	if len(got) != 2 || got[0].Type != TypeAlert || got[1].Type != TypeHandshake {
+		t.Fatalf("coalesced parse = %v", got)
+	}
+}
+
+func TestFramerCorruptStream(t *testing.T) {
+	var f Framer
+	// Length field beyond the cap poisons the direction.
+	got := feedAll(&f, []byte{22, 3, 3, 0xff, 0xff, 0, 0})
+	if len(got) != 0 || !f.Poisoned() {
+		t.Fatalf("corrupt stream produced records %v, poisoned=%v", got, f.Poisoned())
+	}
+	if len(feedAll(&f, []byte{22, 3, 3, 0, 0})) != 0 {
+		t.Fatal("poisoned framer kept parsing")
+	}
+}
