@@ -121,9 +121,9 @@ trace:
 		-count=1 -timeout 10m ./internal/core/
 
 # fuzz runs each native fuzz target for 60 s on one worker: the wire
-# decoders (records, read and framed; ClientHello; alerts) and the
+# decoders (records, read and framed; ClientHello; alerts), the
 # dataset decoders (manifests, every record kind, the Content-Range
-# start). Plain `go test` runs only their seed corpora; commit any
+# start) and netem's corrupt-fault record walk. Plain `go test` runs only their seed corpora; commit any
 # crasher written under the package's testdata/fuzz/ together with its
 # fix. Not part of check.
 fuzz:
@@ -133,6 +133,7 @@ fuzz:
 	for t in FuzzDecodeManifest FuzzDecodeRecord FuzzContentRangeStart; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 60s -parallel 1 ./internal/dataset/ || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzCorruptWalk$$' -fuzztime 60s -parallel 1 ./internal/netem/
 
 # cover runs the whole suite once with every internal and CLI package
 # instrumented, so a statement counts as covered whichever test binary

@@ -323,14 +323,26 @@ func deviceRank(devID string, key string) uint64 {
 }
 
 func rankCerts(devID string, cs []*certs.Certificate) []*certs.Certificate {
-	out := append([]*certs.Certificate(nil), cs...)
-	sort.Slice(out, func(i, j int) bool {
-		ri, rj := deviceRank(devID, out[i].SubjectKey()), deviceRank(devID, out[j].SubjectKey())
-		if ri != rj {
-			return ri < rj
+	// Rank each certificate once; the sort compares the stored ranks.
+	type ranked struct {
+		rank uint64
+		key  string
+		cert *certs.Certificate
+	}
+	rs := make([]ranked, len(cs))
+	for i, c := range cs {
+		rs[i] = ranked{deviceRank(devID, c.SubjectKey()), c.SubjectKey(), c}
+	}
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].rank != rs[j].rank {
+			return rs[i].rank < rs[j].rank
 		}
-		return out[i].SubjectKey() < out[j].SubjectKey()
+		return rs[i].key < rs[j].key
 	})
+	out := make([]*certs.Certificate, len(rs))
+	for i, r := range rs {
+		out[i] = r.cert
+	}
 	return out
 }
 

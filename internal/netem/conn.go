@@ -37,8 +37,11 @@ type Conn struct {
 	nw             *Network
 	fault          fault.Kind
 	entropy        uint64
-	faultWrites    atomic.Int32
 	sent, received atomic.Int64 // mirrored byte totals
+
+	// Guarded by wmu: where the faulted server end's writes stand.
+	walk      recordWalk
+	truncated bool
 }
 
 // pair is one allocation holding a whole connection.
@@ -84,7 +87,7 @@ func (c *Conn) read(b []byte) (int, error) {
 			return 0, io.ErrClosedPipe
 		case c.peer.closed:
 			return 0, io.EOF
-		case c.stalled || expired(c.rd):
+		case c.stalled:
 			return 0, &net.OpError{Op: "read", Net: "pipe", Err: os.ErrDeadlineExceeded}
 		case c.rxPending:
 			n := copy(b, c.rx)
@@ -93,16 +96,23 @@ func (c *Conn) read(b []byte) (int, error) {
 				c.p.cond.Broadcast()
 			}
 			return n, nil
+		case expired(c.rd):
+			return 0, &net.OpError{Op: "read", Net: "pipe", Err: os.ErrDeadlineExceeded}
 		}
 		c.wait(c.rd)
 	}
 }
 
 func (c *Conn) Write(b []byte) (int, error) {
+	c.wmu.Lock()
+	var n int
+	var err error
 	if c.fault == fault.KindTruncate || c.fault == fault.KindCorrupt {
-		return c.degradedWrite(b)
+		n, err = c.degradedWrite(b)
+	} else {
+		n, err = c.write(b)
 	}
-	n, err := c.write(b)
+	c.wmu.Unlock()
 	if n > 0 && c.mirror != nil {
 		c.mirror.ClientBytes(b[:n])
 		c.sent.Add(int64(n))
@@ -113,10 +123,8 @@ func (c *Conn) Write(b []byte) (int, error) {
 }
 
 // write offers b to the peer and waits until the peer has read it all,
-// returning how much it read.
+// returning how much it read. The caller holds wmu.
 func (c *Conn) write(b []byte) (n int, err error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	c.p.mu.Lock()
 	defer c.p.mu.Unlock()
 	dst := c.peer

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -111,57 +112,135 @@ func TestFaultTruncate(t *testing.T) {
 	if err != nil && !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("read error = %v", err)
 	}
-	if len(got) == 0 || len(got) >= len(msg) {
-		t.Fatalf("received %d echoed bytes, want a strict truncation of %d", len(got), len(msg))
+	// The cut falls inside the first record's 5-byte header.
+	if len(got) == 0 || len(got) >= 5 {
+		t.Fatalf("received %d echoed bytes, want a cut inside the first 5 of %d", len(got), len(msg))
 	}
 }
 
-// fourWrites serves a fixed four-write script so the corrupt fault's
-// target write is observable.
-func fourWrites(conn net.Conn, _ ConnMeta) {
-	defer conn.Close()
-	buf := make([]byte, 64)
-	if _, err := conn.Read(buf); err != nil {
-		return
-	}
-	for i := 0; i < 4; i++ {
-		p := []byte{byte('a' + i), byte('a' + i), byte('a' + i), byte('a' + i)}
-		if _, err := conn.Write(p); err != nil {
+// serverFlight stands in for a server's first flight: three records,
+// the second in the Certificate's place.
+var serverFlight = [][]byte{fakeRecord([]byte("aaaa")), fakeRecord([]byte("bbbbbbbb")), fakeRecord([]byte("cc"))}
+
+// writeChunks serves the given writes after the client's first one.
+func writeChunks(chunks [][]byte) Handler {
+	return func(conn net.Conn, _ ConnMeta) {
+		defer conn.Close()
+		if _, err := conn.Read(make([]byte, 64)); err != nil {
 			return
 		}
-	}
-}
-
-func TestFaultCorruptTargetsFourthWrite(t *testing.T) {
-	n, _ := newTestNetwork()
-	n.Listen("s.com", 443, fourWrites)
-	n.SetFaultPlan(fault.NewPlan(1, onlyKind(fault.KindCorrupt)))
-	conn, err := n.Dial("d", "s.com", 443)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("go")); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	got := make([]byte, 16)
-	if _, err := io.ReadFull(conn, got); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	want := []byte("aaaabbbbccccdddd")
-	diffs := 0
-	for i := range want {
-		if got[i] != want[i] {
-			diffs++
-			if i < 12 {
-				t.Errorf("byte %d (write %d) corrupted; only the fourth write may be", i, i/4+1)
+		for _, p := range chunks {
+			if _, err := conn.Write(p); err != nil {
+				return
 			}
 		}
 	}
-	if diffs != 1 {
-		t.Errorf("%d bytes differ, want exactly 1", diffs)
+}
+
+// TestFaultCorruptTargetsCertificatePayload checks the corrupt fault
+// flips exactly one byte, inside the second record's payload, and the
+// same byte whether the server writes its flight in one Write, one
+// record per Write, headers apart from payloads, or byte by byte.
+func TestFaultCorruptTargetsCertificatePayload(t *testing.T) {
+	flight := bytes.Join(serverFlight, nil)
+	var perRecord, split, perByte [][]byte
+	for _, r := range serverFlight {
+		perRecord = append(perRecord, r)
+		split = append(split, r[:5], r[5:])
 	}
+	for i := range flight {
+		perByte = append(perByte, flight[i:i+1])
+	}
+	lo := len(serverFlight[0]) + 5 // the second record's payload
+	hi := len(serverFlight[0]) + len(serverFlight[1])
+	var first []byte
+	for _, b := range []struct {
+		name   string
+		chunks [][]byte
+	}{{"flight", [][]byte{flight}}, {"records", perRecord}, {"headers apart", split}, {"bytes", perByte}} {
+		n, _ := newTestNetwork()
+		n.Listen("s.com", 443, writeChunks(b.chunks))
+		n.SetFaultPlan(fault.NewPlan(1, onlyKind(fault.KindCorrupt)))
+		conn, err := n.Dial("d", "s.com", 443)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte("go")); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		got := make([]byte, len(flight))
+		if _, err := io.ReadFull(conn, got); err != nil {
+			t.Fatalf("%s: read: %v", b.name, err)
+		}
+		conn.Close()
+		diffs := 0
+		for i := range flight {
+			if got[i] != flight[i] {
+				diffs++
+				if i < lo || i >= hi {
+					t.Errorf("%s: byte %d corrupted; only the second record's payload [%d,%d) may be", b.name, i, lo, hi)
+				}
+			}
+		}
+		if diffs != 1 {
+			t.Errorf("%s: %d bytes differ, want exactly 1", b.name, diffs)
+		}
+		if first == nil {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Errorf("%s: delivered %q, the single-write flight delivered %q", b.name, got, first)
+		}
+	}
+}
+
+// FuzzCorruptWalk drives the corrupt fault's record walk with arbitrary
+// bytes, TLS or not, batched into writes whose sizes cuts gives,
+// cycled. It must never panic; it must deliver every byte, the same
+// bytes at any batching, and differ from the input in at most one
+// byte: byte entropy mod n of the second record's n-byte payload,
+// flipped, when the input reaches it.
+func FuzzCorruptWalk(f *testing.F) {
+	f.Add(bytes.Join(serverFlight, nil), []byte{5}, uint64(7))
+	f.Add(bytes.Join(serverFlight, nil), []byte{0, 3, 1}, uint64(0))
+	f.Add([]byte("OCSP-GOOD\n"), []byte{1}, uint64(3))
+	f.Add([]byte{22, 3, 3, 0, 0, 22, 3, 3, 0, 0, 1, 2}, []byte{2}, uint64(9))
+	f.Fuzz(func(t *testing.T, data, cuts []byte, entropy uint64) {
+		var whole recordWalk
+		once := whole.corrupt(data, entropy)
+		var walk recordWalk
+		var batched []byte
+		for i, pos := 0, 0; pos < len(data); i++ {
+			n := len(data) - pos
+			if len(cuts) > 0 && i < len(data)+len(cuts) {
+				n = min(n, int(cuts[i%len(cuts)]))
+			}
+			batched = append(batched, walk.corrupt(data[pos:pos+n], entropy)...)
+			pos += n
+		}
+		if len(once) != len(data) || len(batched) != len(data) {
+			t.Fatalf("delivered %d and %d bytes of %d", len(once), len(batched), len(data))
+		}
+		if !bytes.Equal(once, batched) {
+			t.Fatalf("one write delivered %x, batched writes %x", once, batched)
+		}
+		want := -1 // the byte the fault must flip, if the input reaches it
+		if len(data) >= 5 {
+			start := 5 + (int(data[3])<<8 | int(data[4]))
+			if start+5 <= len(data) {
+				if n := int(data[start+3])<<8 | int(data[start+4]); n > 0 {
+					if at := start + 5 + int(entropy%uint64(n)); at < len(data) {
+						want = at
+					}
+				}
+			}
+		}
+		for i := range data {
+			if flipped := once[i] != data[i]; flipped != (i == want) {
+				t.Fatalf("byte %d flipped=%v; want only byte %d flipped", i, flipped, want)
+			}
+		}
+	})
 }
 
 func TestFaultLatency(t *testing.T) {

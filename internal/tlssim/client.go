@@ -90,11 +90,12 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	}
 	transcript.add(shMsg)
 
-	// Read the rest of the server flight before reacting: real stacks
-	// process the full flight (TCP buffers it), and on netem's
-	// rendezvous transport, where a write returns only once the peer
-	// has read it, alerting mid-flight would deadlock against the
-	// server's pending write.
+	// Read the rest of the server flight before reacting. Records and
+	// flights are the transport's unit: the server writes ServerHello,
+	// Certificate and ServerHelloDone in one Write (writeFlight), as a
+	// real stack's flight arrives in one burst. On netem's rendezvous
+	// transport that Write returns only once this side has read the
+	// whole flight, so alerting mid-flight would deadlock against it.
 	certMsg, herr := mr.expect(wire.TypeCertificate)
 	if herr != nil {
 		return nil, herr
@@ -171,16 +172,10 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	// Client flight: ClientKeyExchange, ChangeCipherSpec, Finished.
 	cke := wire.ClientKeyExchange(keyExchangeMaterial(ch.Random, sh.Random))
 	transcript.add(cke)
-	if err := wire.WriteHandshake(conn, recordVersion, cke); err != nil {
-		return nil, failure(FailIO, nil, err)
-	}
-	if err := wire.WriteRecord(conn, wire.Record{Type: wire.TypeChangeCipherSpec, Version: recordVersion, Payload: []byte{1}}); err != nil {
-		return nil, failure(FailIO, nil, err)
-	}
 	fin := wire.FinishedMsg{VerifyData: wire.ComputeVerifyData(transcript.bytes(), "client")}
 	finMsg := fin.Message()
 	transcript.add(finMsg)
-	if err := wire.WriteHandshake(conn, recordVersion, finMsg); err != nil {
+	if err := writeFlight(conn, recordVersion, cke, finMsg); err != nil {
 		return nil, failure(FailIO, nil, err)
 	}
 

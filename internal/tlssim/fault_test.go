@@ -1,11 +1,14 @@
 package tlssim
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // These tests pin down how the client classifies the wire damage the
@@ -13,29 +16,30 @@ import (
 // truncated and corrupted server flights must fail with a stable,
 // deterministic failure class — the driver's retry policies key off it.
 
-// truncatingConn cuts the server's first write short and closes, like
-// netem's truncate fault.
+// truncatingConn cuts the server's first write inside its first
+// record's 5-byte header, after cut bytes, and closes, like netem's
+// truncate fault.
 type truncatingConn struct {
 	net.Conn
 	cut int
 
 	mu    sync.Mutex
 	fired bool
+	first int // the first write's length
 }
 
 func (c *truncatingConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	fired := c.fired
 	c.fired = true
+	if !fired {
+		c.first = len(p)
+	}
 	c.mu.Unlock()
 	if fired {
 		return 0, net.ErrClosed
 	}
-	cut := c.cut
-	if cut > len(p) {
-		cut = len(p)
-	}
-	n, err := c.Conn.Write(p[:cut])
+	n, err := c.Conn.Write(p[:min(c.cut, len(p))])
 	c.Conn.Close()
 	if err != nil {
 		return n, err
@@ -43,49 +47,65 @@ func (c *truncatingConn) Write(p []byte) (int, error) {
 	return n, net.ErrClosed
 }
 
-// corruptingConn flips one byte of the server's fourth write (the
-// Certificate message payload), like netem's corrupt fault.
+// corruptingConn flips one byte of the payload of the server's second
+// record, its Certificate, like netem's corrupt fault. It walks the
+// records of every write, each of which must hold whole records, and
+// keeps a copy of each record it damages as it was before the flip.
 type corruptingConn struct {
 	net.Conn
 	offset int
 
-	mu     sync.Mutex
-	writes int
+	mu      sync.Mutex
+	records int
+	hit     []wire.Record
+	torn    bool // some write held part of a record
 }
 
 func (c *corruptingConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
-	c.writes++
-	w := c.writes
-	c.mu.Unlock()
-	if w != 4 || len(p) == 0 {
-		return c.Conn.Write(p)
+	q := p
+	for r := bytes.NewReader(p); r.Len() > 0; {
+		at := len(p) - r.Len()
+		rec, err := wire.ReadRecord(r)
+		if err != nil {
+			c.torn = true
+			break
+		}
+		if c.records++; c.records == 2 && len(rec.Payload) > 0 {
+			q = append([]byte(nil), p...)
+			q[at+5+c.offset%len(rec.Payload)] ^= 0x5a
+			c.hit = append(c.hit, rec)
+		}
 	}
-	q := make([]byte, len(p))
-	copy(q, p)
-	q[c.offset%len(p)] ^= 0x5a
+	c.mu.Unlock()
 	return c.Conn.Write(q)
 }
 
 func TestClientClassifiesTruncatedFlightDeterministically(t *testing.T) {
 	root, server := testPKI(t, "h.com")
 	classes := map[FailureClass]int{}
-	for run := 0; run < 5; run++ {
-		cc, sc := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			Serve(&truncatingConn{Conn: sc, cut: 3}, defaultServer(root, server))
-		}()
-		cfg := defaultClient(root)
-		cfg.HandshakeTimeout = 500 * time.Millisecond
-		_, err := Client(cc, cfg, "h.com", 1)
-		<-done
-		var he *HandshakeError
-		if !errors.As(err, &he) {
-			t.Fatalf("run %d: err = %v, want HandshakeError", run, err)
+	for cut := 1; cut < 5; cut++ {
+		for run := 0; run < 3; run++ {
+			cc, sc := net.Pipe()
+			tc := &truncatingConn{Conn: sc, cut: cut}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				Serve(tc, defaultServer(root, server))
+			}()
+			cfg := defaultClient(root)
+			cfg.HandshakeTimeout = 500 * time.Millisecond
+			_, err := Client(cc, cfg, "h.com", 1)
+			<-done
+			if tc.first < 5 {
+				t.Fatalf("cut %d run %d: the server's first write is %d bytes, not a whole record", cut, run, tc.first)
+			}
+			var he *HandshakeError
+			if !errors.As(err, &he) {
+				t.Fatalf("cut %d run %d: err = %v, want HandshakeError", cut, run, err)
+			}
+			classes[he.Class]++
 		}
-		classes[he.Class]++
 	}
 	if len(classes) != 1 {
 		t.Fatalf("truncated flight produced multiple failure classes: %v", classes)
@@ -103,15 +123,22 @@ func TestClientClassifiesCorruptedCertificateDeterministically(t *testing.T) {
 		classes := map[FailureClass]int{}
 		for run := 0; run < 3; run++ {
 			cc, sc := net.Pipe()
+			corrupting := &corruptingConn{Conn: sc, offset: offset}
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				Serve(&corruptingConn{Conn: sc, offset: offset}, defaultServer(root, server))
+				Serve(corrupting, defaultServer(root, server))
 			}()
 			cfg := defaultClient(root)
 			cfg.HandshakeTimeout = 500 * time.Millisecond
 			sess, err := Client(cc, cfg, "h.com", 1)
 			<-done
+			if corrupting.torn {
+				t.Fatalf("offset %d run %d: a server write held part of a record", offset, run)
+			}
+			if h := corrupting.hit; len(h) != 1 || h[0].Type != wire.TypeHandshake || wire.HandshakeType(h[0].Payload[0]) != wire.TypeCertificate {
+				t.Fatalf("offset %d run %d: flipped bytes in %d records (%v), want one byte of the Certificate record", offset, run, len(h), h)
+			}
 			if err == nil {
 				sess.Close()
 				t.Fatalf("offset %d run %d: corrupted Certificate message established", offset, run)

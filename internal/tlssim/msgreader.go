@@ -25,11 +25,14 @@ type msgReader struct {
 func newMsgReader(conn net.Conn) *msgReader { return &msgReader{conn: conn} }
 
 // next returns the next handshake message. A fatal alert, clean close,
-// or timeout is converted to the corresponding *HandshakeError.
+// or timeout is converted to the corresponding *HandshakeError. The
+// message's Body is a view into its record's payload, which
+// wire.ReadRecord allocates afresh for every record, so it is never
+// overwritten.
 func (r *msgReader) next() (wire.Handshake, *HandshakeError) {
 	for {
 		if len(r.pending) > 0 {
-			msg, rest, err := wire.ParseHandshake(r.pending)
+			msg, rest, err := wire.SplitHandshake(r.pending)
 			if err != nil {
 				return wire.Handshake{}, failure(FailParameters, nil, err)
 			}
@@ -97,4 +100,31 @@ func failSendingAlert(conn net.Conn, v ciphers.Version, class FailureClass, desc
 	wire.WriteAlert(conn, v, a)
 	conn.Close()
 	return failure(class, &a, err)
+}
+
+// writeFlight writes msgs as one flight: each message framed in its own
+// handshake record at record version v, with a ChangeCipherSpec record
+// before a Finished, all in one buffer sized from the messages and sent
+// in one Write. The transport, its mirror and its faults see the flight
+// a real stack puts on the wire in one burst.
+func writeFlight(conn net.Conn, v ciphers.Version, msgs ...wire.Handshake) error {
+	size := 0
+	for _, m := range msgs {
+		if 4+len(m.Body) > wire.MaxRecordPayload {
+			return wire.ErrRecordTooLarge
+		}
+		size += wire.HandshakeRecordLen(m)
+		if m.Type == wire.TypeFinished {
+			size += wire.ChangeCipherSpecRecordLen
+		}
+	}
+	b := make([]byte, 0, size)
+	for _, m := range msgs {
+		if m.Type == wire.TypeFinished {
+			b = wire.AppendChangeCipherSpec(b, v)
+		}
+		b = wire.AppendHandshake(b, v, m)
+	}
+	_, err := conn.Write(b)
+	return err
 }

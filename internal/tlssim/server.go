@@ -128,23 +128,13 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 	}
 	shMsg := sh.Message()
 	transcript.add(shMsg)
-	if err := wire.WriteHandshake(conn, recordVersion, shMsg); err != nil {
-		res.Err = failure(FailIO, nil, err)
-		return res
-	}
-
 	certMsg := (&wire.CertificateMsg{Chain: cfg.Chain}).Message()
 	transcript.add(certMsg)
-	if err := wire.WriteHandshake(conn, recordVersion, certMsg); err != nil {
-		res.Err = failure(FailIO, nil, err)
-		return res
-	}
-
 	// ServerHelloDone carries the possession proof: the leaf key pair's
 	// MAC over the transcript so far.
 	doneMsg := wire.Handshake{Type: wire.TypeServerHelloDone, Body: cfg.Key.Prove(transcript.proofInput())}
 	transcript.add(doneMsg)
-	if err := wire.WriteHandshake(conn, recordVersion, doneMsg); err != nil {
+	if err := writeFlight(conn, recordVersion, shMsg, certMsg, doneMsg); err != nil {
 		res.Err = failure(FailIO, nil, err)
 		return res
 	}
@@ -174,12 +164,8 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 	transcript.add(finMsg)
 
 	// Server CCS + Finished.
-	if err := wire.WriteRecord(conn, wire.Record{Type: wire.TypeChangeCipherSpec, Version: recordVersion, Payload: []byte{1}}); err != nil {
-		res.Err = failure(FailIO, nil, err)
-		return res
-	}
 	sfin := wire.FinishedMsg{VerifyData: wire.ComputeVerifyData(transcript.bytes(), "server")}
-	if err := wire.WriteHandshake(conn, recordVersion, sfin.Message()); err != nil {
+	if err := writeFlight(conn, recordVersion, sfin.Message()); err != nil {
 		res.Err = failure(FailIO, nil, err)
 		return res
 	}

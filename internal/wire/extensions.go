@@ -356,7 +356,9 @@ func parseExtensions(p *parser) []Extension {
 	if p.err != nil {
 		return nil
 	}
-	q := parser{data: block}
+	// One copy of the block backs every extension's Data; each Data is
+	// capped at its own end, so appending to one never clobbers the next.
+	q := parser{data: append([]byte(nil), block...)}
 	var exts []Extension
 	for !q.empty() {
 		typ := q.u16()
@@ -365,7 +367,7 @@ func parseExtensions(p *parser) []Extension {
 			p.fail()
 			return nil
 		}
-		exts = append(exts, Extension{Type: ExtensionType(typ), Data: append([]byte(nil), data...)})
+		exts = append(exts, Extension{Type: ExtensionType(typ), Data: data[:len(data):len(data)]})
 	}
 	return exts
 }

@@ -60,9 +60,17 @@ func (h Handshake) AppendTo(b []byte) []byte {
 	return append(b, h.Body...)
 }
 
-// ParseHandshake decodes one handshake message and returns any trailing
-// bytes (records may coalesce several messages).
+// ParseHandshake decodes one handshake message, copying its body, and
+// returns any trailing bytes (records may coalesce several messages).
 func ParseHandshake(data []byte) (Handshake, []byte, error) {
+	h, rest, err := SplitHandshake(data)
+	h.Body = append([]byte(nil), h.Body...)
+	return h, rest, err
+}
+
+// SplitHandshake is ParseHandshake without the copy: the message's Body
+// is a view into data, safe to retain only while data is not reused.
+func SplitHandshake(data []byte) (Handshake, []byte, error) {
 	if len(data) < 4 {
 		return Handshake{}, nil, io.ErrUnexpectedEOF
 	}
@@ -70,13 +78,13 @@ func ParseHandshake(data []byte) (Handshake, []byte, error) {
 	if len(data) < 4+n {
 		return Handshake{}, nil, io.ErrUnexpectedEOF
 	}
-	h := Handshake{Type: HandshakeType(data[0]), Body: append([]byte(nil), data[4:4+n]...)}
-	return h, data[4+n:], nil
+	return Handshake{Type: HandshakeType(data[0]), Body: data[4 : 4+n : 4+n]}, data[4+n:], nil
 }
 
 // EachHandshake calls fn with each handshake message coalesced in a
 // handshake record's payload, in order, until fn returns false or a
-// message fails to parse, whose error it returns.
+// message fails to parse, whose error it returns. Each message's Body
+// is a copy, so fn may retain it whatever becomes of payload.
 func EachHandshake(payload []byte, fn func(Handshake) bool) error {
 	for len(payload) > 0 {
 		msg, rest, err := ParseHandshake(payload)
@@ -91,9 +99,36 @@ func EachHandshake(payload []byte, fn func(Handshake) bool) error {
 	return nil
 }
 
-// WriteHandshake frames msg in a handshake record at record version v.
+// HandshakeRecordLen is the size of msg framed in its own handshake
+// record: the bytes AppendHandshake appends.
+func HandshakeRecordLen(msg Handshake) int { return headerLen + 4 + len(msg.Body) }
+
+// AppendHandshake appends msg framed in its own handshake record at
+// record version v to b.
+func AppendHandshake(b []byte, v ciphers.Version, msg Handshake) []byte {
+	n := 4 + len(msg.Body)
+	b = append(b, byte(TypeHandshake), byte(v>>8), byte(v), byte(n>>8), byte(n))
+	return msg.AppendTo(b)
+}
+
+// ChangeCipherSpecRecordLen is the size of a ChangeCipherSpec record:
+// the bytes AppendChangeCipherSpec appends.
+const ChangeCipherSpecRecordLen = headerLen + 1
+
+// AppendChangeCipherSpec appends a ChangeCipherSpec record at record
+// version v to b.
+func AppendChangeCipherSpec(b []byte, v ciphers.Version) []byte {
+	return append(b, byte(TypeChangeCipherSpec), byte(v>>8), byte(v), 0, 1, 1)
+}
+
+// WriteHandshake frames msg in a handshake record at record version v,
+// in one allocation and one Write.
 func WriteHandshake(w io.Writer, v ciphers.Version, msg Handshake) error {
-	return WriteRecord(w, Record{Type: TypeHandshake, Version: v, Payload: msg.Marshal()})
+	if 4+len(msg.Body) > MaxRecordPayload {
+		return ErrRecordTooLarge
+	}
+	_, err := w.Write(AppendHandshake(make([]byte, 0, HandshakeRecordLen(msg)), v, msg))
+	return err
 }
 
 // --- ClientHello --------------------------------------------------------

@@ -74,34 +74,25 @@ func parseHeader(hdr []byte) (Record, int, error) {
 	return Record{Type: ContentType(hdr[0]), Version: ciphers.Version(uint16(hdr[1])<<8 | uint16(hdr[2]))}, n, nil
 }
 
-// WriteRecord frames and writes a single record.
+// WriteRecord frames a single record in one buffer and writes it in one
+// Write: the transport sees whole records, never a lone header.
 func WriteRecord(w io.Writer, rec Record) error {
-	if len(rec.Payload) > MaxRecordPayload {
+	n := len(rec.Payload)
+	if n > MaxRecordPayload {
 		return ErrRecordTooLarge
 	}
-	hdr := [5]byte{
-		byte(rec.Type),
-		byte(rec.Version >> 8), byte(rec.Version),
-		byte(len(rec.Payload) >> 8), byte(len(rec.Payload)),
-	}
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(rec.Payload)
+	b := append(make([]byte, 0, headerLen+n), byte(rec.Type), byte(rec.Version>>8), byte(rec.Version), byte(n>>8), byte(n))
+	_, err := w.Write(append(b, rec.Payload...))
 	return err
 }
 
-// ReadRecord reads a single framed record. io.EOF is returned unchanged
-// when the stream ends cleanly at a record boundary.
+// ReadRecord reads a single framed record into a freshly allocated
+// payload. io.EOF is returned unchanged when the stream ends cleanly at
+// a record boundary; a stream ending inside a record is
+// io.ErrUnexpectedEOF.
 func ReadRecord(r io.Reader) (Record, error) {
 	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return Record{}, err
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Record{}, err
 	}
 	rec, n, err := parseHeader(hdr[:])
@@ -133,26 +124,30 @@ type Framer struct {
 // record's Payload is a view into the framer's buffer, valid only for
 // the duration of the emit call: the parsers copy whatever they retain,
 // so a byte-level observer consuming records synchronously avoids one
-// payload copy per record.
+// payload copy per record. The unconsumed tail moves to the front of
+// the buffer, so a stream of chunks reuses one buffer.
 func (f *Framer) Feed(p []byte, emit func(Record)) {
 	if f.poisoned {
 		return
 	}
 	f.buf = append(f.buf, p...)
-	for len(f.buf) >= headerLen {
-		rec, n, err := parseHeader(f.buf)
+	off := 0
+	for len(f.buf)-off >= headerLen {
+		rec, n, err := parseHeader(f.buf[off:])
 		if err != nil {
 			f.buf = nil
 			f.poisoned = true
 			return
 		}
-		if len(f.buf) < headerLen+n {
-			return
+		end := off + headerLen + n
+		if len(f.buf) < end {
+			break
 		}
-		rec.Payload = f.buf[headerLen : headerLen+n : headerLen+n]
+		rec.Payload = f.buf[off+headerLen : end : end]
 		emit(rec)
-		f.buf = f.buf[headerLen+n:]
+		off = end
 	}
+	f.buf = f.buf[:copy(f.buf, f.buf[off:])]
 }
 
 // Poisoned reports whether the stream declared an impossible record
