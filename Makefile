@@ -123,9 +123,9 @@ trace:
 # fuzz runs each native fuzz target for 60 s on one worker: the wire
 # decoders (records, read and framed; ClientHello; alerts), the
 # dataset decoders (manifests, every record kind, the Content-Range
-# start) and netem's corrupt-fault record walk. Plain `go test` runs only their seed corpora; commit any
-# crasher written under the package's testdata/fuzz/ together with its
-# fix. Not part of check.
+# start) and netem's corrupt-fault record walk. Plain `go test` runs
+# only their seed corpora; commit any crasher written under the
+# package's testdata/fuzz/ together with its fix. Not part of check.
 fuzz:
 	for t in FuzzReadRecord FuzzFramer FuzzParseClientHello FuzzParseAlert; do \
 		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 60s -parallel 1 ./internal/wire/ || exit 1; \

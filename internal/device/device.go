@@ -331,7 +331,8 @@ func rankCerts(devID string, cs []*certs.Certificate) []*certs.Certificate {
 	}
 	rs := make([]ranked, len(cs))
 	for i, c := range cs {
-		rs[i] = ranked{deviceRank(devID, c.SubjectKey()), c.SubjectKey(), c}
+		k := c.SubjectKey()
+		rs[i] = ranked{deviceRank(devID, k), k, c}
 	}
 	sort.Slice(rs, func(i, j int) bool {
 		if rs[i].rank != rs[j].rank {

@@ -211,6 +211,9 @@ func FuzzCorruptWalk(f *testing.F) {
 		var walk recordWalk
 		var batched []byte
 		for i, pos := 0, 0; pos < len(data); i++ {
+			// A zero cut is an empty write; once every cut has had
+			// its turn for every byte, the rest goes at once, so
+			// cuts of zeros still end the loop.
 			n := len(data) - pos
 			if len(cuts) > 0 && i < len(data)+len(cuts) {
 				n = min(n, int(cuts[i%len(cuts)]))

@@ -92,10 +92,11 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 
 	// Read the rest of the server flight before reacting. Records and
 	// flights are the transport's unit: the server writes ServerHello,
-	// Certificate and ServerHelloDone in one Write (writeFlight), as a
-	// real stack's flight arrives in one burst. On netem's rendezvous
-	// transport that Write returns only once this side has read the
-	// whole flight, so alerting mid-flight would deadlock against it.
+	// Certificate and ServerHelloDone in one Write (wire.WriteFlight),
+	// as a real stack's flight arrives in one burst. On netem's
+	// rendezvous transport that Write returns only once this side has
+	// read the whole flight, so alerting mid-flight would deadlock
+	// against it.
 	certMsg, herr := mr.expect(wire.TypeCertificate)
 	if herr != nil {
 		return nil, herr
@@ -175,7 +176,7 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	fin := wire.FinishedMsg{VerifyData: wire.ComputeVerifyData(transcript.bytes(), "client")}
 	finMsg := fin.Message()
 	transcript.add(finMsg)
-	if err := writeFlight(conn, recordVersion, cke, finMsg); err != nil {
+	if err := wire.WriteFlight(conn, recordVersion, cke, finMsg); err != nil {
 		return nil, failure(FailIO, nil, err)
 	}
 

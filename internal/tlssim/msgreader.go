@@ -101,30 +101,3 @@ func failSendingAlert(conn net.Conn, v ciphers.Version, class FailureClass, desc
 	conn.Close()
 	return failure(class, &a, err)
 }
-
-// writeFlight writes msgs as one flight: each message framed in its own
-// handshake record at record version v, with a ChangeCipherSpec record
-// before a Finished, all in one buffer sized from the messages and sent
-// in one Write. The transport, its mirror and its faults see the flight
-// a real stack puts on the wire in one burst.
-func writeFlight(conn net.Conn, v ciphers.Version, msgs ...wire.Handshake) error {
-	size := 0
-	for _, m := range msgs {
-		if 4+len(m.Body) > wire.MaxRecordPayload {
-			return wire.ErrRecordTooLarge
-		}
-		size += wire.HandshakeRecordLen(m)
-		if m.Type == wire.TypeFinished {
-			size += wire.ChangeCipherSpecRecordLen
-		}
-	}
-	b := make([]byte, 0, size)
-	for _, m := range msgs {
-		if m.Type == wire.TypeFinished {
-			b = wire.AppendChangeCipherSpec(b, v)
-		}
-		b = wire.AppendHandshake(b, v, m)
-	}
-	_, err := conn.Write(b)
-	return err
-}

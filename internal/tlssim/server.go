@@ -134,7 +134,7 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 	// MAC over the transcript so far.
 	doneMsg := wire.Handshake{Type: wire.TypeServerHelloDone, Body: cfg.Key.Prove(transcript.proofInput())}
 	transcript.add(doneMsg)
-	if err := writeFlight(conn, recordVersion, shMsg, certMsg, doneMsg); err != nil {
+	if err := wire.WriteFlight(conn, recordVersion, shMsg, certMsg, doneMsg); err != nil {
 		res.Err = failure(FailIO, nil, err)
 		return res
 	}
@@ -165,7 +165,7 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 
 	// Server CCS + Finished.
 	sfin := wire.FinishedMsg{VerifyData: wire.ComputeVerifyData(transcript.bytes(), "server")}
-	if err := writeFlight(conn, recordVersion, sfin.Message()); err != nil {
+	if err := wire.WriteFlight(conn, recordVersion, sfin.Message()); err != nil {
 		res.Err = failure(FailIO, nil, err)
 		return res
 	}

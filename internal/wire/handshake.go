@@ -99,35 +99,41 @@ func EachHandshake(payload []byte, fn func(Handshake) bool) error {
 	return nil
 }
 
-// HandshakeRecordLen is the size of msg framed in its own handshake
-// record: the bytes AppendHandshake appends.
-func HandshakeRecordLen(msg Handshake) int { return headerLen + 4 + len(msg.Body) }
-
-// AppendHandshake appends msg framed in its own handshake record at
-// record version v to b.
-func AppendHandshake(b []byte, v ciphers.Version, msg Handshake) []byte {
-	n := 4 + len(msg.Body)
-	b = append(b, byte(TypeHandshake), byte(v>>8), byte(v), byte(n>>8), byte(n))
-	return msg.AppendTo(b)
-}
-
-// ChangeCipherSpecRecordLen is the size of a ChangeCipherSpec record:
-// the bytes AppendChangeCipherSpec appends.
-const ChangeCipherSpecRecordLen = headerLen + 1
-
-// AppendChangeCipherSpec appends a ChangeCipherSpec record at record
-// version v to b.
-func AppendChangeCipherSpec(b []byte, v ciphers.Version) []byte {
-	return append(b, byte(TypeChangeCipherSpec), byte(v>>8), byte(v), 0, 1, 1)
-}
-
 // WriteHandshake frames msg in a handshake record at record version v,
 // in one allocation and one Write.
 func WriteHandshake(w io.Writer, v ciphers.Version, msg Handshake) error {
-	if 4+len(msg.Body) > MaxRecordPayload {
+	n := 4 + len(msg.Body)
+	if n > MaxRecordPayload {
 		return ErrRecordTooLarge
 	}
-	_, err := w.Write(AppendHandshake(make([]byte, 0, HandshakeRecordLen(msg)), v, msg))
+	_, err := w.Write(msg.AppendTo(appendHeader(make([]byte, 0, headerLen+n), TypeHandshake, v, n)))
+	return err
+}
+
+// WriteFlight writes msgs as one flight, the burst a real stack puts on
+// the wire: each message framed in its own handshake record at record
+// version v, with a ChangeCipherSpec record before a Finished, all in
+// one buffer sized from the messages and sent in one Write.
+func WriteFlight(w io.Writer, v ciphers.Version, msgs ...Handshake) error {
+	size := 0
+	for _, m := range msgs {
+		n := 4 + len(m.Body)
+		if n > MaxRecordPayload {
+			return ErrRecordTooLarge
+		}
+		size += headerLen + n
+		if m.Type == TypeFinished {
+			size += headerLen + 1
+		}
+	}
+	b := make([]byte, 0, size)
+	for _, m := range msgs {
+		if m.Type == TypeFinished {
+			b = append(appendHeader(b, TypeChangeCipherSpec, v, 1), 1)
+		}
+		b = m.AppendTo(appendHeader(b, TypeHandshake, v, 4+len(m.Body)))
+	}
+	_, err := w.Write(b)
 	return err
 }
 

@@ -81,9 +81,15 @@ func WriteRecord(w io.Writer, rec Record) error {
 	if n > MaxRecordPayload {
 		return ErrRecordTooLarge
 	}
-	b := append(make([]byte, 0, headerLen+n), byte(rec.Type), byte(rec.Version>>8), byte(rec.Version), byte(n>>8), byte(n))
+	b := appendHeader(make([]byte, 0, headerLen+n), rec.Type, rec.Version, n)
 	_, err := w.Write(append(b, rec.Payload...))
 	return err
+}
+
+// appendHeader appends the header of a record of type t at record
+// version v with an n-byte payload to b.
+func appendHeader(b []byte, t ContentType, v ciphers.Version, n int) []byte {
+	return append(b, byte(t), byte(v>>8), byte(v), byte(n>>8), byte(n))
 }
 
 // ReadRecord reads a single framed record into a freshly allocated
