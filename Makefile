@@ -29,7 +29,10 @@ build:
 # (Study.Derive and its parts), so a restored report cannot drift from a
 # live one. And it guards the one reboot: instance state is reset only
 # through device.Reset (internal/tlssim defines ResetState), so no
-# experiment can reset some slots and not others.
+# experiment can reset some slots and not others. And it guards the one
+# wall-clock bound: no non-test code sets a connection deadline outside
+# internal/serve, whose HTTP write deadlines act on real sockets; a hung
+# simulated connection is the study watchdog's to end (internal/core).
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -43,6 +46,8 @@ vet:
 		if [ -n "$$out" ]; then echo "analysis.Build outside internal/analysis and internal/core (use Study.Derive):"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build '\.ResetState\(\)' . | grep -vE '^\./internal/(device|tlssim)/'); \
 		if [ -n "$$out" ]; then echo "ResetState outside internal/device and internal/tlssim (use device.Reset):"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build '\.Set(Read|Write)?Deadline\(' . | grep -v '^\./internal/serve/'); \
+		if [ -n "$$out" ]; then echo "connection deadline outside internal/serve (the study watchdog bounds simulated connections):"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

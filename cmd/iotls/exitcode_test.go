@@ -57,7 +57,8 @@ func corruptShard(t *testing.T, dir string) {
 // TestCLIExitCodes pins the scripted-campaign contract end to end: a
 // clean run exits 0, a degraded-but-rendered run exits 3 (whether the
 // degradation happens live in capture or is restored by analyze), and
-// a hard failure — here, a corrupt dataset under inspect — exits 1.
+// a hard failure — a study the watchdog found hung, or a corrupt
+// dataset under inspect — exits 1.
 // (Usage errors exit 2 before any subcommand runs, so they have no
 // error value to table here.)
 func TestCLIExitCodes(t *testing.T) {
@@ -104,6 +105,13 @@ func TestCLIExitCodes(t *testing.T) {
 					func() error { return runAnalyze([]string{"-in", faultyDir}) })
 			},
 			want: 3,
+		},
+		{
+			name: "a study the watchdog finds hung exits 1",
+			run: func() error {
+				return &core.HangError{Phase: "passive", Conns: []string{"cam → cloud.example.com:443"}}
+			},
+			want: 1,
 		},
 		{
 			name: "inspecting a corrupt dataset exits 1",

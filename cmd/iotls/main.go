@@ -257,10 +257,14 @@ func runPassive() error {
 
 func runActive() error {
 	s := newStudy()
-	fmt.Println(analysis.RenderTable5(s.RunDowngradeSuite(), s.NameOf))
-	fmt.Println(analysis.RenderTable6(s.RunOldVersionSuite(), s.NameOf))
-	fmt.Println(analysis.RenderTable7(s.RunInterceptionSuite(), s.NameOf))
+	downgrades, oldVersions, interceptions := s.RunDowngradeSuite(), s.RunOldVersionSuite(), s.RunInterceptionSuite()
 	rep := &core.Report{Passthroughs: s.RunPassthroughSuite()}
+	if err := s.Err(); err != nil {
+		return err
+	}
+	fmt.Println(analysis.RenderTable5(downgrades, s.NameOf))
+	fmt.Println(analysis.RenderTable6(oldVersions, s.NameOf))
+	fmt.Println(analysis.RenderTable7(interceptions, s.NameOf))
 	s.DeriveExperiments(rep, false)
 	fmt.Println(rep.Passthrough.Render())
 	return nil

@@ -35,6 +35,9 @@ func runMetrics(args []string) error {
 		s.RunOldVersionSuite()
 		s.RunInterceptionSuite()
 		s.RunPassthroughSuite()
+		if err := s.Err(); err != nil {
+			return err
+		}
 	case "probe":
 		if _, _, err := s.RunProbe(); err != nil {
 			return err

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/certs"
 	"repro/internal/ciphers"
@@ -228,7 +227,6 @@ func NewService(nw *netem.Network, host string, ca certs.KeyPair) *Service {
 			// Read the device's request (a netem write waits for its
 			// reader, and the client writes first), then answer with
 			// its grade.
-			res.Session.Conn.Conn.SetDeadline(time.Now().Add(netem.DefaultIODeadline))
 			buf := make([]byte, 1024)
 			res.Session.Conn.Read(buf)
 			fmt.Fprintf(res.Session.Conn, "AUDIT %s\n", adv.Grade)

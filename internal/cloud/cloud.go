@@ -167,7 +167,6 @@ func (c *Cloud) serveTLS(host string) netem.Handler {
 		defer sess.Close()
 		// Read the device's request and answer it.
 		buf := make([]byte, 1024)
-		sess.Conn.Conn.SetDeadline(time.Now().Add(netem.DefaultIODeadline))
 		if _, err := sess.Conn.Read(buf); err != nil {
 			return
 		}
@@ -204,33 +203,25 @@ func (c *Cloud) SetForceVersion(host string, v ciphers.Version) bool {
 // registerResponders installs the OCSP and CRL endpoints (plain TCP,
 // port 80) whose traffic Table 8 counts.
 func (c *Cloud) registerResponders() {
-	c.Network.Listen(OCSPHost, 80, func(conn net.Conn, meta netem.ConnMeta) {
+	c.respond(OCSPHost, "OCSP-CHECK", "OCSP-GOOD\n", "cloud.ocsp_hits", c.ocspHits)
+	c.respond(CRLHost, "CRL-FETCH", "CRL-EMPTY\n", "cloud.crl_hits", c.crlHits)
+}
+
+// respond serves one revocation endpoint: a request opening with verb
+// counts a hit for its source in hits and gets reply.
+func (c *Cloud) respond(host, verb, reply, counter string, hits map[string]int) {
+	c.Network.Listen(host, 80, func(conn net.Conn, meta netem.ConnMeta) {
 		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(netem.DefaultIODeadline))
 		buf := make([]byte, 256)
 		n, err := conn.Read(buf)
-		if err != nil || !strings.HasPrefix(string(buf[:n]), "OCSP-CHECK") {
+		if err != nil || !strings.HasPrefix(string(buf[:n]), verb) {
 			return
 		}
 		c.revMu.Lock()
-		c.ocspHits[meta.SrcHost]++
+		hits[meta.SrcHost]++
 		c.revMu.Unlock()
-		c.Network.Telemetry().Counter("cloud.ocsp_hits").Inc()
-		conn.Write([]byte("OCSP-GOOD\n"))
-	})
-	c.Network.Listen(CRLHost, 80, func(conn net.Conn, meta netem.ConnMeta) {
-		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(netem.DefaultIODeadline))
-		buf := make([]byte, 256)
-		n, err := conn.Read(buf)
-		if err != nil || !strings.HasPrefix(string(buf[:n]), "CRL-FETCH") {
-			return
-		}
-		c.revMu.Lock()
-		c.crlHits[meta.SrcHost]++
-		c.revMu.Unlock()
-		c.Network.Telemetry().Counter("cloud.crl_hits").Inc()
-		conn.Write([]byte("CRL-EMPTY\n"))
+		c.Network.Telemetry().Counter(counter).Inc()
+		conn.Write([]byte(reply))
 	})
 }
 

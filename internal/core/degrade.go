@@ -96,13 +96,15 @@ func sortDegradations(ds []Degradation) {
 // errSkipped is the contained error of a phase a drained study skipped.
 var errSkipped = errors.New("phase skipped: study interrupted (drain)")
 
-// phase runs one study phase contained, recording a degradation on
-// failure and — under an armed fault plan — when devices abandoned
-// connections (retry budgets exhausted) during the phase. It is the
-// phase's single record: it fires PhaseStart/PhaseDone, opens the trace
-// tree's phase span, and keeps the phase metrics (recorded with tracing
-// off too) in agreement with that span's status. It returns the
-// contained error: a *PhaseError, or nil.
+// phase runs one study phase contained and watched (watch), recording a
+// degradation on failure and — under an armed fault plan — when devices
+// abandoned connections (retry budgets exhausted) during the phase. A
+// phase the watchdog finds hung records no degradation: it fails the
+// study (Err), and every later phase is skipped. phase is the phase's
+// single record: it fires PhaseStart/PhaseDone, opens the trace tree's
+// phase span, and keeps the phase metrics (recorded with tracing off
+// too) in agreement with that span's status. It returns the contained
+// error: a *PhaseError, a *HangError, or nil.
 func (s *Study) phase(name string, fn func() error) (err error) {
 	if s.PhaseStart != nil {
 		s.PhaseStart(name)
@@ -119,6 +121,10 @@ func (s *Study) phase(name string, fn func() error) (err error) {
 			s.PhaseDone(name)
 		}
 	}()
+	if s.failed != nil {
+		status = "skipped"
+		return s.failed
+	}
 	if s.Interrupted() {
 		// A drained study skips everything it hasn't started: skipping
 		// degrades the run (the report is partial), which the exit-code
@@ -128,7 +134,11 @@ func (s *Study) phase(name string, fn func() error) (err error) {
 		return &PhaseError{Phase: name, Err: errSkipped}
 	}
 	pre := s.Telemetry.Counter("driver.giveups").Value()
-	if err = s.runContained(name, fn); err != nil {
+	if err = s.watch(name, fn); err != nil {
+		if _, ok := err.(*HangError); ok {
+			status, s.failed = "failed", err
+			return err
+		}
 		status = "error"
 		s.noteDegraded(name, err.Error())
 	}
@@ -139,6 +149,55 @@ func (s *Study) phase(name string, fn func() error) (err error) {
 		s.noteDegraded(name, fmt.Sprintf("%d connection(s) abandoned after retry exhaustion", d))
 	}
 	return err
+}
+
+// watchdogBound is how long a simulated connection may stay open before
+// the study watchdog declares it hung. A healthy connection lives for
+// milliseconds of wall time whatever the fleet size, so the bound sits
+// far above any scheduling delay of a loaded host.
+var watchdogBound = 30 * time.Second
+
+// HangError is the study watchdog's finding, and no verdict: in Phase,
+// Conns (each "src → host:port", sorted) stayed open past the bound.
+// The study fails with it instead of degrading.
+type HangError struct {
+	Phase string
+	Conns []string
+}
+
+// Error implements error.
+func (e *HangError) Error() string {
+	return fmt.Sprintf("core: phase %s hung: %d connection(s) open longer than %s: %s",
+		e.Phase, len(e.Conns), watchdogBound, strings.Join(e.Conns, ", "))
+}
+
+// watch runs fn contained (runContained) under the study watchdog, the
+// one wall-clock bound on the simulated data path. While fn runs, the
+// watchdog checks the network eight times per bound; once a connection
+// is overdue it aborts the network, which fails every open connection
+// and every later dial so the phase unwinds at once, and watch returns
+// a *HangError naming the overdue connections, whatever fn returned.
+func (s *Study) watch(name string, fn func() error) error {
+	done := make(chan error, 1)
+	go func() { done <- s.runContained(name, fn) }()
+	tick := time.NewTicker(watchdogBound / 8)
+	defer tick.Stop()
+	var hung []string
+	for {
+		select {
+		case err := <-done:
+			if hung != nil {
+				return &HangError{Phase: name, Conns: hung}
+			}
+			return err
+		case <-tick.C:
+			if hung == nil {
+				if hung = s.Network.Overdue(watchdogBound); hung != nil {
+					s.Network.Abort()
+				}
+			}
+		}
+	}
 }
 
 // phaseMetrics counts core.phase.<name> as a phase starts and returns

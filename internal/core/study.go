@@ -108,6 +108,10 @@ type Study struct {
 
 	interrupted atomic.Bool
 
+	// failed is the watchdog's *HangError once a phase hung; set by
+	// phase (phases are strictly sequential).
+	failed error
+
 	degradeMu    sync.Mutex
 	degradations []Degradation
 }
@@ -130,6 +134,10 @@ func (s *Study) Interrupt() { s.interrupted.Store(true) }
 
 // Interrupted reports whether Interrupt has been called.
 func (s *Study) Interrupted() bool { return s.interrupted.Load() }
+
+// Err returns the study's failure: the watchdog's *HangError once a
+// phase hung, else nil. A failed study has no verdicts to report.
+func (s *Study) Err() error { return s.failed }
 
 // SetTracer arms causal tracing: every phase, device batch and
 // connection attempt from here on records spans into t. Arm before
@@ -427,8 +435,9 @@ type Report struct {
 // experiment, the probe, and all analyses. Every phase runs contained:
 // a failure (error or panic) degrades the report instead of aborting
 // it, so a fault-ridden study still renders — with the damage listed in
-// Report.Degradations and annotated in the rendered output. The error
-// return is always nil today; it is kept for interface stability.
+// Report.Degradations and annotated in the rendered output. A phase the
+// watchdog finds hung is the exception: RunAll then returns no report
+// and the *HangError (Err).
 func (s *Study) RunAll() (*Report, error) {
 	end := s.phaseMetrics("all")
 	rep := &Report{}
@@ -464,6 +473,11 @@ func (s *Study) RunAll() (*Report, error) {
 	rep.Passthroughs = runPassthrough(s, func(reports []*mitm.PassthroughReport) {
 		noNewFailures = s.verifyNoNewFailures(reports, rep.Interceptions)
 	})
+	if err := s.Err(); err != nil {
+		s.traceStudyRoot().End("failed")
+		end("failed")
+		return nil, err
+	}
 
 	rep.Degradations = s.Degradations()
 	s.DeriveExperiments(rep, noNewFailures)

@@ -211,9 +211,9 @@ func dialAndHandshake(nw *netem.Network, dev *device.Device, dst device.Destinat
 	return tlssim.Client(conn, cfg, dst.Host, seq)
 }
 
-// finish exchanges application data over the established session. The
-// reply read carries the network's configured I/O deadline — a safety
-// net only; a server that will never answer declares the stall instead.
+// finish exchanges application data over the established session. A
+// server that will never answer declares the stall instead of leaving
+// the reply read to hang.
 func finish(nw *netem.Network, out *Outcome, sess *tlssim.Session, dev *device.Device, dst device.Destination) {
 	out.Established = true
 	out.Version = sess.Version
@@ -223,7 +223,6 @@ func finish(nw *netem.Network, out *Outcome, sess *tlssim.Session, dev *device.D
 	if _, err := io.WriteString(sess.Conn, dev.Payload(dst.Host)); err != nil {
 		return
 	}
-	sess.Conn.Conn.SetDeadline(time.Now().Add(netem.DefaultIODeadline))
 	buf := make([]byte, 256)
 	n, err := sess.Conn.Read(buf)
 	if err == nil {

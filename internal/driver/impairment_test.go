@@ -27,7 +27,7 @@ func dropEveryN(nw *netem.Network, n int64) (remove func(), dropped func() int64
 		drops.Add(1)
 		return func(conn net.Conn, _ netem.ConnMeta) {
 			defer conn.Close()
-			conn.(netem.Staller).StallPeer()
+			conn.(*netem.Conn).StallPeer()
 			io.Copy(io.Discard, conn)
 		}
 	})

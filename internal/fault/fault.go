@@ -2,7 +2,7 @@
 // fault-injection subsystem. A Plan decides, per connection, whether
 // the gateway should perturb it — refuse the dial, reset it
 // mid-handshake, truncate or corrupt a TLS record, stall it (the
-// slow-loris case, served by netem's Staller signal), or add a latency
+// slow-loris case, served by netem's StallPeer signal), or add a latency
 // spike — and every decision is a pure function of (seed, endpoint
 // key, per-key dial ordinal, month). No math/rand global state is
 // touched, so the same seed yields bit-identical fault schedules at
@@ -40,7 +40,7 @@ const (
 	// KindCorrupt flips a byte inside the server's Certificate message.
 	KindCorrupt
 	// KindStall accepts the connection and never answers (slow-loris);
-	// netem serves it through the deterministic Staller signal.
+	// netem serves it through the deterministic StallPeer signal.
 	KindStall
 	// KindLatency adds a connection-setup latency spike. It composes
 	// with the other kinds and is counted separately.

@@ -277,8 +277,8 @@ func (p *Proxy) intercept(attack Attack, dev *device.Device, pick func(host stri
 // records of the hijacked dials since the previous drain, in dial
 // order. Callers must have finished dialing (the client side of every
 // tapped connection has returned), so no handler starts during the
-// wait; handler lifetimes are bounded (every read in serveAttack
-// carries a deadline), so the wait always ends.
+// wait; every dialer has closed its client end, which fails any read
+// serveAttack still has pending, so the wait always ends.
 func (s *session) drain() []ConnRecord {
 	s.wg.Wait()
 	s.mu.Lock()
@@ -350,7 +350,6 @@ func (p *Proxy) serveAttack(attack Attack, host string, chain []*certs.Certifica
 	tel.Counter("mitm.intercepted").Inc()
 	sess := res.Session
 	defer sess.Close()
-	sess.Conn.Conn.SetDeadline(time.Now().Add(netem.DefaultIODeadline))
 	buf := make([]byte, 1024)
 	n, err := sess.Conn.Read(buf)
 	if err == nil {

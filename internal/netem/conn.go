@@ -16,9 +16,10 @@ import (
 // transport, with net.Pipe's semantics and error values: a Write
 // returns once the peer has read all of it, a Read never spans two
 // Writes, and closing either end fails every call on both. Both ends
-// share one mutex, condition variable and reusable timer; a deadline is
-// a stored time checked whenever a call would block, and the timer is
-// armed only while a call with a deadline is blocked.
+// share one mutex and condition variable. A Conn keeps no wall-clock
+// deadlines: a call blocks until the peer acts, closes or stalls, and a
+// connection that never does is the study watchdog's to find
+// (Network.Overdue) and end (Network.Abort).
 type Conn struct {
 	p             *pair
 	peer          *Conn
@@ -29,9 +30,9 @@ type Conn struct {
 	closed, stalled bool   // stalled: reads time out at once (StallPeer)
 	rx              []byte // what the peer's pending Write still offers
 	rxPending       bool   // the peer has a Write pending (rx may be empty)
-	rd, wr          time.Time
 
-	// Set before the connection is handed out: a mirrored client end
+	// Set before the connection is handed out: a dialed client end
+	// names its network (whose open set holds it) and a mirrored one
 	// feeds mirror; a faulted server end degrades its writes (faults.go).
 	mirror         Mirror
 	nw             *Network
@@ -46,11 +47,9 @@ type Conn struct {
 
 // pair is one allocation holding a whole connection.
 type pair struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	timer   *time.Timer
-	timerAt time.Time // when timer fires; zero when disarmed
-	ends    [2]Conn
+	mu   sync.Mutex
+	cond sync.Cond
+	ends [2]Conn
 }
 
 // NewPair returns the two ends of a new connection from clientAddr to
@@ -96,10 +95,8 @@ func (c *Conn) read(b []byte) (int, error) {
 				c.p.cond.Broadcast()
 			}
 			return n, nil
-		case expired(c.rd):
-			return 0, &net.OpError{Op: "read", Net: "pipe", Err: os.ErrDeadlineExceeded}
 		}
-		c.wait(c.rd)
+		c.p.cond.Wait()
 	}
 }
 
@@ -129,13 +126,9 @@ func (c *Conn) write(b []byte) (n int, err error) {
 	defer c.p.mu.Unlock()
 	dst := c.peer
 	dst.rx, dst.rxPending = b, true
-	for c.p.cond.Broadcast(); dst.rxPending; c.wait(c.wr) {
+	for c.p.cond.Broadcast(); dst.rxPending; c.p.cond.Wait() {
 		if c.closed || dst.closed {
 			err = io.ErrClosedPipe
-			break
-		}
-		if expired(c.wr) {
-			err = &net.OpError{Op: "write", Net: "pipe", Err: os.ErrDeadlineExceeded}
 			break
 		}
 	}
@@ -144,49 +137,17 @@ func (c *Conn) write(b []byte) (n int, err error) {
 	return n, err
 }
 
-func expired(d time.Time) bool { return !d.IsZero() && !time.Now().Before(d) }
+// SetDeadline, SetReadDeadline and SetWriteDeadline exist to satisfy
+// net.Conn. The simulated data path carries no wall-clock deadline, so
+// each fails with os.ErrNoDeadline and changes nothing.
+func (c *Conn) SetDeadline(time.Time) error      { return os.ErrNoDeadline }
+func (c *Conn) SetReadDeadline(time.Time) error  { return os.ErrNoDeadline }
+func (c *Conn) SetWriteDeadline(time.Time) error { return os.ErrNoDeadline }
 
-// wait blocks until the next broadcast. With deadline d set, the pair's
-// timer is armed to broadcast by d; a waiter woken early re-arms it.
-func (c *Conn) wait(d time.Time) {
-	p := c.p
-	if !d.IsZero() && (p.timerAt.IsZero() || d.Before(p.timerAt)) {
-		p.timerAt = d
-		if p.timer == nil {
-			p.timer = time.AfterFunc(time.Until(d), func() {
-				p.mu.Lock()
-				p.timerAt = time.Time{}
-				p.cond.Broadcast()
-				p.mu.Unlock()
-			})
-		} else {
-			p.timer.Reset(time.Until(d))
-		}
-	}
-	p.cond.Wait()
-}
-
-func (c *Conn) SetDeadline(t time.Time) error      { return c.setDeadline(t, &c.rd, &c.wr) }
-func (c *Conn) SetReadDeadline(t time.Time) error  { return c.setDeadline(t, &c.rd, &c.rd) }
-func (c *Conn) SetWriteDeadline(t time.Time) error { return c.setDeadline(t, &c.wr, &c.wr) }
-
-func (c *Conn) setDeadline(t time.Time, a, b *time.Time) error {
-	c.p.mu.Lock()
-	defer c.p.mu.Unlock()
-	if c.closed || c.peer.closed {
-		return io.ErrClosedPipe
-	}
-	*a, *b = t, t
-	c.p.cond.Broadcast()
-	return nil
-}
-
-// Staller is implemented by both ends of every connection. A handler
-// that will never answer calls StallPeer, failing the client's reads at
-// once with a timeout: a real timeout's failure class, but no outcome
-// depends on wall-clock scheduling, so artifacts stay bit-identical.
-type Staller interface{ StallPeer() }
-
+// StallPeer is how a handler that will never answer says so: it fails
+// the peer's reads at once with a timeout, a real timeout's failure
+// class, but no outcome depends on wall-clock scheduling, so artifacts
+// stay bit-identical.
 func (c *Conn) StallPeer() {
 	c.p.mu.Lock()
 	c.peer.stalled = true
@@ -195,22 +156,24 @@ func (c *Conn) StallPeer() {
 }
 
 // Close closes this end; closing twice returns nil, as net.Pipe does.
-// No call blocks once either end is closed, so Close stops the timer
-// and nothing keeps the pair live after its users drop it.
+// No call blocks once either end is closed. A dialed client end's first
+// Close takes it out of its network's open set, so nothing keeps the
+// pair live after its users drop it.
 func (c *Conn) Close() error {
 	c.p.mu.Lock()
 	first := !c.closed
 	c.closed = true
-	if c.p.timer != nil {
-		c.p.timer.Stop()
-	}
 	c.p.cond.Broadcast()
 	c.p.mu.Unlock()
 	if first && c.mirror != nil {
 		c.mirror.CloseMirror()
-		c.nw.mirrorsOpen.Add(-1)
 		c.nw.tel.Histogram("netem.conn.client_bytes", telemetry.SizeBuckets).Observe(c.sent.Load())
 		c.nw.tel.Histogram("netem.conn.server_bytes", telemetry.SizeBuckets).Observe(c.received.Load())
+	}
+	if first && c.nw != nil {
+		c.nw.openMu.Lock()
+		delete(c.nw.open, c)
+		c.nw.openMu.Unlock()
 	}
 	return nil
 }

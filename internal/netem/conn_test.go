@@ -33,19 +33,30 @@ func isTimeout(err error) bool {
 
 // TestWriteWaitsForPeerRead pins the transport's rendezvous choice: a
 // Write returns only once the peer has read every byte, so with no
-// reader it runs into its deadline having delivered nothing, and with
-// a partial read it reports exactly the bytes the peer took. A Read
-// never spans two Writes. A buffered transport fails all three.
+// reader it waits until the peer closes and then reports nothing
+// delivered, and with a partial read it reports exactly the bytes the
+// peer took. A Read never spans two Writes. A buffered transport fails
+// all three.
 func TestWriteWaitsForPeerRead(t *testing.T) {
 	client, server := NewPair("dev", "srv:443")
-	defer client.Close()
-	client.SetWriteDeadline(time.Now().Add(20 * time.Millisecond))
-	if n, err := client.Write([]byte("abcd")); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("unread Write = (%d, %v), want (0, deadline exceeded)", n, err)
-	}
-
-	client.SetWriteDeadline(time.Time{})
 	done := make(chan result, 1)
+	go func() {
+		n, err := client.Write([]byte("abcd"))
+		done <- result{n, err}
+	}()
+	select {
+	case r := <-done:
+		t.Fatalf("unread Write returned (%d, %v) before the peer read or closed", r.n, r.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	server.Close()
+	if r := await(t, done, "Write"); r.n != 0 || r.err != io.ErrClosedPipe {
+		t.Fatalf("unread Write = (%d, %v), want (0, io.ErrClosedPipe)", r.n, r.err)
+	}
+	client.Close()
+
+	client, server = NewPair("dev", "srv:443")
+	defer client.Close()
 	go func() {
 		n, err := client.Write([]byte("abcd"))
 		done <- result{n, err}
@@ -54,13 +65,14 @@ func TestWriteWaitsForPeerRead(t *testing.T) {
 	if n, err := server.Read(buf); n != 2 || err != nil || string(buf) != "ab" {
 		t.Fatalf("partial Read = (%d, %v, %q)", n, err, buf[:n])
 	}
-	// The Write is still waiting for "cd"; a passed deadline ends it.
-	client.SetWriteDeadline(time.Now())
-	if r := await(t, done, "Write"); r.n != 2 || !errors.Is(r.err, os.ErrDeadlineExceeded) {
-		t.Fatalf("half-read Write = (%d, %v), want (2, deadline exceeded)", r.n, r.err)
+	// The Write is still waiting for "cd"; the peer's Close ends it.
+	server.Close()
+	if r := await(t, done, "Write"); r.n != 2 || r.err != io.ErrClosedPipe {
+		t.Fatalf("half-read Write = (%d, %v), want (2, io.ErrClosedPipe)", r.n, r.err)
 	}
 
-	client.SetWriteDeadline(time.Time{})
+	client, server = NewPair("dev", "srv:443")
+	defer client.Close()
 	go func() {
 		client.Write([]byte("ab"))
 		client.Write([]byte("cd"))
@@ -129,9 +141,6 @@ func TestClosedErrors(t *testing.T) {
 	if _, err := server.Write([]byte("x")); err != io.ErrClosedPipe {
 		t.Fatalf("Write on closed end = %v, want io.ErrClosedPipe", err)
 	}
-	if err := client.SetDeadline(time.Now()); err != io.ErrClosedPipe {
-		t.Fatalf("SetDeadline with peer closed = %v, want io.ErrClosedPipe", err)
-	}
 	for _, c := range []*Conn{server, client, client} {
 		if err := c.Close(); err != nil {
 			t.Fatalf("Close = %v, want nil", err)
@@ -139,37 +148,37 @@ func TestClosedErrors(t *testing.T) {
 	}
 }
 
-// TestReadDeadlines checks that a blocked Read fails at its deadline
-// with net.Pipe's timeout error, and that moving the deadline into the
-// past wakes a Read already blocked.
-func TestReadDeadlines(t *testing.T) {
+// TestNoDeadlines checks that a Conn keeps no wall-clock deadline:
+// each setter fails with os.ErrNoDeadline, open or closed, and a Read
+// after one still waits for the peer.
+func TestNoDeadlines(t *testing.T) {
 	client, server := NewPair("dev", "srv:443")
-	defer client.Close()
-	defer server.Close()
-	start := time.Now()
-	client.SetReadDeadline(start.Add(20 * time.Millisecond))
-	if _, err := client.Read(make([]byte, 1)); !isTimeout(err) {
-		t.Fatalf("Read past deadline = %v, want read pipe: i/o timeout", err)
+	for _, set := range []func(time.Time) error{client.SetDeadline, client.SetReadDeadline, client.SetWriteDeadline} {
+		if err := set(time.Now()); err != os.ErrNoDeadline {
+			t.Fatalf("deadline setter = %v, want os.ErrNoDeadline", err)
+		}
 	}
-	if waited := time.Since(start); waited < 20*time.Millisecond {
-		t.Fatalf("Read failed after %v, before its deadline", waited)
-	}
-
-	client.SetReadDeadline(time.Now().Add(time.Hour))
 	done := make(chan result, 1)
 	go func() {
 		n, err := client.Read(make([]byte, 1))
 		done <- result{n, err}
 	}()
-	client.SetReadDeadline(time.Now())
-	if r := await(t, done, "Read"); !isTimeout(r.err) {
-		t.Fatalf("Read after SetReadDeadline(now) = %v, want timeout", r.err)
+	if _, err := server.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if r := await(t, done, "Read"); r.n != 1 || r.err != nil {
+		t.Fatalf("Read after a past deadline = (%d, %v), want the peer's byte", r.n, r.err)
+	}
+	server.Close()
+	client.Close()
+	if err := client.SetDeadline(time.Now()); err != os.ErrNoDeadline {
+		t.Fatalf("SetDeadline on a closed end = %v, want os.ErrNoDeadline", err)
 	}
 }
 
-// TestStallPeerFailsPendingRead checks the deterministic stall: a Read
-// blocked with no deadline fails at once with a timeout when the peer
-// stalls, and clearing the read deadline does not lift the stall.
+// TestStallPeerFailsPendingRead checks the deterministic stall: a
+// blocked Read fails at once with a timeout when the peer stalls, and
+// every later Read fails the same way.
 func TestStallPeerFailsPendingRead(t *testing.T) {
 	client, server := NewPair("dev", "srv:443")
 	defer client.Close()
@@ -179,13 +188,11 @@ func TestStallPeerFailsPendingRead(t *testing.T) {
 		n, err := client.Read(make([]byte, 1))
 		done <- result{n, err}
 	}()
-	var s Staller = server
-	s.StallPeer()
+	server.StallPeer()
 	if r := await(t, done, "Read"); !isTimeout(r.err) {
 		t.Fatalf("stalled Read = %v, want timeout", r.err)
 	}
-	client.SetReadDeadline(time.Time{})
 	if _, err := client.Read(make([]byte, 1)); !isTimeout(err) {
-		t.Fatalf("Read after clearing the deadline = %v, want the stall's timeout", err)
+		t.Fatalf("second stalled Read = %v, want the stall's timeout", err)
 	}
 }

@@ -60,7 +60,6 @@ func TestFaultReset(t *testing.T) {
 	}
 	// Then the connection is gone: the read fails with a closed pipe,
 	// not a timeout — the mid-handshake reset signature.
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
 		t.Fatal("read succeeded on a reset connection")
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
@@ -80,10 +79,9 @@ func TestFaultStall(t *testing.T) {
 	if _, err := conn.Write(fakeRecord([]byte("hello"))); err != nil {
 		t.Fatalf("record write failed: %v", err)
 	}
-	// The Staller signal must fail the read immediately as a timeout —
+	// The StallPeer signal must fail the read immediately as a timeout —
 	// no wall-clock wait.
 	start := time.Now()
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	_, err = conn.Read(make([]byte, 1))
 	ne, ok := err.(net.Error)
 	if !ok || !ne.Timeout() {
@@ -107,7 +105,6 @@ func TestFaultTruncate(t *testing.T) {
 	if _, err := conn.Write(msg); err != nil {
 		t.Fatalf("write failed: %v", err)
 	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	got, err := io.ReadAll(conn)
 	if err != nil && !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("read error = %v", err)
@@ -168,7 +165,6 @@ func TestFaultCorruptTargetsCertificatePayload(t *testing.T) {
 		if _, err := conn.Write([]byte("go")); err != nil {
 			t.Fatal(err)
 		}
-		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 		got := make([]byte, len(flight))
 		if _, err := io.ReadFull(conn, got); err != nil {
 			t.Fatalf("%s: read: %v", b.name, err)

@@ -13,7 +13,7 @@
 //
 //   - reset:    the ClientHello is consumed in full, then the
 //     connection closes abruptly -> FailPeerClosed.
-//   - stall:    blackHole (the Staller signal) -> FailIncomplete,
+//   - stall:    blackHole (the StallPeer signal) -> FailIncomplete,
 //     with no wall-clock wait.
 //   - truncate: the server's first write is cut inside the first
 //     record's 5-byte header and the connection closes
@@ -52,11 +52,11 @@ func resetAfterHello(conn net.Conn, _ ConnMeta) {
 
 // blackHole serves the KindStall fault: it swallows everything the
 // client sends and never answers. It declares the stall up front, so
-// the client's read fails with a timeout at once instead of waiting out
-// its handshake deadline — same failure class, no wall-clock wait.
+// the client's read fails at once with a timeout, the failure class a
+// silent server earns on a real network, with no wall-clock wait.
 func blackHole(conn net.Conn, _ ConnMeta) {
 	defer conn.Close()
-	conn.(Staller).StallPeer()
+	conn.(*Conn).StallPeer()
 	io.Copy(io.Discard, conn)
 }
 

@@ -6,17 +6,18 @@
 // handler (the paper's mitmproxy-based active experiments).
 //
 // Every connection is a Conn pair with net.Pipe's semantics, so TLS
-// state machines on top exercise genuine blocking reads and writes,
-// deadlines and closes; the mirror and write faults live in the Conn.
+// state machines on top exercise genuine blocking reads, writes and
+// closes; the mirror and write faults live in the Conn.
 package netem
 
 import (
 	"errors"
 	"fmt"
 	"net"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -81,15 +82,6 @@ type Mirror interface {
 // to skip mirroring that connection.
 type MirrorFactory func(meta ConnMeta) Mirror
 
-// DefaultIODeadline is the wall-clock deadline applied to
-// post-handshake application reads across the testbed (driver replies,
-// cloud request handling, the mitm payload read, the audit exchange,
-// and the OCSP/CRL responders). It is a safety net against bugs, not a
-// simulation mechanism: the deterministic stall signal (Staller) is the
-// primary failure path, and this deadline only has to be long enough
-// that scheduling delays on a loaded host can never flip an outcome.
-const DefaultIODeadline = 5 * time.Second
-
 // Network is the simulated smart-home network: devices on one side, a
 // gateway in the middle, and cloud services on the other.
 type Network struct {
@@ -105,9 +97,13 @@ type Network struct {
 	// handlers counts in-flight server handler goroutines, so barriers
 	// can join them before the virtual clock moves.
 	handlers sync.WaitGroup
-	// mirrorsOpen counts mirrored connections whose client end has not
-	// closed yet; Settle fails while any is open.
-	mirrorsOpen atomic.Int64
+	// open holds every dialed client end, with its dial's wall time,
+	// until that end's first Close: Settle lists its mirrored entries as
+	// leaked, a watchdog (Overdue) its old ones as hung. Once aborted
+	// (Abort), every Dial fails.
+	openMu  sync.Mutex
+	open    map[*Conn]time.Time
+	aborted bool
 
 	// hot caches the counter handles the dial path and mirrored conns
 	// bump; Registry.Counter is a lock-guarded map lookup.
@@ -132,7 +128,7 @@ type hotCounters struct {
 // the same clock); every layer that holds a *Network reaches its
 // instruments through Telemetry.
 func New(clk clock.Clock) *Network {
-	n := &Network{clk: clk, tel: telemetry.New(clk), listeners: make(map[string]Handler)}
+	n := &Network{clk: clk, tel: telemetry.New(clk), listeners: make(map[string]Handler), open: make(map[*Conn]time.Time)}
 	n.hot = hotCounters{
 		dials:             n.tel.Counter("netem.dials"),
 		dialsTapped:       n.tel.Counter("netem.dials.tapped"),
@@ -167,6 +163,9 @@ func (n *Network) Telemetry() *telemetry.Registry { return n.tel }
 
 // ErrNoRoute is returned by Dial when no listener serves the destination.
 var ErrNoRoute = errors.New("netem: no route to host")
+
+// ErrAborted is returned by Dial once the network has been aborted.
+var ErrAborted = errors.New("netem: network aborted")
 
 // Listen registers h as the service at host:port, replacing any previous
 // registration.
@@ -300,11 +299,20 @@ func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Spa
 	}
 
 	client, server := NewPair(srcHost, meta.addr)
+	client.nw = n
+	n.openMu.Lock()
+	if !n.aborted {
+		n.open[client] = time.Now()
+	}
+	aborted := n.aborted
+	n.openMu.Unlock()
+	if aborted {
+		return nil, ErrAborted
+	}
 	if mirror != nil {
 		if m := mirror(meta); m != nil {
 			n.hot.mirrorConns.Inc()
-			n.mirrorsOpen.Add(1)
-			client.mirror, client.nw = m, n
+			client.mirror = m
 		}
 	}
 
@@ -338,15 +346,47 @@ func (n *Network) WaitHandlers() {
 
 // Settle is the completion barrier of a mirrored phase: it joins every
 // server handler (WaitHandlers), then fails at once, without waiting,
-// if a mirrored connection is still open. Every dialer closes its
+// naming each mirrored connection still open. Every dialer closes its
 // client end before it returns, and the close publishes the mirror, so
 // once a phase's dialers have returned no mirror is open; an open one
 // is a leaked connection whose observation would otherwise be lost.
 // Same quiescence contract as WaitHandlers.
 func (n *Network) Settle() error {
 	n.WaitHandlers()
-	if open := n.mirrorsOpen.Load(); open != 0 {
-		return fmt.Errorf("netem: %d mirrored connection(s) still open", open)
+	if open := n.list(func(c *Conn, _ time.Time) bool { return c.mirror != nil }); open != nil {
+		return fmt.Errorf("netem: %d mirrored connection(s) still open: %s", len(open), strings.Join(open, ", "))
 	}
 	return nil
+}
+
+// Overdue lists the connections whose client end has been open for
+// longer than d of wall time, as sorted "src → host:port" strings. A
+// healthy connection lives for milliseconds, so an overdue one is hung.
+func (n *Network) Overdue(d time.Duration) []string {
+	return n.list(func(_ *Conn, since time.Time) bool { return time.Since(since) > d })
+}
+
+// Abort ends the network: every later Dial fails with ErrAborted, and
+// the server end of every open connection closes, failing every call
+// blocked on either end; each dialer then closes its own end.
+func (n *Network) Abort() {
+	n.openMu.Lock()
+	defer n.openMu.Unlock()
+	n.aborted = true
+	for c := range n.open {
+		c.peer.Close()
+	}
+}
+
+// list renders the open connections keep selects, sorted.
+func (n *Network) list(keep func(c *Conn, since time.Time) bool) (out []string) {
+	n.openMu.Lock()
+	for c, since := range n.open {
+		if keep(c, since) {
+			out = append(out, string(c.local)+" → "+string(c.remote))
+		}
+	}
+	n.openMu.Unlock()
+	sort.Strings(out)
+	return out
 }

@@ -293,41 +293,70 @@ func TestConcurrentDials(t *testing.T) {
 	}
 }
 
-func TestDeadlinesPropagate(t *testing.T) {
+// TestOverdueAndAbort checks the open set a watchdog reads: a hung
+// connection is listed once it is older than the bound, Abort fails the
+// calls blocked on both of its ends and every later dial, and the
+// dialer's Close takes it out of the set.
+func TestOverdueAndAbort(t *testing.T) {
 	n, _ := newTestNetwork()
+	served := make(chan error, 1)
 	n.Listen("slow.com", 443, func(conn net.Conn, _ ConnMeta) {
-		// Never respond; wait for the client to give up.
-		buf := make([]byte, 1)
-		conn.Read(buf)
-		conn.Close()
+		defer conn.Close()
+		// Never answer and never stall: both ends wait on each other.
+		_, err := conn.Read(make([]byte, 1))
+		served <- err
 	})
 	conn, err := n.Dial("dev", "slow.com", 443)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
-	buf := make([]byte, 1)
-	_, err = conn.Read(buf)
-	var ne net.Error
-	if !errors.As(err, &ne) || !ne.Timeout() {
-		t.Fatalf("err = %v, want timeout", err)
+	if got := n.Overdue(time.Hour); len(got) != 0 {
+		t.Fatalf("Overdue(1h) = %v, want none", got)
+	}
+	read := make(chan error, 1)
+	go func() {
+		_, err := conn.Read(make([]byte, 1))
+		read <- err
+	}()
+	time.Sleep(5 * time.Millisecond)
+	got := n.Overdue(time.Millisecond)
+	if len(got) != 1 || got[0] != "dev → slow.com:443" {
+		t.Fatalf("Overdue(1ms) = %v, want [dev → slow.com:443]", got)
+	}
+	n.Abort()
+	for _, ch := range []chan error{read, served} {
+		select {
+		case err := <-ch:
+			if err == nil {
+				t.Fatal("a blocked Read returned no error after Abort")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Abort left a Read blocked")
+		}
+	}
+	if got := n.Overdue(0); len(got) != 1 {
+		t.Fatalf("Overdue after Abort = %v, want the connection until its dialer closes it", got)
+	}
+	conn.Close()
+	if got := n.Overdue(-time.Hour); len(got) != 0 {
+		t.Fatalf("Overdue after Close = %v, want none", got)
+	}
+	if _, err := n.Dial("dev", "slow.com", 443); !errors.Is(err, ErrAborted) {
+		t.Fatalf("Dial after Abort = %v, want ErrAborted", err)
 	}
 }
 
-// TestClosedConnsReleaseDeadlines checks that closing a dialed
-// connection frees both ends even though each has a deadline set and
-// the server's Read blocked on it. A blocked call arms the pair's
-// timer, whose callback holds the pair, so without the stop on Close
-// every pair would stay live until its timer fired, minutes from now.
-func TestClosedConnsReleaseDeadlines(t *testing.T) {
+// TestClosedConnsAreReleased checks that closing a dialed connection
+// takes it out of the network's open set while the server's Read is
+// still blocked on it, so 10k dialed-and-closed pairs leave nothing
+// behind.
+func TestClosedConnsAreReleased(t *testing.T) {
 	const pairs = 10000
 	n, _ := newTestNetwork()
-	armed := make(chan struct{})
+	reading := make(chan struct{})
 	n.Listen("s.com", 443, func(conn net.Conn, _ ConnMeta) {
 		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(10 * time.Minute))
-		armed <- struct{}{}
+		reading <- struct{}{}
 		buf := make([]byte, 1)
 		for {
 			if _, err := conn.Read(buf); err != nil {
@@ -347,11 +376,13 @@ func TestClosedConnsReleaseDeadlines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn.SetDeadline(time.Now().Add(10 * time.Minute))
-		<-armed
+		<-reading
 		conn.Close()
 	}
 	n.WaitHandlers()
+	if open := n.Overdue(-time.Hour); len(open) != 0 {
+		t.Fatalf("%d closed connections still in the open set", len(open))
+	}
 	after := heap()
 	var retained uint64
 	if after > before {

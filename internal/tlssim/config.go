@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"net"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/certs"
 	"repro/internal/ciphers"
@@ -57,14 +56,6 @@ type RevocationMode struct {
 
 // Any reports whether any revocation mechanism is enabled.
 func (r RevocationMode) Any() bool { return r.CheckCRL || r.CheckOCSP || r.RequestStaple }
-
-// DefaultHandshakeTimeout bounds each flight wait of a client or server
-// config that leaves HandshakeTimeout zero. It is a safety net against
-// bugs, not a failure signal: deliberately silent peers fail reads at
-// once via netem's stall signal, and defended clients alert or close
-// immediately. It must be long enough that CPU contention under the
-// parallel engine can never flip a live handshake's failure class.
-const DefaultHandshakeTimeout = 5 * time.Second
 
 // Dialer opens auxiliary connections (OCSP/CRL fetches) on behalf of a
 // client. It matches netem.Network.Dial's shape.
@@ -149,11 +140,6 @@ type ClientConfig struct {
 	// attempt; nil (the zero value) disables trace instrumentation.
 	Trace *trace.Span
 
-	// HandshakeTimeout bounds the wait for each server flight; an
-	// expired timeout is classified as an incomplete handshake.
-	// Defaults to DefaultHandshakeTimeout.
-	HandshakeTimeout time.Duration
-
 	// instance state shared across handshakes (failure counter).
 	state *instanceState
 }
@@ -194,13 +180,6 @@ func (c *ClientConfig) clockOrReal() clock.Clock {
 		return c.Clock
 	}
 	return clock.Real{}
-}
-
-func (c *ClientConfig) timeout() time.Duration {
-	if c.HandshakeTimeout > 0 {
-		return c.HandshakeTimeout
-	}
-	return DefaultHandshakeTimeout
 }
 
 // offersTLS13 reports whether the configuration can negotiate TLS 1.3.
@@ -314,18 +293,7 @@ type ServerConfig struct {
 	// client requests one (observable in passive data, Table 8).
 	OCSPStaple bool
 
-	// HandshakeTimeout bounds the wait for each client flight.
-	// Defaults to DefaultHandshakeTimeout.
-	HandshakeTimeout time.Duration
-
 	// Telemetry, when set, receives server-side handshake outcome
 	// counters and spans. Nil disables instrumentation.
 	Telemetry *telemetry.Registry
-}
-
-func (c *ServerConfig) timeout() time.Duration {
-	if c.HandshakeTimeout > 0 {
-		return c.HandshakeTimeout
-	}
-	return DefaultHandshakeTimeout
 }

@@ -2,12 +2,14 @@ package tlssim
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
 
 	"repro/internal/certs"
 	"repro/internal/ciphers"
+	"repro/internal/netem"
 	"repro/internal/wire"
 )
 
@@ -37,18 +39,12 @@ func scriptedServer(t *testing.T, script func(conn net.Conn)) (net.Conn, chan st
 	return cc, done
 }
 
-func failClient(root certs.KeyPair) *ClientConfig {
-	cfg := defaultClient(root)
-	cfg.HandshakeTimeout = 100 * time.Millisecond
-	return cfg
-}
-
 func TestClientRejectsGarbageRecord(t *testing.T) {
 	root, _ := testPKI(t, "h.com")
 	cc, done := scriptedServer(t, func(conn net.Conn) {
 		conn.Write([]byte{99, 3, 3, 0, 2, 1, 2}) // unknown content type
 	})
-	_, err := Client(cc, failClient(root), "h.com", 1)
+	_, err := Client(cc, defaultClient(root), "h.com", 1)
 	<-done
 	var he *HandshakeError
 	if !errors.As(err, &he) || he.Class != FailParameters {
@@ -63,7 +59,7 @@ func TestClientRejectsWrongMessageOrder(t *testing.T) {
 		msg := (&wire.CertificateMsg{Chain: []*certs.Certificate{server.Cert}}).Message()
 		wire.WriteHandshake(conn, ciphers.TLS12, msg)
 	})
-	_, err := Client(cc, failClient(root), "h.com", 1)
+	_, err := Client(cc, defaultClient(root), "h.com", 1)
 	<-done
 	var he *HandshakeError
 	if !errors.As(err, &he) || he.Class != FailParameters {
@@ -76,7 +72,7 @@ func TestClientRejectsMalformedServerHello(t *testing.T) {
 	cc, done := scriptedServer(t, func(conn net.Conn) {
 		wire.WriteHandshake(conn, ciphers.TLS12, wire.Handshake{Type: wire.TypeServerHello, Body: []byte{1, 2}})
 	})
-	_, err := Client(cc, failClient(root), "h.com", 1)
+	_, err := Client(cc, defaultClient(root), "h.com", 1)
 	<-done
 	var he *HandshakeError
 	if !errors.As(err, &he) || he.Class != FailParameters {
@@ -84,6 +80,69 @@ func TestClientRejectsMalformedServerHello(t *testing.T) {
 	}
 	if he.Alert == nil || he.Alert.Description != wire.AlertDecodeError {
 		t.Fatalf("alert = %v, want decode_error", he.Alert)
+	}
+}
+
+// TestMalformedServerHelloAlertsOverNetem checks that a ServerHello
+// that fails to parse ends the handshake over netem's rendezvous
+// transport, where the client's decode_error alert and the rest of the
+// server's flight would otherwise wait on each other: whether the
+// ServerHello comes alone or inside a whole flight written at once, the
+// client fails with FailParameters and the server reads the alert.
+func TestMalformedServerHelloAlertsOverNetem(t *testing.T) {
+	root, server := testPKI(t, "h.com")
+	badHello := wire.Handshake{Type: wire.TypeServerHello, Body: []byte{1, 2}}
+	chain := (&wire.CertificateMsg{Chain: []*certs.Certificate{server.Cert, root.Cert}}).Message()
+	for _, tc := range []struct {
+		name   string
+		flight []wire.Handshake
+	}{
+		{"alone", []wire.Handshake{badHello}},
+		{"in flight", []wire.Handshake{badHello, chain, wire.ServerHelloDone()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cc, sc := netem.NewPair("dev", "h.com:443")
+			alert := make(chan error, 1)
+			go func() {
+				defer sc.Close()
+				if _, err := wire.ReadRecord(sc); err != nil {
+					alert <- err
+					return
+				}
+				if err := wire.WriteFlight(sc, ciphers.TLS12, tc.flight...); err != nil {
+					alert <- err
+					return
+				}
+				rec, err := wire.ReadRecord(sc)
+				if err != nil {
+					alert <- err
+					return
+				}
+				a, err := wire.ParseAlert(rec.Payload)
+				if err == nil && (rec.Type != wire.TypeAlert || a.Description != wire.AlertDecodeError) {
+					err = fmt.Errorf("server read a %s record (%v), want a decode_error alert", rec.Type, a)
+				}
+				alert <- err
+			}()
+			done := make(chan error, 1)
+			go func() {
+				_, err := Client(cc, defaultClient(root), "h.com", 1)
+				done <- err
+			}()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("client still waiting after 10s: alert and flight deadlocked")
+			}
+			var he *HandshakeError
+			if !errors.As(err, &he) || he.Class != FailParameters || he.Alert == nil || he.Alert.Description != wire.AlertDecodeError {
+				t.Fatalf("client err = %v, want FailParameters with decode_error", err)
+			}
+			if err := <-alert; err != nil {
+				t.Fatalf("server: %v", err)
+			}
+		})
 	}
 }
 
@@ -95,7 +154,7 @@ func TestClientRejectsMalformedCertificateMsg(t *testing.T) {
 		wire.WriteHandshake(conn, ciphers.TLS12, wire.Handshake{Type: wire.TypeCertificate, Body: []byte{0, 0, 5, 1, 2, 3, 4, 5}})
 		wire.WriteHandshake(conn, ciphers.TLS12, wire.ServerHelloDone())
 	})
-	_, err := Client(cc, failClient(root), "h.com", 1)
+	_, err := Client(cc, defaultClient(root), "h.com", 1)
 	<-done
 	var he *HandshakeError
 	if !errors.As(err, &he) || he.Class != FailParameters {
@@ -112,7 +171,7 @@ func TestClientRejectsUnknownCipherSuiteSelection(t *testing.T) {
 		wire.WriteHandshake(conn, ciphers.TLS12, msg)
 		wire.WriteHandshake(conn, ciphers.TLS12, wire.ServerHelloDone())
 	})
-	_, err := Client(cc, failClient(root), "h.com", 1)
+	_, err := Client(cc, defaultClient(root), "h.com", 1)
 	<-done
 	var he *HandshakeError
 	if !errors.As(err, &he) || he.Class != FailParameters {
@@ -132,7 +191,7 @@ func TestClientRejectsBogusVersionSelection(t *testing.T) {
 		wire.WriteHandshake(conn, ciphers.TLS12, msg)
 		wire.WriteHandshake(conn, ciphers.TLS12, wire.ServerHelloDone())
 	})
-	_, err := Client(cc, failClient(root), "h.com", 1)
+	_, err := Client(cc, defaultClient(root), "h.com", 1)
 	<-done
 	var he *HandshakeError
 	if !errors.As(err, &he) || he.Class != FailVersion {
@@ -149,7 +208,7 @@ func TestClientRejectsEmptyCertificateChain(t *testing.T) {
 		wire.WriteHandshake(conn, ciphers.TLS12, msg)
 		wire.WriteHandshake(conn, ciphers.TLS12, wire.ServerHelloDone())
 	})
-	_, err := Client(cc, failClient(root), "h.com", 1)
+	_, err := Client(cc, defaultClient(root), "h.com", 1)
 	<-done
 	var he *HandshakeError
 	if !errors.As(err, &he) || he.Class != FailCertificate {
@@ -178,7 +237,7 @@ func TestClientRejectsForgedServerFinished(t *testing.T) {
 		wire.WriteRecord(conn, wire.Record{Type: wire.TypeChangeCipherSpec, Version: ciphers.TLS12, Payload: []byte{1}})
 		wire.WriteHandshake(conn, ciphers.TLS12, wire.Handshake{Type: wire.TypeFinished, Body: []byte("not the verify data")})
 	})
-	_, err := Client(cc, failClient(root), "h.com", 1)
+	_, err := Client(cc, defaultClient(root), "h.com", 1)
 	<-done
 	// The possession proof in ServerHelloDone fails first: the scripted
 	// server holds no key and sends an empty body.
@@ -210,20 +269,6 @@ func TestServerToleratesClientVanishing(t *testing.T) {
 	res := <-resCh
 	if res.Err == nil || res.Err.Class != FailPeerClosed {
 		t.Fatalf("server err = %v, want FailPeerClosed", res.Err)
-	}
-}
-
-func TestServerTimesOutOnSilentClient(t *testing.T) {
-	root, server := testPKI(t, "h.com")
-	cc, sc := net.Pipe()
-	cfg := defaultServer(root, server)
-	cfg.HandshakeTimeout = 60 * time.Millisecond
-	resCh := make(chan *ServerResult, 1)
-	go func() { resCh <- Serve(sc, cfg) }()
-	defer cc.Close()
-	res := <-resCh
-	if res.Err == nil || res.Err.Class != FailIncomplete {
-		t.Fatalf("server err = %v, want FailIncomplete", res.Err)
 	}
 }
 

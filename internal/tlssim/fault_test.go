@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -93,9 +92,7 @@ func TestClientClassifiesTruncatedFlightDeterministically(t *testing.T) {
 				defer close(done)
 				Serve(tc, defaultServer(root, server))
 			}()
-			cfg := defaultClient(root)
-			cfg.HandshakeTimeout = 500 * time.Millisecond
-			_, err := Client(cc, cfg, "h.com", 1)
+			_, err := Client(cc, defaultClient(root), "h.com", 1)
 			<-done
 			if tc.first < 5 {
 				t.Fatalf("cut %d run %d: the server's first write is %d bytes, not a whole record", cut, run, tc.first)
@@ -129,9 +126,7 @@ func TestClientClassifiesCorruptedCertificateDeterministically(t *testing.T) {
 				defer close(done)
 				Serve(corrupting, defaultServer(root, server))
 			}()
-			cfg := defaultClient(root)
-			cfg.HandshakeTimeout = 500 * time.Millisecond
-			sess, err := Client(cc, cfg, "h.com", 1)
+			sess, err := Client(cc, defaultClient(root), "h.com", 1)
 			<-done
 			if corrupting.torn {
 				t.Fatalf("offset %d run %d: a server write held part of a record", offset, run)

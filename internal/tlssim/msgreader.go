@@ -93,11 +93,25 @@ func classifyReadError(err error) *HandshakeError {
 	}
 }
 
-// failSendingAlert sends a fatal alert, closes the connection and
-// returns the corresponding *HandshakeError.
+// failSendingAlert sends a fatal alert and returns the corresponding
+// *HandshakeError; Client's and Serve's failure paths close conn.
 func failSendingAlert(conn net.Conn, v ciphers.Version, class FailureClass, desc wire.AlertDescription, err error) *HandshakeError {
 	a := wire.Alert{Level: wire.LevelFatal, Description: desc}
 	wire.WriteAlert(conn, v, a)
-	conn.Close()
 	return failure(class, &a, err)
+}
+
+// failMidFlight is failSendingAlert for a message that fails to parse
+// before the rest of its flight has been read. On netem's rendezvous
+// transport the peer's flight Write waits for this side's reads, so the
+// alert is written from its own goroutine, which closes conn once the
+// peer has read it, while this side drains the flight until conn fails.
+func failMidFlight(conn net.Conn, v ciphers.Version, desc wire.AlertDescription, err error) *HandshakeError {
+	a := wire.Alert{Level: wire.LevelFatal, Description: desc}
+	go func() {
+		wire.WriteAlert(conn, v, a)
+		conn.Close()
+	}()
+	io.Copy(io.Discard, conn)
+	return failure(FailParameters, &a, err)
 }

@@ -69,13 +69,17 @@ func genuineFlight(t *testing.T, root, server certs.KeyPair, host string) map[wi
 }
 
 // replayFlight presents the captured ServerHello and chain with the
-// given ServerHelloDone body to a client connecting at seq.
+// given ServerHelloDone body to a client connecting at seq, then reads
+// the client's answer, its alert or the first record of its flight, and
+// hangs up: the presenter holds no key to finish with.
 func replayFlight(t *testing.T, ccfg *ClientConfig, host string, seq uint64, flight map[wire.HandshakeType]wire.Handshake, proof []byte) error {
 	t.Helper()
 	cc, done := scriptedServer(t, func(conn net.Conn) {
 		wire.WriteHandshake(conn, ciphers.TLS12, flight[wire.TypeServerHello])
 		wire.WriteHandshake(conn, ciphers.TLS12, flight[wire.TypeCertificate])
 		wire.WriteHandshake(conn, ciphers.TLS12, wire.Handshake{Type: wire.TypeServerHelloDone, Body: proof})
+		wire.ReadRecord(conn)
+		conn.Close()
 	})
 	_, err := Client(cc, ccfg, host, seq)
 	<-done
@@ -96,9 +100,9 @@ func TestReplayedChainWithoutKeyFailsSignature(t *testing.T) {
 	}
 
 	// Control: under the original ClientHello the captured proof still
-	// verifies, so the client gets past validation and only stalls for
-	// the presenter's missing Finished.
-	err = replayFlight(t, failClient(root), host, 1, flight, flight[wire.TypeServerHelloDone].Body)
+	// verifies, so the client gets past validation and fails only when
+	// the presenter hangs up instead of sending Finished.
+	err = replayFlight(t, defaultClient(root), host, 1, flight, flight[wire.TypeServerHelloDone].Body)
 	var he *HandshakeError
 	if !errors.As(err, &he) || he.Class == FailCertificate {
 		t.Fatalf("replay under the original hello: err = %v, want a post-validation failure", err)
@@ -113,7 +117,7 @@ func TestReplayedChainWithoutKeyFailsSignature(t *testing.T) {
 	}
 	for _, p := range Profiles {
 		for _, tc := range cases {
-			ccfg := failClient(root)
+			ccfg := defaultClient(root)
 			ccfg.Library = p
 			err := replayFlight(t, ccfg, host, 2, flight, tc.proof)
 			var he *HandshakeError

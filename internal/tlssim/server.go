@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"time"
 
 	"repro/internal/ciphers"
 	"repro/internal/wire"
@@ -32,7 +32,8 @@ type ServerResult struct {
 
 // Serve runs the server side of a TLS handshake over conn. It always
 // returns a ServerResult; inspect Err for the outcome. Serve closes conn
-// on failure but leaves successful sessions open for the caller.
+// on failure, once, as it returns, but leaves successful sessions open
+// for the caller.
 func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 	res := &ServerResult{}
 	tel := cfg.Telemetry
@@ -49,7 +50,6 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 		}
 	}()
 
-	conn.SetDeadline(time.Now().Add(cfg.timeout()))
 	mr := newMsgReader(conn)
 	chMsg, herr := mr.expect(wire.TypeClientHello)
 	if herr != nil {
@@ -70,25 +70,15 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 		// Never answer. When the transport supports deterministic
 		// stalls (netem pipes), fail the client's pending read right
 		// away — same timeout classification, no wall-clock wait.
-		// Otherwise hold the connection until the client gives up.
-		conn.SetDeadline(noDeadline)
+		// Otherwise hold the connection until the client closes it.
 		if s, ok := conn.(interface{ StallPeer() }); ok {
 			s.StallPeer()
 		}
-		buf := make([]byte, 256)
-		for {
-			if _, err := conn.Read(buf); err != nil {
-				break
-			}
-		}
-		conn.Close()
+		io.Copy(io.Discard, conn)
 		res.Err = failure(FailIncomplete, nil, errors.New("tlssim: configured to withhold ServerHello"))
 		return res
 	case ServeReject:
-		a := wire.Alert{Level: wire.LevelFatal, Description: wire.AlertHandshakeFailure}
-		wire.WriteAlert(conn, ciphers.TLS10, a)
-		conn.Close()
-		res.Err = failure(FailParameters, &a, errors.New("tlssim: configured to reject handshakes"))
+		res.Err = failSendingAlert(conn, ciphers.TLS10, FailParameters, wire.AlertHandshakeFailure, errors.New("tlssim: configured to reject handshakes"))
 		return res
 	}
 
@@ -99,20 +89,14 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 		version, ok = cfg.ForceVersion, true
 	}
 	if !ok {
-		a := wire.Alert{Level: wire.LevelFatal, Description: wire.AlertProtocolVersion}
-		wire.WriteAlert(conn, ciphers.TLS10, a)
-		conn.Close()
-		res.Err = failure(FailVersion, &a, fmt.Errorf("tlssim: no mutually supported version"))
+		res.Err = failSendingAlert(conn, ciphers.TLS10, FailVersion, wire.AlertProtocolVersion, fmt.Errorf("tlssim: no mutually supported version"))
 		return res
 	}
 	res.NegotiatedVersion = version
 
 	suite, ok := ciphers.SelectSuite(ch.CipherSuites, cfg.CipherSuites, version)
 	if !ok {
-		a := wire.Alert{Level: wire.LevelFatal, Description: wire.AlertHandshakeFailure}
-		wire.WriteAlert(conn, ciphers.TLS10, a)
-		conn.Close()
-		res.Err = failure(FailParameters, &a, fmt.Errorf("tlssim: no mutually supported ciphersuite at %s", version))
+		res.Err = failSendingAlert(conn, ciphers.TLS10, FailParameters, wire.AlertHandshakeFailure, fmt.Errorf("tlssim: no mutually supported ciphersuite at %s", version))
 		return res
 	}
 	res.NegotiatedSuite = suite
@@ -141,7 +125,6 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 
 	// Client flight: ClientKeyExchange, (CCS), Finished — or an alert if
 	// the client rejected our certificate.
-	conn.SetDeadline(time.Now().Add(cfg.timeout()))
 	ckeMsg, herr := mr.expect(wire.TypeClientKeyExchange)
 	if herr != nil {
 		res.ClientAlert = mr.LastAlert
@@ -170,7 +153,6 @@ func Serve(conn net.Conn, cfg *ServerConfig) *ServerResult {
 		return res
 	}
 
-	conn.SetDeadline(noDeadline)
 	secret := masterSecret(ch.Random, sh.Random, suite)
 	res.Session = &Session{
 		Conn:        newSecureConn(conn, version, secret, false),

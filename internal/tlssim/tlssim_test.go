@@ -11,6 +11,7 @@ import (
 	"repro/internal/certs"
 	"repro/internal/ciphers"
 	"repro/internal/clock"
+	"repro/internal/netem"
 	"repro/internal/wire"
 )
 
@@ -51,7 +52,6 @@ func defaultClient(root certs.KeyPair) *ClientConfig {
 		Roots:               pool,
 		Validation:          ValidateFull,
 		Clock:               clock.NewSimulated(tNow),
-		HandshakeTimeout:    300 * time.Millisecond,
 	}
 }
 
@@ -65,14 +65,14 @@ func defaultServer(root, server certs.KeyPair) *ServerConfig {
 			ciphers.TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256,
 			ciphers.TLS_RSA_WITH_AES_128_CBC_SHA,
 		},
-		HandshakeTimeout: 300 * time.Millisecond,
 	}
 }
 
-// handshake runs client and server over a pipe and returns both results.
+// handshake runs client and server over a netem connection, the
+// testbed's transport, and returns both results.
 func handshake(t *testing.T, ccfg *ClientConfig, scfg *ServerConfig, host string) (*Session, error, *ServerResult) {
 	t.Helper()
-	cc, sc := net.Pipe()
+	cc, sc := netem.NewPair("dev", host+":443")
 	resCh := make(chan *ServerResult, 1)
 	go func() { resCh <- Serve(sc, scfg) }()
 	sess, err := Client(cc, ccfg, host, 1)
@@ -502,13 +502,14 @@ func TestAmenability(t *testing.T) {
 
 // --- server failure modes ------------------------------------------------
 
+// TestIncompleteHandshake checks a server that withholds its flight
+// fails the client at once as an incomplete handshake: over netem the
+// server stalls its peer, so no deadline is needed.
 func TestIncompleteHandshake(t *testing.T) {
 	root, server := testPKI(t, "h.com")
-	ccfg := defaultClient(root)
-	ccfg.HandshakeTimeout = 60 * time.Millisecond
 	scfg := defaultServer(root, server)
 	scfg.Behavior = ServeIncompleteHandshake
-	_, err, res := handshake(t, ccfg, scfg, "h.com")
+	_, err, res := handshake(t, defaultClient(root), scfg, "h.com")
 	var he *HandshakeError
 	if !errors.As(err, &he) || he.Class != FailIncomplete {
 		t.Fatalf("client err = %v, want FailIncomplete", err)

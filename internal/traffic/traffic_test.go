@@ -115,8 +115,8 @@ func TestRevocationTrafficAcrossStudy(t *testing.T) {
 
 // TestRunFailsOnOpenMirror pins the month barrier: a mirrored
 // connection still open when the month's dialers have returned fails
-// the month at once, naming the count, instead of losing its
-// observation.
+// the month at once, naming the count and the connection, instead of
+// losing its observation.
 func TestRunFailsOnOpenMirror(t *testing.T) {
 	g, store, _ := newGenerator(t)
 	g.Network.Listen("leak.example.com", 443, func(c net.Conn, _ netem.ConnMeta) { c.Close() })
@@ -131,8 +131,8 @@ func TestRunFailsOnOpenMirror(t *testing.T) {
 		return false
 	}
 	stats, err := g.Run(device.StudyStart, device.StudyStart)
-	if err == nil || !strings.Contains(err.Error(), "1 mirrored connection(s) still open") {
-		t.Fatalf("Run = %v, want the barrier to fail on 1 open mirrored connection", err)
+	if err == nil || !strings.Contains(err.Error(), "1 mirrored connection(s) still open: leaky-device → leak.example.com:443") {
+		t.Fatalf("Run = %v, want the barrier to fail naming the 1 open mirrored connection", err)
 	}
 	if stats.Months != 0 {
 		t.Errorf("months = %d, want the failed month uncounted", stats.Months)
