@@ -148,10 +148,10 @@ func TestClosedErrors(t *testing.T) {
 	}
 }
 
-// TestNoDeadlines checks that a Conn keeps no wall-clock deadline:
+// TestReadDeadlines checks that a Conn keeps no wall-clock deadline:
 // each setter fails with os.ErrNoDeadline, open or closed, and a Read
-// after one still waits for the peer.
-func TestNoDeadlines(t *testing.T) {
+// after a past read deadline still waits for the peer.
+func TestReadDeadlines(t *testing.T) {
 	client, server := NewPair("dev", "srv:443")
 	for _, set := range []func(time.Time) error{client.SetDeadline, client.SetReadDeadline, client.SetWriteDeadline} {
 		if err := set(time.Now()); err != os.ErrNoDeadline {

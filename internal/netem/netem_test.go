@@ -3,8 +3,10 @@ package netem
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -290,6 +292,52 @@ func TestConcurrentDials(t *testing.T) {
 	wg.Wait()
 	if got := n.Telemetry().Counter("netem.dials").Value(); got != 16 {
 		t.Fatalf("netem.dials = %d", got)
+	}
+}
+
+// TestDeadlinesPropagate checks that both ends of a dialed connection
+// refuse deadlines alike: the handler's and the dialer's setters fail
+// with os.ErrNoDeadline, and a Read after a past deadline on either end
+// still waits for the other end's byte instead of timing out.
+func TestDeadlinesPropagate(t *testing.T) {
+	n, _ := newTestNetwork()
+	served := make(chan error, 1)
+	n.Listen("slow.com", 443, func(conn net.Conn, _ ConnMeta) {
+		defer conn.Close()
+		if err := conn.SetReadDeadline(time.Now()); err != os.ErrNoDeadline {
+			served <- fmt.Errorf("server SetReadDeadline = %v, want os.ErrNoDeadline", err)
+			return
+		}
+		buf := make([]byte, 1)
+		if _, err := conn.Read(buf); err != nil {
+			served <- fmt.Errorf("server Read after a past deadline = %v, want the client's byte", err)
+			return
+		}
+		_, err := conn.Write(buf)
+		served <- err
+	})
+	conn, err := n.Dial("dev", "slow.com", 443)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetReadDeadline(time.Now()); err != os.ErrNoDeadline {
+		t.Fatalf("client SetReadDeadline = %v, want os.ErrNoDeadline", err)
+	}
+	if _, err := conn.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1)
+	if _, err := io.ReadFull(conn, buf); err != nil || buf[0] != 'x' {
+		t.Fatalf("client Read after a past deadline = (%q, %v), want the echoed byte", buf, err)
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("handler never finished")
 	}
 }
 
