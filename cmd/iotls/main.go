@@ -366,9 +366,14 @@ func runAudit() error {
 	s := newStudy()
 	s.Clock.AdvanceTo(device.ActiveSnapshot.Start())
 	svc := audit.NewService(s.Network, "audit.iotls.example", device.OperationalCAs(s.Registry.Universe)[0].Pair)
-	for _, dev := range s.Registry.ActiveDevices() {
-		dst := device.Destination{Host: svc.Host, Slot: 0, Boot: true, MonthlyConns: 1}
-		driver.Connect(s.Network, dev, dst, device.ActiveSnapshot, 1)
+	err := s.Watch("audit", func() {
+		for _, dev := range s.Registry.ActiveDevices() {
+			dst := device.Destination{Host: svc.Host, Slot: 0, Boot: true, MonthlyConns: 1}
+			driver.Connect(s.Network, dev, dst, device.ActiveSnapshot, 1)
+		}
+	})
+	if err != nil {
+		return err
 	}
 	fmt.Print(svc.Summary())
 	return nil
@@ -380,8 +385,13 @@ func runGuard() error {
 	g := guard.New(s.Network, guard.DefaultPolicy)
 	uninstall := g.Install()
 	defer uninstall()
-	for i, dev := range s.Registry.ActiveDevices() {
-		driver.Boot(s.Network, dev, device.ActiveSnapshot, uint64(i)*1000, nil)
+	err := s.Watch("guard", func() {
+		for i, dev := range s.Registry.ActiveDevices() {
+			driver.Boot(s.Network, dev, device.ActiveSnapshot, uint64(i)*1000, nil)
+		}
+	})
+	if err != nil {
+		return err
 	}
 	fmt.Print(g.Report())
 	return nil

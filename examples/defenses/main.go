@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"repro/internal/audit"
 	"repro/internal/core"
@@ -19,7 +20,14 @@ import (
 
 func main() {
 	study := core.NewStudy()
+	// Watch bounds every connection the demo opens: a hung one fails the
+	// run with the connection named instead of blocking forever.
+	if err := study.Watch("defenses", func() { demo(study) }); err != nil {
+		log.Fatal(err)
+	}
+}
 
+func demo(study *core.Study) {
 	// --- 1. Certificate pinning vs the interception proxy -------------
 	fmt.Println("--- certificate pinning vs interception ---")
 	lgtv, _ := study.Registry.Get("lg-tv")

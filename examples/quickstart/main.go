@@ -22,6 +22,14 @@ func main() {
 	study := core.NewStudy()
 	study.Network.SetMirror(study.Collector.Mirror)
 
+	// Watch bounds every connection the demo opens: a hung one fails the
+	// run with the connection named instead of blocking forever.
+	if err := study.Watch("quickstart", func() { demo(study) }); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func demo(study *core.Study) {
 	dev, ok := study.Registry.Get("google-home-mini")
 	if !ok {
 		log.Fatal("device not found")

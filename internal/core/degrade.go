@@ -182,19 +182,15 @@ func (s *Study) watch(name string, fn func() error) error {
 	go func() { done <- s.runContained(name, fn) }()
 	tick := time.NewTicker(watchdogBound / 8)
 	defer tick.Stop()
-	var hung []string
 	for {
 		select {
 		case err := <-done:
-			if hung != nil {
-				return &HangError{Phase: name, Conns: hung}
-			}
 			return err
 		case <-tick.C:
-			if hung == nil {
-				if hung = s.Network.Overdue(watchdogBound); hung != nil {
-					s.Network.Abort()
-				}
+			if hung := s.Network.Overdue(watchdogBound); hung != nil {
+				s.Network.Abort()
+				<-done
+				return &HangError{Phase: name, Conns: hung}
 			}
 		}
 	}

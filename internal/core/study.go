@@ -135,6 +135,13 @@ func (s *Study) Interrupt() { s.interrupted.Store(true) }
 // Interrupted reports whether Interrupt has been called.
 func (s *Study) Interrupted() bool { return s.interrupted.Load() }
 
+// Watch runs fn as the named study phase, so the study watchdog bounds
+// the connections of callers that drive devices outside the study's own
+// phases: a hang fails with the watchdog's *HangError.
+func (s *Study) Watch(name string, fn func()) error {
+	return s.phase(name, func() error { fn(); return nil })
+}
+
 // Err returns the study's failure: the watchdog's *HangError once a
 // phase hung, else nil. A failed study has no verdicts to report.
 func (s *Study) Err() error { return s.failed }

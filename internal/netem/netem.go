@@ -286,6 +286,20 @@ func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Spa
 		taps = nil
 	}
 
+	// Join the open set before any tap sees the dial: a hijacking tap
+	// counts on its handler running, which Abort then ends at once.
+	client, server := NewPair(srcHost, meta.addr)
+	client.nw = n
+	n.openMu.Lock()
+	aborted := n.aborted
+	if !aborted {
+		n.open[client] = time.Now()
+	}
+	n.openMu.Unlock()
+	if aborted {
+		return nil, ErrAborted
+	}
+
 	for _, e := range taps {
 		if h := (*e)(meta); h != nil {
 			handler = h
@@ -294,21 +308,11 @@ func (n *Network) DialTraced(srcHost, dstHost string, dstPort int, sp *trace.Spa
 		}
 	}
 	if handler == nil {
+		client.Close()
 		n.hot.dialsNoRoute.Inc()
 		return nil, fmt.Errorf("%w: %s", ErrNoRoute, meta.Addr())
 	}
 
-	client, server := NewPair(srcHost, meta.addr)
-	client.nw = n
-	n.openMu.Lock()
-	if !n.aborted {
-		n.open[client] = time.Now()
-	}
-	aborted := n.aborted
-	n.openMu.Unlock()
-	if aborted {
-		return nil, ErrAborted
-	}
 	if mirror != nil {
 		if m := mirror(meta); m != nil {
 			n.hot.mirrorConns.Inc()

@@ -57,6 +57,9 @@ func TestDialNoRoute(t *testing.T) {
 	if !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("err = %v, want ErrNoRoute", err)
 	}
+	if open := n.Overdue(-time.Hour); len(open) != 0 {
+		t.Fatalf("an unrouted dial left %v in the open set", open)
+	}
 }
 
 func TestUnlisten(t *testing.T) {
@@ -391,6 +394,25 @@ func TestOverdueAndAbort(t *testing.T) {
 	}
 	if _, err := n.Dial("dev", "slow.com", 443); !errors.Is(err, ErrAborted) {
 		t.Fatalf("Dial after Abort = %v, want ErrAborted", err)
+	}
+}
+
+// TestAbortedDialConsultsNoTap pins the order DialTraced keeps: a tap
+// that hijacks a dial counts on its handler running, so a dial refused
+// by Abort must never reach a tap.
+func TestAbortedDialConsultsNoTap(t *testing.T) {
+	n, _ := newTestNetwork()
+	consulted := 0
+	n.AddTap(func(ConnMeta) Handler {
+		consulted++
+		return func(conn net.Conn, _ ConnMeta) { conn.Close() }
+	})
+	n.Abort()
+	if _, err := n.Dial("dev", "any.com", 443); !errors.Is(err, ErrAborted) {
+		t.Fatalf("Dial after Abort = %v, want ErrAborted", err)
+	}
+	if consulted != 0 {
+		t.Fatalf("an aborted dial consulted the tap %d time(s)", consulted)
 	}
 }
 
